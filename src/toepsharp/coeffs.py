@@ -11,6 +11,7 @@ Toeplitz functionals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -38,9 +39,10 @@ class FunctionalKind(Enum):
 class PhiSpec:
     """Taylor data of the class generator: phi(z) = 1 + B1 z + B2 z^2 + B3 z^3 + ...
 
-    B1, B2, B3 are real; B1 >= 0 for every generator of interest (B1 = 0
-    only for the lemniscate generator sqrt(1+z^2)).  Fields may be exact
-    Fractions, in which case all downstream bound arithmetic stays exact.
+    B1, B2, B3 are real and finite; B1 >= 0 for every generator of interest
+    (B1 = 0 only for the lemniscate generator sqrt(1+z^2)).  Fields may be
+    exact Fractions, in which case all downstream bound arithmetic stays
+    exact.
     """
 
     b1: Real
@@ -48,6 +50,9 @@ class PhiSpec:
     b3: Real
 
     def __post_init__(self):
+        for v in (self.b1, self.b2, self.b3):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"B1, B2, B3 must be finite, got {v!r}")
         if self.b1 < 0:
             raise ValueError("B1 must be nonnegative")
 

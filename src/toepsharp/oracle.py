@@ -7,15 +7,29 @@ hit the global maximum reliably.  The known extremal point omega(z) = iz
 and its real rotations are always injected as starts, so the empirical
 maximum can never fall below the attainment value, whatever the budget.
 
-Everything is deterministic given (inputs, seed, budget): sampling uses
-one row-major uniform block (so sample streams are prefix-stable in the
-budget) and the refinement itself uses no randomness at all, which also
-makes the per-start work embarrassingly parallel with identical results
-in any execution order.
+The screen streams the sample through blocks of ``_BLOCK`` rows, so its
+memory is O(block) whatever the budget.  Each block is drawn from the one
+generator seeded for the run; the generator fills row-major, so the
+blocks concatenate to exactly the single (budget, 7) draw and the sample
+stream stays prefix-stable in the budget.  The best rows of each block are
+merged into a running top-k that equals a stable sort of the whole sample
+(ties and NaN included: earlier rows first, NaN last), so the refinement
+sees the same starts as a screen that held every row.
+
+The objectives take the three complex parameters, not box coordinates.
+The compass search keeps each start's unit phases exp(1j t): a radius
+probe reuses them and an angle probe recomputes only the one it moved.
+Every parameter is still the same product r * exp(1j t) of the same two
+floats, so the results are bit-identical to recomputing all phases.
+
+Everything is deterministic given (inputs, seed, budget): the refinement
+itself uses no randomness at all, which also makes the per-start work
+embarrassingly parallel with identical results in any execution order.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,6 +43,7 @@ VIOLATION_TOL = 1e-9
 SHARPNESS_TOL = 1e-4
 
 _N_STARTS = 64
+_BLOCK = 4096
 _STEP_INIT = 0.1
 _STEP_MIN = 1e-9
 _MAX_ITERS = 400
@@ -56,14 +71,13 @@ class VerificationReport:
     applicable: bool        # False = bound is a formula value only, unproven
 
 
-def _gammas(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Box coordinates (r0,t0,r1,t1,r2,t2) -> three complex parameters."""
-    g = x[..., 0::2] * np.exp(1j * x[..., 1::2])
-    return g[..., 0], g[..., 1], g[..., 2]
+def _gammas(x: np.ndarray) -> np.ndarray:
+    """Box coordinates (r0,t0,r1,t1,r2,t2) -> the three complex parameters."""
+    return x[..., 0::2] * np.exp(1j * x[..., 1::2])
 
 
-def _triples(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    g0, g1, g2 = _gammas(x)
+def _triples(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    g0, g1, g2 = g[..., 0], g[..., 1], g[..., 2]
     t0 = 1.0 - np.abs(g0) ** 2
     c1 = g0
     c2 = t0 * g1
@@ -72,12 +86,12 @@ def _triples(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _functional_objective(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec):
-    """Vectorized |T| as a function of the box coordinates."""
+    """Vectorized |T| as a function of the parameters g[..., 0:3]."""
     B1, B2, B3 = phi.as_floats()
     convex = kind is ClassKind.CONVEX
 
-    def obj(x: np.ndarray) -> np.ndarray:
-        c1, c2, c3 = _triples(x)
+    def obj(g: np.ndarray) -> np.ndarray:
+        c1, c2, c3 = _triples(g)
         a2 = B1 * c1
         a3 = ((B1 * B1 + B2) * c1 ** 2 + B1 * c2) / 2
         a4 = ((B1 ** 3 + 3 * B1 * B2 + 2 * B3) * c1 ** 3
@@ -100,8 +114,8 @@ def _functional_objective(functional: FunctionalKind, kind: ClassKind, phi: PhiS
 
 
 def _lemma_objective(sigma: float, mu: float):
-    def obj(x: np.ndarray) -> np.ndarray:
-        c1, c2, c3 = _triples(x)
+    def obj(g: np.ndarray) -> np.ndarray:
+        c1, c2, c3 = _triples(g)
         return np.abs(c3 + sigma * c1 * c2 + mu * c1 ** 3)
 
     return obj
@@ -118,16 +132,50 @@ _SEED_POINTS = np.array([
 ])
 
 
-def _sample_box(seed: int, n: int) -> np.ndarray:
-    """Half uniform-polar, half boundary-biased draws; prefix-stable in n."""
-    rng = np.random.default_rng(seed)
-    u = rng.random((n, 7))
-    x = np.empty((n, 6))
+def _sample_block(rng: np.random.Generator, m: int) -> np.ndarray:
+    """The next m rows of the sample: half uniform-polar, half boundary-biased."""
+    u = rng.random((m, 7))
+    x = np.empty((m, 6))
     x[:, 0::2] = u[:, 0:5:2]
     x[:, 1::2] = 2.0 * np.pi * u[:, 1:6:2]
-    near = u[:, 6] < 0.5
-    x[near, 0] = 1.0 - 0.1 * x[near, 0] ** 2
+    r0 = u[:, 0]
+    x[:, 0] = np.where(u[:, 6] < 0.5, 1.0 - 0.1 * r0 ** 2, r0)
     return x
+
+
+def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k smallest keys: ``np.argsort(keys, kind="stable")[:k]``.
+
+    A partition finds the k-th smallest key; only keys not above it (NaN
+    counts as above everything, as in the sort) are then sorted stably,
+    so ties keep position order.
+    """
+    if len(keys) > k:
+        kth = np.partition(keys, k - 1)[k - 1]
+        pos = np.flatnonzero(~(keys > kth))
+    else:
+        pos = np.arange(len(keys))
+    return pos[np.argsort(keys[pos], kind="stable")[:k]]
+
+
+def _screen(obj, budget: int, seed: int) -> np.ndarray:
+    """The min(_N_STARTS, budget) best sample rows, best first.
+
+    Streams the sample in blocks and keeps a running top-k of the
+    negated values.  The running top goes before the block's rows, all
+    of which come later in the sample, so the stable selection keeps
+    earlier rows first on ties.
+    """
+    rng = np.random.default_rng(seed)
+    n_top = min(_N_STARTS, budget)
+    top_keys = np.empty(0)
+    top_x = np.empty((0, 6))
+    for done in range(0, budget, _BLOCK):
+        x = _sample_block(rng, min(_BLOCK, budget - done))
+        keys = np.concatenate([top_keys, -obj(_gammas(x))])
+        top = _top_k(keys, n_top)
+        top_keys, top_x = keys[top], np.concatenate([top_x, x])[top]
+    return top_x
 
 
 def _project(x: np.ndarray) -> np.ndarray:
@@ -136,15 +184,28 @@ def _project(x: np.ndarray) -> np.ndarray:
     return x
 
 
+# the probes that move an angle (2 d and 2 d + 1 for d = 1, 3, 5), the
+# coordinate each moves, and the parameter whose phase that changes
+_ANGLE_PROBES = np.array([2, 3, 6, 7, 10, 11])
+_ANGLE_COORDS = _ANGLE_PROBES // 2
+_ANGLE_PARAMS = _ANGLE_COORDS // 2
+
+
 def _compass_search(obj, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Vectorized compass (pattern) search on the box, one row per start.
 
     Probes +-step along each coordinate, moves to the best improving
-    probe, halves the step when nothing improves.  Deterministic.
+    probe, halves the step when nothing improves.  Deterministic.  Each
+    start's phases exp(1j t) are kept alongside its coordinates, so only
+    the angle probes evaluate exp, each for its one moved angle.  Start
+    angles lie in [0, 2 pi), where the projection is the identity, so a
+    kept phase is always that of the projected angle a probe would use.
     """
     x = x0.copy()
-    f = obj(x)
+    phase = np.exp(1j * x[:, 1::2])
+    f = obj(x[:, 0::2] * phase)
     step = np.full(len(x), _STEP_INIT)
+    rows = np.arange(len(x))
     iters = 0
     while np.any(step >= _STEP_MIN) and iters < _MAX_ITERS:
         iters += 1
@@ -153,23 +214,22 @@ def _compass_search(obj, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
             cand[2 * d, :, d] += step
             cand[2 * d + 1, :, d] -= step
         _project(cand)
-        fc = obj(cand)                # (12, S)
+        cphase = np.repeat(phase[None, :, :], 12, axis=0)  # (12, S, 3)
+        cphase[_ANGLE_PROBES, :, _ANGLE_PARAMS] = np.exp(
+            1j * cand[_ANGLE_PROBES, :, _ANGLE_COORDS])
+        fc = obj(cand[..., 0::2] * cphase)  # (12, S)
         best = np.argmax(fc, axis=0)  # first max wins: deterministic
-        fbest = fc[best, np.arange(len(x))]
+        fbest = fc[best, rows]
         improved = fbest > f
-        x[improved] = cand[best[improved], np.arange(len(x))[improved]]
+        x[improved] = cand[best[improved], rows[improved]]
+        phase[improved] = cphase[best[improved], rows[improved]]
         f = np.where(improved, fbest, f)
         step = np.where(improved, step, step / 2.0)
     return x, f, iters
 
 
 def _maximize_objective(obj, budget: int, seed: int):
-    samples = _sample_box(seed, budget)
-    fs = obj(samples)
-    n_top = min(_N_STARTS, budget)
-    # stable ranking so equal values keep sample order
-    order = np.argsort(-fs, kind="stable")[:n_top]
-    starts = np.vstack([_SEED_POINTS, samples[order]])
+    starts = np.vstack([_SEED_POINTS, _screen(obj, budget, seed)])
     xr, fr, iters = _compass_search(obj, starts)
     k = int(np.argmax(fr))
     return xr[k], float(fr[k]), iters
@@ -204,6 +264,7 @@ def maximize(
     the formula value is judged as if it were a bound, flagged unproven
     via ``applicable=False``.
     """
+    budget = operator.index(budget)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     report = bounds.theorem_bound(functional, kind, phi)
@@ -241,6 +302,7 @@ def lemma1_scan(
     which case only the empirical value is meaningful and the verdict is
     judged against it (never VIOLATION).
     """
+    budget = operator.index(budget)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     obj = _lemma_objective(float(sigma), float(mu))

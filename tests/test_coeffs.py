@@ -1,5 +1,7 @@
 """Coefficient maps and functionals: examples and cross-module equivalences."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -154,3 +156,12 @@ def test_conjugation_invariance_of_functionals():
 def test_phi_spec_rejects_negative_b1():
     with pytest.raises(ValueError):
         PhiSpec(-0.5, 0, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+@pytest.mark.parametrize("field", range(3))
+def test_phi_spec_rejects_non_finite(bad, field):
+    raw = [1.0, 0.5, 0.25]
+    raw[field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        PhiSpec(*raw)

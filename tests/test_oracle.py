@@ -1,9 +1,24 @@
-"""Numerical maximization oracle: determinism, seeding, verdicts, lemma scan."""
+"""Numerical maximization oracle: determinism, seeding, verdicts, lemma scan.
 
+Run as a script to rewrite the golden fixture from the current code:
+``PYTHONPATH=src python tests/test_oracle.py``.
+"""
+
+import json
+import math
+import sys
+import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toepsharp import oracle
+from toepsharp.bounds import theorem_bound
+from toepsharp.catalog import certificate_entries
 from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec
 from toepsharp.extremal import attainment
 from toepsharp.oracle import Verdict, lemma1_scan, maximize
@@ -72,6 +87,32 @@ class TestMaximize:
             maximize(FunctionalKind.T21_INV, ClassKind.STARLIKE, HALF_PLANE,
                      budget=0)
 
+    @pytest.mark.parametrize("budget", [1000.0, 2.5, "100", None])
+    def test_rejects_non_integer_budget(self, budget):
+        with pytest.raises(TypeError):
+            maximize(FunctionalKind.T21_INV, ClassKind.STARLIKE, HALF_PLANE,
+                     budget=budget)
+
+    def test_accepts_numpy_integer_budget(self):
+        rep = maximize(FunctionalKind.T21_INV, ClassKind.STARLIKE, HALF_PLANE,
+                       budget=np.int64(100), seed=2)
+        assert rep == maximize(FunctionalKind.T21_INV, ClassKind.STARLIKE,
+                               HALF_PLANE, budget=100, seed=2)
+        assert type(rep.samples_used) is int
+
+    def test_screen_memory_does_not_grow_with_budget(self):
+        """The screen streams fixed-size blocks: no budget-sized arrays."""
+        maximize(FunctionalKind.T22_INV, ClassKind.STARLIKE, HALF_PLANE,
+                 budget=100, seed=0)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            maximize(FunctionalKind.T22_INV, ClassKind.STARLIKE, HALF_PLANE,
+                     budget=2 * 10 ** 5, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 10 ** 6, f"peak traced allocation {peak} bytes"
+
 
 class TestLemmaScan:
     def test_interior_point(self):
@@ -101,3 +142,155 @@ class TestLemmaScan:
     def test_rejects_empty_budget(self):
         with pytest.raises(ValueError):
             lemma1_scan(0, 1, budget=0)
+
+    @pytest.mark.parametrize("budget", [1e4, 2.5, "100"])
+    def test_rejects_non_integer_budget(self, budget):
+        with pytest.raises(TypeError):
+            lemma1_scan(0, 1, budget=budget)
+
+
+# Screen selection: the streamed top-k must pick exactly the rows a stable
+# descending sort of the whole sample picks, ties, NaN and +-inf included.
+
+# few distinct values, so ties are everywhere; NaN, +-inf and both zeros
+TIE_POOLS = st.lists(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, math.nan, math.inf, -math.inf])
+    | st.integers(-3, 3).map(float),
+    min_size=1, max_size=6)
+ANY_FLOATS = st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=300)
+
+
+class TestTopK:
+    @settings(max_examples=300, deadline=None)
+    @given(values=ANY_FLOATS, k=st.integers(1, 80))
+    def test_matches_stable_sort(self, values, k):
+        keys = np.array(values, dtype=float)
+        assert oracle._top_k(keys, k).tolist() == np.argsort(
+            keys, kind="stable")[:k].tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(pool=TIE_POOLS, n=st.integers(0, 300), k=st.integers(1, 80),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_stable_sort_with_ties(self, pool, n, k, seed):
+        keys = np.array(pool)[np.random.default_rng(seed).integers(len(pool), size=n)]
+        assert oracle._top_k(keys, k).tolist() == np.argsort(
+            keys, kind="stable")[:k].tolist()
+
+    def test_all_equal(self):
+        for n in (1, 63, 64, 65, 200):
+            keys = np.full(n, 2.5)
+            assert oracle._top_k(keys, 64).tolist() == list(range(min(n, 64)))
+
+
+def _replaying(fs: np.ndarray):
+    """An objective that returns fs for the rows in sample order."""
+    done = 0
+
+    def obj(g):
+        nonlocal done
+        out = fs[done:done + len(g)]
+        done += len(g)
+        return out
+
+    return obj
+
+
+def _check_screen(fs: np.ndarray, seed: int):
+    budget = len(fs)
+    sample = oracle._sample_block(np.random.default_rng(seed), budget)
+    want = sample[np.argsort(-fs, kind="stable")[:oracle._N_STARTS]]
+    got = oracle._screen(_replaying(fs), budget, seed)
+    assert np.array_equal(got, want)
+
+
+class TestScreenMerge:
+    """Block streaming plus the running merge, against one whole-sample sort."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pool=TIE_POOLS,
+           budget=st.sampled_from([1, 63, 64, 65, 200])
+           | st.sampled_from([-1, 0, 1]).flatmap(
+               lambda d: st.sampled_from([oracle._BLOCK + d, 2 * oracle._BLOCK + d])),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_whole_sample_sort(self, pool, budget, seed):
+        rng = np.random.default_rng(seed)
+        _check_screen(np.array(pool)[rng.integers(len(pool), size=budget)], seed)
+
+    @pytest.mark.parametrize("budget", [oracle._BLOCK - 1, oracle._BLOCK,
+                                        2 * oracle._BLOCK + 1])
+    def test_distinct_values(self, budget):
+        _check_screen(np.random.default_rng(budget).random(budget), budget)
+
+    def test_all_equal_keeps_first_rows(self):
+        _check_screen(np.ones(2 * oracle._BLOCK + 3), 0)
+
+    def test_best_rows_in_a_late_block(self):
+        fs = np.zeros(3 * oracle._BLOCK)
+        fs[-100:] = 1.0
+        _check_screen(fs, 4)
+
+
+# Golden fixture: the exact bytes of fixed-seed oracle results, recorded so
+# that a change to the sampler, screen or refinement that moves any bit of
+# a report fails here rather than only between two runs of the same code.
+GOLDEN = Path(__file__).parent / "data" / "oracle_golden.json"
+# budgets around the start count (64) and the screen's block size (4096)
+GOLDEN_BUDGETS = (1, 63, 64, 65, 4095, 4096, 4097, 8193, 10 ** 5)
+# Omega1, Omega3, Omega2 (twice), Omega3, and three points outside every region
+GOLDEN_LEMMA_POINTS = ((0.0, 1.0), (-7.0, 10.0), (3.0, 2.0), (-2.5, 1.2),
+                       (5.0, 3.5), (0.0, 0.0), (1.5, -0.5), (-4.5, 2.0))
+
+
+def _report_text(rep) -> str:
+    g = rep.argmax
+    return (f"{rep.empirical_max!r}|{g.gamma0!r}|{g.gamma1!r}|{g.gamma2!r}"
+            f"|{rep.refinement_iters}|{rep.verdict.value}")
+
+
+def _golden_cases():
+    """(case id, thunk) for every fixed-seed run the fixture pins."""
+    cases = []
+    for label, kind, phi in certificate_entries():
+        for functional in FunctionalKind:
+            if theorem_bound(functional, kind, phi).applicable:
+                cases.append((
+                    f"maximize|{label}|{kind.value}|{functional.value}|5000|0",
+                    lambda f=functional, k=kind, p=phi:
+                        _report_text(maximize(f, k, p, budget=5000, seed=0))))
+    for budget in GOLDEN_BUDGETS:
+        cases.append((
+            f"maximize|H|starlike|t22-inv|{budget}|7",
+            lambda b=budget: _report_text(maximize(
+                FunctionalKind.T22_INV, ClassKind.STARLIKE, HALF_PLANE,
+                budget=b, seed=7))))
+    for sigma, mu in GOLDEN_LEMMA_POINTS:
+        def scan(s=sigma, m=mu):
+            emp, bound, verdict = lemma1_scan(s, m, budget=10 ** 4, seed=3)
+            return f"{emp!r}|{bound!r}|{verdict.value}"
+        cases.append((f"lemma1_scan|{sigma!r}|{mu!r}|10000|3", scan))
+    return cases
+
+
+_GOLDEN_CASES = _golden_cases()
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("case", _GOLDEN_CASES, ids=[c for c, _ in _GOLDEN_CASES])
+def test_golden_bytes(case, golden):
+    case_id, run = case
+    assert run() == golden[case_id]
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(c for c, _ in _GOLDEN_CASES)
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps({c: run() for c, run in _GOLDEN_CASES},
+                                 indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(_GOLDEN_CASES)} cases to {GOLDEN}", file=sys.stderr)

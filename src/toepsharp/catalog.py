@@ -13,6 +13,7 @@ with that Taylor data.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,7 +76,18 @@ def phi_coeffs(name: str, **params: Real) -> PhiSpec:
             raise ValueError(f"{name} takes no parameters")
         return _FIXED_PHIS[name]
     if name in _PARAMETRIC_PHIS:
-        return _PARAMETRIC_PHIS[name](**params)
+        make = _PARAMETRIC_PHIS[name]
+        try:
+            return make(**params)
+        except TypeError:
+            wanted = tuple(inspect.signature(make).parameters)
+            missing = [p for p in wanted if p not in params]
+            unexpected = [p for p in params if p not in wanted]
+            if not (missing or unexpected):
+                raise
+            raise ValueError(f"{name} takes parameters {', '.join(wanted)}: "
+                             f"missing {', '.join(missing) or 'none'}, "
+                             f"unexpected {', '.join(unexpected) or 'none'}") from None
     raise ValueError(f"unknown catalog generator {name!r}")
 
 

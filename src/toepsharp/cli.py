@@ -7,8 +7,13 @@ Subcommands:
     sweep     bound/attainment curve over a class parameter, as CSV
     extremal  coefficients and functional values of the extremal function
 
-Exit codes: 0 success/applicable, 2 usage error, 3 bound not applicable,
-4 valid but not attained, 5 violation or table mismatch.
+Exit codes: 0 success/applicable, 2 usage error (including an input
+outside the floating-point range and an unwritable --out file), 3 bound
+not applicable, 4 valid but not attained, 5 violation or table mismatch.
+Output is rendered in full before anything is printed, so a command that
+exits 2 prints nothing on stdout.
+
+Only ``verify`` imports the numerical oracle, and with it numpy.
 """
 
 from __future__ import annotations
@@ -18,11 +23,19 @@ import datetime
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import __version__, bounds, catalog, extremal, oracle
+from . import __version__, bounds, catalog, extremal
 from .coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec, Real, toeplitz
 
+if TYPE_CHECKING:
+    from . import oracle
+
 _REL_TOL = 1e-12
+
+# A sweep computes every row before printing; this caps the work a tiny
+# step can ask for (0:1:1/10000 is the largest decimal grid on [0, 1]).
+MAX_SWEEP_ROWS = 10_001
 
 _FUNCTIONALS = {f.value: f for f in FunctionalKind}
 _CLASSES = {k.value: k for k in ClassKind}
@@ -97,8 +110,11 @@ def _write_run_record(path: str, report: dict) -> None:
         "version": __version__,
         "report": report,
     }
-    with open(path, "w") as fh:
-        fh.write(_dump_json(record) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write(_dump_json(record) + "\n")
+    except OSError as exc:
+        raise SystemExit2(f"cannot write run record {path!r}: {exc.strerror or exc}") from exc
 
 
 def _fmt_value(x: Real) -> str:
@@ -133,10 +149,7 @@ def _resolve_phi(args) -> PhiSpec:
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val
-    try:
-        return catalog.phi_coeffs(args.phi, **params)
-    except (ValueError, TypeError) as exc:
-        raise SystemExit2(str(exc))
+    return catalog.phi_coeffs(args.phi, **params)
 
 
 class SystemExit2(Exception):
@@ -163,33 +176,33 @@ def _add_selectors(p: argparse.ArgumentParser, functional: bool = True) -> None:
 def _add_common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
     p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--out", metavar="FILE", help="persist a JSON run record")
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the default tolerance where applicable")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_bound(args) -> int:
+# Each subcommand returns (exit code, stdout lines, run-record report);
+# ``main`` writes the record and only then prints.
+
+def cmd_bound(args) -> tuple[int, list[str], dict]:
     phi = _resolve_phi(args)
     report = bounds.theorem_bound(
         _FUNCTIONALS[args.functional], _CLASSES[args.class_kind], phi)
     d = bound_report_dict(report)
     if args.format == "json":
-        print(_dump_json(d))
+        lines = [_dump_json(d)]
     else:
-        print(f"bound: {_fmt_value(report.bound)}")
+        lines = [f"bound: {_fmt_value(report.bound)}"]
         for h in report.hypotheses:
             mark = "ok" if h.satisfied else "FAIL"
-            print(f"  [{mark}] {h.name} (margin {h.margin:.6g})")
+            lines.append(f"  [{mark}] {h.name} (margin {h.margin:.6g})")
         if report.sigma_mu is not None:
             sm = report.sigma_mu
-            print(f"  sigma = {sm.sigma:.12g}, mu = {sm.mu:.12g}, region = {sm.region.value}")
-        print(f"  applicable: {report.applicable}")
-        print(f"  attained by: {report.witness}")
-    if args.out:
-        _write_run_record(args.out, d)
-    return 0 if report.applicable else 3
+            lines.append(f"  sigma = {sm.sigma:.12g}, mu = {sm.mu:.12g}, "
+                         f"region = {sm.region.value}")
+        lines.append(f"  applicable: {report.applicable}")
+        lines.append(f"  attained by: {report.witness}")
+    return (0 if report.applicable else 3), lines, d
 
 
 def _table_rows() -> list[dict]:
@@ -218,32 +231,34 @@ def _table_rows() -> list[dict]:
     return rows
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> tuple[int, list[str], dict]:
     rows = _table_rows()
     if args.only:
         rows = [r for r in rows if r["name"] == args.only]
         if not rows:
             raise SystemExit2(f"no catalog entry named {args.only!r}")
+    d = {"rows": [dict(r, expected=_num(r["expected"]), computed=_num(r["computed"]))
+                  for r in rows]}
     if args.format == "csv":
-        print("class,functional,expected,computed,attained,match")
-        for r in rows:
-            print(f"{r['class_label']},{r['functional']},{float(r['expected'])!r},"
-                  f"{float(r['computed'])!r},{r['attained']!r},{str(r['match']).lower()}")
+        lines = ["class,functional,expected,computed,attained,match"]
+        lines += [f"{r['class_label']},{r['functional']},{float(r['expected'])!r},"
+                  f"{float(r['computed'])!r},{r['attained']!r},{str(r['match']).lower()}"
+                  for r in rows]
     elif args.format == "json":
-        out = [dict(r, expected=_num(r["expected"]), computed=_num(r["computed"]))
-               for r in rows]
-        print(_dump_json({"rows": out}))
+        lines = [_dump_json(d)]
     else:  # text / markdown
-        print("| class | functional | expected | computed | attained | match | notes |")
-        print("|---|---|---|---|---|---|---|")
-        for r in rows:
-            print(f"| {r['class_label']} | {r['functional']} | {_fmt_value(r['expected'])} "
+        lines = ["| class | functional | expected | computed | attained | match | notes |",
+                 "|---|---|---|---|---|---|---|"]
+        lines += [f"| {r['class_label']} | {r['functional']} | {_fmt_value(r['expected'])} "
                   f"| {_fmt_value(r['computed'])} | {r['attained']:.12g} "
-                  f"| {'yes' if r['match'] else 'NO'} | {r['notes']} |")
-    return 0 if all(r["match"] for r in rows) else 5
+                  f"| {'yes' if r['match'] else 'NO'} | {r['notes']} |"
+                  for r in rows]
+    return (0 if all(r["match"] for r in rows) else 5), lines, d
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, list[str], dict]:
+    from . import oracle
+
     phi = _resolve_phi(args)
     kwargs = {}
     if args.tol is not None:
@@ -253,22 +268,24 @@ def cmd_verify(args) -> int:
         budget=args.budget, seed=args.seed, **kwargs)
     d = verification_report_dict(report)
     if args.format == "json":
-        print(_dump_json(d))
+        lines = [_dump_json(d)]
     else:
         flag = "" if report.applicable else " (bound unproven: hypothesis fails)"
-        print(f"verdict: {report.verdict.value}{flag}")
-        print(f"  bound = {report.bound!r}")
-        print(f"  empirical max = {report.empirical_max!r} (margin {report.margin:.3g})")
-        print(f"  argmax gamma = ({report.argmax.gamma0:.6g}, "
-              f"{report.argmax.gamma1:.6g}, {report.argmax.gamma2:.6g})")
-        print(f"  samples = {report.samples_used}, refinement iters = "
-              f"{report.refinement_iters}, seed = {report.seed}")
-    if args.out:
-        _write_run_record(args.out, d)
-    return {"SharpConfirmed": 0, "ValidNotAttained": 4, "VIOLATION": 5}[report.verdict.value]
+        lines = [
+            f"verdict: {report.verdict.value}{flag}",
+            f"  bound = {report.bound!r}",
+            f"  empirical max = {report.empirical_max!r} (margin {report.margin:.3g})",
+            f"  argmax gamma = ({report.argmax.gamma0:.6g}, "
+            f"{report.argmax.gamma1:.6g}, {report.argmax.gamma2:.6g})",
+            f"  samples = {report.samples_used}, refinement iters = "
+            f"{report.refinement_iters}, seed = {report.seed}",
+        ]
+    code = {"SharpConfirmed": 0, "ValidNotAttained": 4, "VIOLATION": 5}[report.verdict.value]
+    return code, lines, d
 
 
-def _parse_range(text: str) -> tuple[Fraction, Fraction, Fraction]:
+def _parse_range(text: str) -> list[Fraction]:
+    """The exact grid lo, lo + step, ... <= hi of at most MAX_SWEEP_ROWS points."""
     parts = text.split(":")
     if len(parts) != 3:
         raise SystemExit2(f"range must be lo:hi:step, got {text!r}")
@@ -278,11 +295,14 @@ def _parse_range(text: str) -> tuple[Fraction, Fraction, Fraction]:
         raise SystemExit2(f"malformed range {text!r}")
     if step <= 0 or hi < lo:
         raise SystemExit2(f"range needs step > 0 and hi >= lo, got {text!r}")
-    return lo, hi, step
+    n = (hi - lo) // step + 1
+    if n > MAX_SWEEP_ROWS:
+        raise SystemExit2(f"range {text!r} has {n} rows; at most {MAX_SWEEP_ROWS} allowed")
+    return [lo + k * step for k in range(n)]
 
 
-def cmd_sweep(args) -> int:
-    lo, hi, step = _parse_range(args.range)
+def cmd_sweep(args) -> tuple[int, list[str], None]:
+    grid = _parse_range(args.range)
     kind = _CLASSES[args.class_kind]
     functional = _FUNCTIONALS[args.functional]
 
@@ -301,22 +321,17 @@ def cmd_sweep(args) -> int:
             raise SystemExit2("janowski-b sweep needs fixed --a")
         return catalog.phi_coeffs("janowski", a=args.a, b=v)
 
-    print("param,bound,applicable,attained")
-    v = lo
-    while v <= hi:
-        try:
-            phi = phi_at(v)
-        except ValueError as exc:
-            raise SystemExit2(str(exc))
+    lines = ["param,bound,applicable,attained"]
+    for v in grid:
+        phi = phi_at(v)
         rep = bounds.theorem_bound(functional, kind, phi)
         att = extremal.attainment(functional, kind, phi)
-        print(f"{float(v)!r},{float(rep.bound)!r},"
-              f"{str(rep.applicable).lower()},{att!r}")
-        v += step
-    return 0
+        lines.append(f"{float(v)!r},{float(rep.bound)!r},"
+                     f"{str(rep.applicable).lower()},{att!r}")
+    return 0, lines, None
 
 
-def cmd_extremal(args) -> int:
+def cmd_extremal(args) -> tuple[int, list[str], dict]:
     phi = _resolve_phi(args)
     kind = _CLASSES[args.class_kind]
     n = args.order
@@ -334,17 +349,13 @@ def cmd_extremal(args) -> int:
         "functionals": {f.value: toeplitz(f, cb) for f in FunctionalKind},
     }
     if args.format == "json":
-        print(_dump_json(d))
+        lines = [_dump_json(d)]
     else:
-        for m, c in enumerate(coeffs.a, start=1):
-            print(f"a{m} = {c:.12g}")
-        print(f"b2, b3, b4 = {cb.b2:.12g}, {cb.b3:.12g}, {cb.b4:.12g}")
-        print(f"Gamma1, Gamma2, Gamma3 = {cb.g1:.12g}, {cb.g2:.12g}, {cb.g3:.12g}")
-        for f in FunctionalKind:
-            print(f"{f.value} = {toeplitz(f, cb)!r}")
-    if args.out:
-        _write_run_record(args.out, d)
-    return 0
+        lines = [f"a{m} = {c:.12g}" for m, c in enumerate(coeffs.a, start=1)]
+        lines.append(f"b2, b3, b4 = {cb.b2:.12g}, {cb.b3:.12g}, {cb.b4:.12g}")
+        lines.append(f"Gamma1, Gamma2, Gamma3 = {cb.g1:.12g}, {cb.g2:.12g}, {cb.g3:.12g}")
+        lines += [f"{f.value} = {toeplitz(f, cb)!r}" for f in FunctionalKind]
+    return 0, lines, d
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_selectors(p)
     p.add_argument("--budget", type=int, default=10 ** 5)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float, default=None,
+                   help="violation tolerance of the verdict")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -397,10 +410,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code, lines, report = args.func(args)
+        if report is not None and args.out:
+            _write_run_record(args.out, report)
     except (SystemExit2, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
+    except OverflowError as exc:
+        print(f"error: input outside the floating-point range ({exc})", file=sys.stderr)
+        code = 2
+    else:
+        print("\n".join(lines))
     if argv is None:
         sys.exit(code)
     return code

@@ -16,8 +16,10 @@ oracle work with: box constraints only, no rejection needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _PARAM_TOL = 1e-12
 
@@ -106,6 +108,8 @@ def sample_params(seed: int, n: int, strategy: str = "uniform-polar") -> np.ndar
     "boundary-biased" pushes |gamma0| into [0.9, 1] for half the rows,
     since the functionals peak on the |gamma0| = 1 face.
     """
+    import numpy as np
+
     if strategy not in ("uniform-polar", "boundary-biased"):
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = np.random.default_rng(seed)

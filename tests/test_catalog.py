@@ -111,6 +111,15 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             phi_coeffs("nephroid")
 
+    @pytest.mark.parametrize("name, params, named", [
+        ("janowski", {"a": F(1)}, "missing b"),
+        ("strongly-starlike", {}, "missing beta"),
+        ("starlike-order", {"alpha": F(0), "beta": F(1)}, "unexpected beta"),
+    ])
+    def test_wrong_parameter_names_say_which(self, name, params, named):
+        with pytest.raises(ValueError, match=named):
+            phi_coeffs(name, **params)
+
     def test_names_cover_both_kinds(self):
         assert "halfplane" in PHI_NAMES and "janowski" in PHI_NAMES
 

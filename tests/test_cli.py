@@ -1,10 +1,15 @@
 """Command-line surface: exit codes, formats, and serialization contracts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from toepsharp.cli import main
+import toepsharp
+from toepsharp.cli import MAX_SWEEP_ROWS, _parse_range, main
 
 
 def run(capsys, *argv):
@@ -179,6 +184,25 @@ class TestSweep:
                          "--functional", "t21-inv")
         assert code == 2
 
+    def test_invalid_row_prints_nothing(self, capsys):
+        # alpha = 1 is outside the order family; the valid alpha = 0 row
+        # before it must not reach stdout
+        code, out, err = run(capsys, "sweep", "--param", "alpha",
+                             "--range", "0:1:1", "--class", "starlike",
+                             "--functional", "t21-inv")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_row_cap(self, capsys):
+        assert len(_parse_range(f"0:{MAX_SWEEP_ROWS - 1}:1")) == MAX_SWEEP_ROWS
+        code, out, err = run(capsys, "sweep", "--param", "alpha",
+                             "--range", "0:1/2:1/100000", "--class", "starlike",
+                             "--functional", "t21-inv")
+        assert code == 2
+        assert out == ""
+        assert str(MAX_SWEEP_ROWS) in err
+
     def test_janowski_sweep_needs_fixed_partner(self, capsys):
         code, _, _ = run(capsys, "sweep", "--param", "janowski-a",
                          "--range", "1/2:1:1/4", "--class", "starlike",
@@ -214,6 +238,116 @@ class TestExtremal:
         code, _, _ = run(capsys, "extremal", "--class", "starlike",
                          "--phi", "exp", "--order", "1")
         assert code == 2
+
+
+_BOUND = ("bound", "--class", "starlike", "--functional", "t21-inv")
+
+
+class TestErrorContract:
+    """Bad input ends in ``error: ...`` on stderr, exit 2 and an empty stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ("bound", "--class", "starlike", "--phi", "exp", "--functional", "t21-inv"),
+        ("verify", "--class", "starlike", "--phi", "exp", "--functional", "t21-inv",
+         "--budget", "100"),
+        ("extremal", "--class", "starlike", "--phi", "exp"),
+    ])
+    def test_unwritable_out(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not path.exists()
+
+    def test_table_out_writes_a_record(self, capsys, tmp_path):
+        path = tmp_path / "table.json"
+        code, out, _ = run(capsys, "table", "--only", "exp", "--format", "json",
+                           "--out", str(path))
+        assert code == 0
+        assert json.loads(path.read_text())["report"] == json.loads(out)
+
+    @pytest.mark.parametrize("argv, named", [
+        (_BOUND + ("--phi", "janowski", "--a", "1"), "missing b"),
+        (_BOUND + ("--b1", "1e400", "--b2", "0", "--b3", "0"), "floating-point"),
+        (_BOUND + ("--b1", "1e200", "--b2", "0", "--b3", "0"), "floating-point"),
+        (("verify", "--class", "starlike", "--functional", "t21-inv", "--budget", "10",
+          "--b1", "1e400", "--b2", "0", "--b3", "0"), "floating-point"),
+        (("extremal", "--class", "convex", "--b1", "1e400", "--b2", "0", "--b3", "0"),
+         "floating-point"),
+    ])
+    def test_bad_generator(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        _BOUND + ("--phi", "exp"),
+        ("table",),
+        ("extremal", "--class", "starlike", "--phi", "exp"),
+    ])
+    def test_tol_only_on_verify(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", "5"])
+        assert exc.value.code == 2
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this toepsharp."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(toepsharp.__file__).parents[1])
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=False)
+
+
+class TestImportHygiene:
+    """Only the numerical oracle loads numpy; every other path stays exact."""
+
+    def test_exact_subcommands_never_import_numpy(self):
+        done = _fresh_python(
+            "import contextlib, io, sys\n"
+            "import toepsharp.cli as cli\n"
+            "assert 'numpy' not in sys.modules, 'import'\n"
+            "for argv in (['bound', '--class', 'starlike', '--phi', 'exp',\n"
+            "              '--functional', 't22-inv'],\n"
+            "             ['table', '--format', 'json'],\n"
+            "             ['sweep', '--param', 'beta', '--range', '1/4:1:1/4',\n"
+            "              '--class', 'convex', '--functional', 't21-log-inv'],\n"
+            "             ['extremal', '--class', 'starlike', '--phi', 'halfplane']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "    assert 'numpy' not in sys.modules, argv[0]\n")
+        assert done.returncode == 0, done.stderr
+
+    def test_verify_imports_numpy(self):
+        done = _fresh_python(
+            "import contextlib, io, sys\n"
+            "import toepsharp.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['verify', '--class', 'starlike', '--phi', 'exp',\n"
+            "                     '--functional', 't21-inv', '--budget', '10']) == 0\n"
+            "assert 'numpy' in sys.modules\n")
+        assert done.returncode == 0, done.stderr
+
+    def test_package_resolves_oracle_names_on_demand(self):
+        done = _fresh_python(
+            "import sys, toepsharp\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert toepsharp.oracle is sys.modules['toepsharp.oracle']\n"
+            "from toepsharp import maximize, Verdict, lemma1_scan, VerificationReport\n"
+            "from toepsharp import oracle\n"
+            "assert toepsharp.maximize is maximize is oracle.maximize\n"
+            "assert Verdict is oracle.Verdict and lemma1_scan is oracle.lemma1_scan\n"
+            "assert VerificationReport is oracle.VerificationReport\n"
+            "try:\n"
+            "    toepsharp.nonexistent\n"
+            "except AttributeError as exc:\n"
+            "    assert 'nonexistent' in str(exc)\n"
+            "else:\n"
+            "    raise SystemExit('no AttributeError')\n")
+        assert done.returncode == 0, done.stderr
 
 
 def test_version_flag(capsys):

@@ -1,6 +1,7 @@
 """Closed-form sharp bounds with full hypothesis checking.
 
-Each of the four functionals has one bound per class, valid under an
+Each of the four functionals |x_n^2 - x_{n+1}^2| has one bound per class,
+|x_n|^2 + |x_{n+1}|^2 over one table of coefficient bounds, valid under an
 inequality on the generator data and (for the T_{2,2} functionals) a
 region condition on an associated pair (sigma, mu).  The region calculus
 is the one of the |c3 + sigma c1 c2 + mu c1^3| <= |mu| lemma:
@@ -75,9 +76,7 @@ def _in_region(sigma: float, mu: float, i: int) -> float:
         return min(2.0 - s, mu - 1.0)
     if i == 2:
         return min(s - 2.0, 4.0 - s, mu - (sigma * sigma + 8.0) / 12.0)
-    if i == 3:
-        return min(s - 4.0, mu - (2.0 / 3.0) * (s - 1.0))
-    raise ValueError(i)
+    return min(s - 4.0, mu - (2.0 / 3.0) * (s - 1.0))
 
 
 def omega_region(sigma: float, mu: float, tol: float = HYP_TOL) -> RegionMembership:
@@ -90,35 +89,6 @@ def omega_region(sigma: float, mu: float, tol: float = HYP_TOL) -> RegionMembers
         if _in_region(sigma, mu, i) >= -tol:
             return RegionMembership(tag, sigma, mu)
     return RegionMembership(Region.NONE, sigma, mu)
-
-
-# Which Omega union each T22 theorem requires, as printed.
-_ALLOWED_REGIONS = {
-    (FunctionalKind.T22_LOG_INV, ClassKind.STARLIKE): (1, 2, 3),
-    (FunctionalKind.T22_LOG_INV, ClassKind.CONVEX): (2, 3),
-    (FunctionalKind.T22_INV, ClassKind.STARLIKE): (2, 3),
-    (FunctionalKind.T22_INV, ClassKind.CONVEX): (1, 2, 3),
-}
-
-
-def sigma_mu(kind: ClassKind, phi: PhiSpec, which: FunctionalKind) -> tuple[Real, Real]:
-    """The (sigma, mu) pair whose region membership the T22 bounds need."""
-    if which not in (FunctionalKind.T22_LOG_INV, FunctionalKind.T22_INV):
-        raise ValueError(f"no (sigma, mu) data for {which}")
-    b1, b2, b3 = phi.b1, phi.b2, phi.b3
-    if b1 == 0:
-        raise UndefinedSigmaMuError("(sigma, mu) undefined at B1 = 0")
-    if which is FunctionalKind.T22_LOG_INV:
-        if kind is ClassKind.STARLIKE:
-            return (-(9 * b1 * b1 - 4 * b2) / (2 * b1),
-                    (9 * b1 ** 3 - 9 * b1 * b2 + 2 * b3) / (2 * b1))
-        return (-(5 * b1 * b1 - 4 * b2) / (2 * b1),
-                (3 * b1 ** 3 - 5 * b1 * b2 + 2 * b3) / (2 * b1))
-    if kind is ClassKind.STARLIKE:
-        return (2 * (b2 - 3 * b1 * b1) / b1,
-                (8 * b1 ** 3 - 6 * b1 * b2 + b3) / b1)
-    return ((4 * b2 - 7 * b1 * b1) / (2 * b1),
-            (6 * b1 ** 3 - 7 * b1 * b2 + 2 * b3) / (2 * b1))
 
 
 def fekete_szego_bound(kind: ClassKind, phi: PhiSpec, lam: Real) -> Real:
@@ -151,9 +121,88 @@ class IntermediateKind(Enum):
     B4COEF = "b4"
 
 
-def _require(name: str, margin) -> None:
-    if margin < -HYP_TOL:
-        raise HypothesisError(f"hypothesis failed: {name} (margin {float(margin)})")
+# Each functional |x_n^2 - x_{n+1}^2| as its coefficient pair.  |b2| = |a2|
+# and |Gamma1| = |a2|/2 share the a2 bound, so x_n carries a divisor.
+_PAIRS = {
+    FunctionalKind.T21_INV: (IntermediateKind.A2, 1, IntermediateKind.B3COEF),
+    FunctionalKind.T22_INV: (IntermediateKind.B3COEF, 1, IntermediateKind.B4COEF),
+    FunctionalKind.T21_LOG_INV: (IntermediateKind.A2, 2, IntermediateKind.GAMMA2),
+    FunctionalKind.T22_LOG_INV: (IntermediateKind.GAMMA2, 1, IntermediateKind.GAMMA3),
+}
+
+# Which Omega union each third-coefficient bound requires, as printed.
+_ALLOWED_REGIONS = {
+    (IntermediateKind.GAMMA3, ClassKind.STARLIKE): (1, 2, 3),
+    (IntermediateKind.GAMMA3, ClassKind.CONVEX): (2, 3),
+    (IntermediateKind.B4COEF, ClassKind.STARLIKE): (2, 3),
+    (IntermediateKind.B4COEF, ClassKind.CONVEX): (1, 2, 3),
+}
+
+
+def _coefficient(kind: ClassKind, phi: PhiSpec, which: IntermediateKind):
+    """(q, d, hypothesis) with |x| <= |q|/d for the coefficient x named by ``which``.
+
+    a2 needs no hypothesis.  b3 and Gamma2 are bounded by the
+    Fekete-Szego-type lemma at lambda = 2 and 3/2, under the inequality
+    ``hypothesis = (name, margin)`` on the generator data.  b4 and Gamma3
+    are k (c3 + sigma c1 c2 + mu c1^3), bounded by |k mu| = |q|/d when
+    (sigma, mu) lies in the allowed Omega regions; then ``hypothesis =
+    (s, den)`` with (sigma, mu) = (s/den, q/den), and den = 0 iff B1 = 0.
+    """
+    b1, b2, b3 = phi.b1, phi.b2, phi.b3
+    star = kind is ClassKind.STARLIKE
+    if which is IntermediateKind.A2:
+        return b1, (1 if star else 2), None
+    if which is IntermediateKind.GAMMA2:
+        if star:
+            q = b2 - 2 * b1 * b1
+            return q, 4, ("|B2 - 2 B1^2| >= B1", abs(q) - b1)
+        q = 4 * b2 - 5 * b1 * b1
+        return q, 48, ("|B2 - (5/4) B1^2| >= B1", abs(q) / 4 - b1)
+    if which is IntermediateKind.B3COEF:
+        if star:
+            q = 3 * b1 * b1 - b2
+            return q, 2, ("B1 <= |3 B1^2 - B2|", abs(q) - b1)
+        q = 2 * b1 * b1 - b2
+        return q, 6, ("B1 <= |2 B1^2 - B2|", abs(q) - b1)
+    if which is IntermediateKind.GAMMA3:
+        if star:
+            return (9 * b1 ** 3 - 9 * b1 * b2 + 2 * b3, 12,
+                    (-(9 * b1 * b1 - 4 * b2), 2 * b1))
+        return (3 * b1 ** 3 - 5 * b1 * b2 + 2 * b3, 48,
+                (-(5 * b1 * b1 - 4 * b2), 2 * b1))
+    if star:
+        return 8 * b1 ** 3 - 6 * b1 * b2 + b3, 3, (2 * (b2 - 3 * b1 * b1), b1)
+    return 6 * b1 ** 3 - 7 * b1 * b2 + 2 * b3, 24, (4 * b2 - 7 * b1 * b1, 2 * b1)
+
+
+def sigma_mu(kind: ClassKind, phi: PhiSpec, which: FunctionalKind) -> tuple[Real, Real]:
+    """The (sigma, mu) pair whose region membership the T22 bounds need."""
+    if which not in (FunctionalKind.T22_LOG_INV, FunctionalKind.T22_INV):
+        raise ValueError(f"no (sigma, mu) data for {which}")
+    q, _, (s, den) = _coefficient(kind, phi, _PAIRS[which][2])
+    if den == 0:
+        raise UndefinedSigmaMuError("(sigma, mu) undefined at B1 = 0")
+    return s / den, q / den
+
+
+def _ineq(name: str, margin) -> Hypothesis:
+    return Hypothesis(name, margin >= -HYP_TOL, float(margin))
+
+
+def _check(kind: ClassKind, which: IntermediateKind, q: Real,
+           hypothesis) -> tuple[Hypothesis, RegionMembership | None]:
+    """A coefficient's hypothesis, and (for b4, Gamma3) where (sigma, mu) lies."""
+    allowed = _ALLOWED_REGIONS.get((which, kind))
+    if allowed is None:
+        return _ineq(*hypothesis), None
+    s, den = hypothesis
+    if den == 0:
+        return Hypothesis("B1 > 0 ((sigma, mu) defined)", False, 0.0), None
+    sigma, mu = float(s / den), float(q / den)
+    slack = max(_in_region(sigma, mu, i) for i in allowed)
+    names = " | ".join(f"Omega{i}" for i in allowed)
+    return _ineq(f"(sigma, mu) in {names}", slack), omega_region(sigma, mu)
 
 
 def intermediate_bound(kind: ClassKind, phi: PhiSpec, which: IntermediateKind) -> Real:
@@ -163,44 +212,12 @@ def intermediate_bound(kind: ClassKind, phi: PhiSpec, which: IntermediateKind) -
     |b4|.  Raises HypothesisError when the matching validity condition
     (inequality on the generator data, or region membership) fails.
     """
-    b1, b2, b3 = phi.b1, phi.b2, phi.b3
-    star = kind is ClassKind.STARLIKE
-    if which is IntermediateKind.A2:
-        return b1 if star else b1 / 2
-    if which is IntermediateKind.GAMMA2:
-        if star:
-            q = b2 - 2 * b1 * b1
-            _require("|B2 - 2 B1^2| >= B1", abs(q) - b1)
-            return abs(q) / 4
-        q = 4 * b2 - 5 * b1 * b1
-        _require("|B2 - (5/4) B1^2| >= B1", abs(q) / 4 - b1)
-        return abs(q) / 48
-    if which is IntermediateKind.B3COEF:
-        if star:
-            q = 3 * b1 * b1 - b2
-            _require("B1 <= |3 B1^2 - B2|", abs(q) - b1)
-            return abs(q) / 2
-        q = 2 * b1 * b1 - b2
-        _require("B1 <= |2 B1^2 - B2|", abs(q) - b1)
-        return abs(q) / 6
-    # the two third-coefficient bounds need region membership
-    functional = (FunctionalKind.T22_LOG_INV if which is IntermediateKind.GAMMA3
-                  else FunctionalKind.T22_INV)
-    s, m = sigma_mu(kind, phi, functional)
-    allowed = _ALLOWED_REGIONS[(functional, kind)]
-    slack = max(_in_region(float(s), float(m), i) for i in allowed)
-    _require(f"(sigma, mu) in Omega union {allowed}", slack)
-    if which is IntermediateKind.GAMMA3:
-        if star:
-            return abs(9 * b1 ** 3 - 9 * b1 * b2 + 2 * b3) / 12
-        return abs(3 * b1 ** 3 - 5 * b1 * b2 + 2 * b3) / 48
-    if star:
-        return abs(8 * b1 ** 3 - 6 * b1 * b2 + b3) / 3
-    return abs(6 * b1 ** 3 - 7 * b1 * b2 + 2 * b3) / 24
-
-
-def _ineq(name: str, margin) -> Hypothesis:
-    return Hypothesis(name, margin >= -HYP_TOL, float(margin))
+    q, d, hypothesis = _coefficient(kind, phi, which)
+    if hypothesis is not None:
+        h, _ = _check(kind, which, q, hypothesis)
+        if not h.satisfied:
+            raise HypothesisError(f"hypothesis failed: {h.name} (margin {h.margin})")
+    return abs(q) / d
 
 
 def _witness(kind: ClassKind) -> str:
@@ -210,78 +227,28 @@ def _witness(kind: ClassKind) -> str:
 
 
 def theorem_bound(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec) -> BoundReport:
-    """Dispatch to the sharp closed-form bound for (functional, class).
+    """The sharp bound |x_n|^2 + |x_{n+1}|^2 for (functional, class).
 
     The bound value is always populated; ``applicable`` records whether
     every hypothesis holds (within HYP_TOL, so boundary generators
     count as satisfied).
     """
-    b1, b2, b3 = phi.b1, phi.b2, phi.b3
-    hyps: list[Hypothesis] = []
-    membership: RegionMembership | None = None
-    star = kind is ClassKind.STARLIKE
-
-    if functional is FunctionalKind.T21_LOG_INV:
-        if star:
-            q = b2 - 2 * b1 * b1
-            bound = b1 * b1 / 4 + q * q / 16
-            hyps.append(_ineq("|B2 - 2 B1^2| >= B1", abs(q) - b1))
-        else:
-            q = 4 * b2 - 5 * b1 * b1
-            bound = b1 * b1 / 16 + q * q / 2304
-            hyps.append(_ineq("|B2 - (5/4) B1^2| >= B1", abs(q) / 4 - b1))
-    elif functional is FunctionalKind.T22_LOG_INV:
-        if star:
-            q = b2 - 2 * b1 * b1
-            n = 9 * b1 ** 3 - 9 * b1 * b2 + 2 * b3
-            bound = q * q / 16 + n * n / 144
-            hyps.append(_ineq("|B2 - 2 B1^2| >= B1", abs(q) - b1))
-        else:
-            q = 4 * b2 - 5 * b1 * b1
-            n = 3 * b1 ** 3 - 5 * b1 * b2 + 2 * b3
-            bound = q * q / 2304 + n * n / 2304
-            hyps.append(_ineq("|B2 - (5/4) B1^2| >= B1", abs(q) / 4 - b1))
-    elif functional is FunctionalKind.T21_INV:
-        if star:
-            q = 3 * b1 * b1 - b2
-            bound = b1 * b1 + q * q / 4
-            hyps.append(_ineq("B1 <= |3 B1^2 - B2|", abs(q) - b1))
-        else:
-            q = 2 * b1 * b1 - b2
-            bound = b1 * b1 / 4 + q * q / 36
-            hyps.append(_ineq("B1 <= |2 B1^2 - B2|", abs(q) - b1))
-    elif functional is FunctionalKind.T22_INV:
-        if star:
-            q = b2 - 3 * b1 * b1
-            n = 8 * b1 ** 3 - 6 * b1 * b2 + b3
-            bound = q * q / 4 + n * n / 9
-            hyps.append(_ineq("B1 <= |3 B1^2 - B2|", abs(q) - b1))
-        else:
-            q = b2 - 2 * b1 * b1
-            n = 6 * b1 ** 3 - 7 * b1 * b2 + 2 * b3
-            bound = q * q / 36 + n * n / 576
-            hyps.append(_ineq("B1 <= |2 B1^2 - B2|", abs(q) - b1))
-    else:
+    if functional not in _PAIRS:
         raise ValueError(f"unknown functional {functional}")
-
-    if functional in (FunctionalKind.T22_LOG_INV, FunctionalKind.T22_INV):
-        if b1 == 0:
-            hyps.append(Hypothesis("B1 > 0 ((sigma, mu) defined)", False, 0.0))
-        else:
-            s, m = sigma_mu(kind, phi, functional)
-            allowed = _ALLOWED_REGIONS[(functional, kind)]
-            membership = omega_region(float(s), float(m))
-            slack = max(_in_region(float(s), float(m), i) for i in allowed)
-            names = " | ".join(f"Omega{i}" for i in allowed)
-            hyps.append(_ineq(f"(sigma, mu) in {names}", slack))
-
+    first, scale, second = _PAIRS[functional]
+    q, d, hq = _coefficient(kind, phi, first)
+    n, e, hn = _coefficient(kind, phi, second)
+    d *= scale
+    checks = [_check(kind, which, x, h)
+              for which, x, h in ((first, q, hq), (second, n, hn)) if h is not None]
+    hyps = tuple(h for h, _ in checks)
     return BoundReport(
         functional=functional,
         class_kind=kind,
         phi=phi,
-        bound=bound,
-        hypotheses=tuple(hyps),
-        sigma_mu=membership,
+        bound=q * q / (d * d) + n * n / (e * e),
+        hypotheses=hyps,
+        sigma_mu=checks[-1][1],  # x_{n+1}'s check: the region one, if any
         applicable=all(h.satisfied for h in hyps),
         witness=_witness(kind),
     )

@@ -212,11 +212,7 @@ def _cc(b: Real) -> PhiSpec:
     return phi_coeffs("strongly-convex", beta=b)
 
 
-def _jan_star(a: Real) -> PhiSpec:
-    return phi_coeffs("janowski", a=a, b=F(-1))
-
-
-def _jan_conv(a: Real) -> PhiSpec:
+def _jan_slice(a: Real) -> PhiSpec:
     return phi_coeffs("janowski", a=a, b=F(-1))
 
 
@@ -266,23 +262,23 @@ COROLLARY_CURVES: tuple[CorollaryCurve, ...] = (
     # Janowski slices along B = -1 (A = 1 recovers the half-plane class);
     # the A ranges keep every hypothesis, including region membership,
     # satisfied along the slice.
-    CorollaryCurve("S*[A,-1]", ClassKind.STARLIKE, _T21F, "a", 1 / 2, 1, _jan_star,
+    CorollaryCurve("S*[A,-1]", ClassKind.STARLIKE, _T21F, "a", 1 / 2, 1, _jan_slice,
                    lambda a: (a + 1) ** 2 * (4 * a * a + 4 * a + 5) / 16),
-    CorollaryCurve("S*[A,-1]", ClassKind.STARLIKE, _T22F, "a", 1 / 2, 1, _jan_star,
+    CorollaryCurve("S*[A,-1]", ClassKind.STARLIKE, _T22F, "a", 1 / 2, 1, _jan_slice,
                    lambda a: (a + 1) ** 2 * ((9 * a * a + 9 * a + 2) ** 2
                              + 9 * (1 + 2 * a) ** 2) / 144),
-    CorollaryCurve("S*[A,-1]", ClassKind.STARLIKE, _T21, "a", 1 / 2, 1, _jan_star,
+    CorollaryCurve("S*[A,-1]", ClassKind.STARLIKE, _T21, "a", 1 / 2, 1, _jan_slice,
                    lambda a: (a + 1) ** 2 * ((3 * a + 2) ** 2 + 4) / 4),
-    CorollaryCurve("S*[A,-1]", ClassKind.STARLIKE, _T22, "a", 1 / 2, 1, _jan_star,
+    CorollaryCurve("S*[A,-1]", ClassKind.STARLIKE, _T22, "a", 1 / 2, 1, _jan_slice,
                    lambda a: (a + 1) ** 2 * (9 * (3 * a + 2) ** 2
                              + 4 * (1 + 2 * a) ** 2 * (4 * a + 3) ** 2) / 36),
-    CorollaryCurve("C[A,-1]", ClassKind.CONVEX, _T21F, "a", 4 / 5, 1, _jan_conv,
+    CorollaryCurve("C[A,-1]", ClassKind.CONVEX, _T21F, "a", 4 / 5, 1, _jan_slice,
                    lambda a: (a + 1) ** 2 * (25 * a * a + 10 * a + 145) / 2304),
-    CorollaryCurve("C[A,-1]", ClassKind.CONVEX, _T22F, "a", 4 / 5, 1, _jan_conv,
+    CorollaryCurve("C[A,-1]", ClassKind.CONVEX, _T22F, "a", 4 / 5, 1, _jan_slice,
                    lambda a: (a + 1) ** 2 * (a * a * (1 + 3 * a) ** 2
                              + (1 + 5 * a) ** 2) / 2304),
-    CorollaryCurve("C[A,-1]", ClassKind.CONVEX, _T21, "a", 4 / 5, 1, _jan_conv,
+    CorollaryCurve("C[A,-1]", ClassKind.CONVEX, _T21, "a", 4 / 5, 1, _jan_slice,
                    lambda a: (a + 1) ** 2 * ((1 + 2 * a) ** 2 + 9) / 36),
-    CorollaryCurve("C[A,-1]", ClassKind.CONVEX, _T22, "a", 4 / 5, 1, _jan_conv,
+    CorollaryCurve("C[A,-1]", ClassKind.CONVEX, _T22, "a", 4 / 5, 1, _jan_slice,
                    lambda a: (2 * a * a + 3 * a + 1) ** 2 * ((1 + 3 * a) ** 2 + 16) / 576),
 )

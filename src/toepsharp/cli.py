@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -128,12 +129,34 @@ def _fmt_value(x: Real) -> str:
 # ---------------------------------------------------------------------------
 # selector parsing
 
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)")
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), or ValueError naming the text.
+
+    Fraction expands a decimal exponent into an exact integer, at a cost
+    that grows with it, so an exponent above sys.get_int_max_str_digits()
+    (the interpreter's own limit; 0 or absent: none) is refused first.
+    """
+    m = _EXPONENT.search(text)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if m and limit:
+        digits = m.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+            raise ValueError(f"exponent of {text!r} exceeds {limit}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a number: {text!r}") from None
+
+
 def _parse_rational(text: str) -> Real:
     """Accept '1/4', '0.25' or '3' and keep them exact."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+        return _fraction(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _resolve_phi(args) -> PhiSpec:
@@ -290,9 +313,9 @@ def _parse_range(text: str) -> list[Fraction]:
     if len(parts) != 3:
         raise SystemExit2(f"range must be lo:hi:step, got {text!r}")
     try:
-        lo, hi, step = (Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError):
-        raise SystemExit2(f"malformed range {text!r}")
+        lo, hi, step = (_fraction(p) for p in parts)
+    except ValueError as exc:
+        raise SystemExit2(f"malformed range {text!r}: {exc}") from None
     if step <= 0 or hi < lo:
         raise SystemExit2(f"range needs step > 0 and hi >= lo, got {text!r}")
     n = (hi - lo) // step + 1
@@ -303,6 +326,11 @@ def _parse_range(text: str) -> list[Fraction]:
 
 def cmd_sweep(args) -> tuple[int, list[str], None]:
     grid = _parse_range(args.range)
+    fixed = {"janowski-a": "b", "janowski-b": "a"}.get(args.param)
+    for key in ("a", "b"):
+        if (getattr(args, key) is not None) != (key == fixed):
+            raise SystemExit2(f"{args.param} sweep needs fixed --{key}" if key == fixed
+                              else f"--{key} does not apply to a {args.param} sweep")
     kind = _CLASSES[args.class_kind]
     functional = _FUNCTIONALS[args.functional]
 
@@ -314,11 +342,7 @@ def cmd_sweep(args) -> tuple[int, list[str], None]:
             name = "strongly-starlike" if kind is ClassKind.STARLIKE else "strongly-convex"
             return catalog.phi_coeffs(name, beta=v)
         if args.param == "janowski-a":
-            if args.b is None:
-                raise SystemExit2("janowski-a sweep needs fixed --b")
             return catalog.phi_coeffs("janowski", a=v, b=args.b)
-        if args.a is None:
-            raise SystemExit2("janowski-b sweep needs fixed --a")
         return catalog.phi_coeffs("janowski", a=args.a, b=v)
 
     lines = ["param,bound,applicable,attained"]

@@ -102,6 +102,24 @@ class CoeffBundle:
 ZERO_BUNDLE = CoeffBundle(0j, 0j, 0j)
 
 
+def coeff_map(kind: ClassKind, phi: PhiSpec, c1, c2, c3) -> CoeffBundle:
+    """(a2, a3, a4) of the class member whose Schwarz function starts c1, c2, c3.
+
+    The closed forms come from matching powers of z in the defining
+    subordination; they are cross-checked against a term-by-term series
+    solve in the test suite.  Unchecked, and elementwise: the c's may be
+    complex scalars or numpy arrays (the oracle's objective).
+    """
+    B1, B2, B3 = phi.as_floats()
+    a2 = B1 * c1
+    a3 = ((B1 * B1 + B2) * c1 ** 2 + B1 * c2) / 2
+    a4 = ((B1 ** 3 + 3 * B1 * B2 + 2 * B3) * c1 ** 3
+          + (3 * B1 * B1 + 4 * B2) * c1 * c2 + 2 * B1 * c3) / 6
+    if kind is ClassKind.CONVEX:
+        a2, a3, a4 = a2 / 2, a3 / 3, a4 / 4
+    return CoeffBundle(a2, a3, a4)
+
+
 def coeffs_from_schwarz(
     kind: ClassKind,
     phi: PhiSpec,
@@ -110,27 +128,17 @@ def coeffs_from_schwarz(
     check: bool = True,
     tol: float = 1e-12,
 ) -> CoeffBundle:
-    """Map an admissible Schwarz triple to the coefficient bundle.
-
-    The closed forms come from matching powers of z in the defining
-    subordination; they are cross-checked against a term-by-term series
-    solve in the test suite.
-    """
+    """Map an admissible Schwarz triple to the coefficient bundle."""
     if check and not is_admissible(t, tol):
         raise InadmissibleTripleError(f"triple outside the coefficient body: {t}")
-    B1, B2, B3 = phi.as_floats()
-    c1, c2, c3 = t.c1, t.c2, t.c3
-    a2 = B1 * c1
-    a3 = ((B1 ** 2 + B2) * c1 ** 2 + B1 * c2) / 2
-    a4 = ((B1 ** 3 + 3 * B1 * B2 + 2 * B3) * c1 ** 3
-          + (3 * B1 ** 2 + 4 * B2) * c1 * c2 + 2 * B1 * c3) / 6
-    if kind is ClassKind.CONVEX:
-        a2, a3, a4 = a2 / 2, a3 / 3, a4 / 4
-    return CoeffBundle(a2, a3, a4)
+    return coeff_map(kind, phi, t.c1, t.c2, t.c3)
 
 
 def toeplitz(kind: FunctionalKind, cb: CoeffBundle) -> float:
-    """|x_n^2 - x_{n+1}^2| for the coefficient pair named by ``kind``."""
+    """|x_n^2 - x_{n+1}^2| for the coefficient pair named by ``kind``.
+
+    Elementwise when the bundle holds numpy arrays.
+    """
     if kind is FunctionalKind.T21_INV:
         return abs(cb.b2 ** 2 - cb.b3 ** 2)
     if kind is FunctionalKind.T22_INV:

@@ -36,8 +36,8 @@ from enum import Enum
 import numpy as np
 
 from . import bounds
-from .coeffs import ClassKind, FunctionalKind, PhiSpec
-from .schwarz import SchurParams
+from .coeffs import ClassKind, FunctionalKind, PhiSpec, coeff_map, toeplitz
+from .schwarz import SchurParams, schur_map
 
 VIOLATION_TOL = 1e-9
 SHARPNESS_TOL = 1e-4
@@ -74,51 +74,6 @@ class VerificationReport:
 def _gammas(x: np.ndarray) -> np.ndarray:
     """Box coordinates (r0,t0,r1,t1,r2,t2) -> the three complex parameters."""
     return x[..., 0::2] * np.exp(1j * x[..., 1::2])
-
-
-def _triples(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    g0, g1, g2 = g[..., 0], g[..., 1], g[..., 2]
-    t0 = 1.0 - np.abs(g0) ** 2
-    c1 = g0
-    c2 = t0 * g1
-    c3 = t0 * ((1.0 - np.abs(g1) ** 2) * g2 - np.conj(g0) * g1 ** 2)
-    return c1, c2, c3
-
-
-def _functional_objective(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec):
-    """Vectorized |T| as a function of the parameters g[..., 0:3]."""
-    B1, B2, B3 = phi.as_floats()
-    convex = kind is ClassKind.CONVEX
-
-    def obj(g: np.ndarray) -> np.ndarray:
-        c1, c2, c3 = _triples(g)
-        a2 = B1 * c1
-        a3 = ((B1 * B1 + B2) * c1 ** 2 + B1 * c2) / 2
-        a4 = ((B1 ** 3 + 3 * B1 * B2 + 2 * B3) * c1 ** 3
-              + (3 * B1 * B1 + 4 * B2) * c1 * c2 + 2 * B1 * c3) / 6
-        if convex:
-            a2, a3, a4 = a2 / 2, a3 / 3, a4 / 4
-        if functional is FunctionalKind.T21_INV:
-            return np.abs(a2 ** 2 - (2 * a2 ** 2 - a3) ** 2)
-        if functional is FunctionalKind.T22_INV:
-            b3 = 2 * a2 ** 2 - a3
-            b4 = -5 * a2 ** 3 + 5 * a2 * a3 - a4
-            return np.abs(b3 ** 2 - b4 ** 2)
-        g2v = -(a3 - 1.5 * a2 ** 2) / 2
-        if functional is FunctionalKind.T21_LOG_INV:
-            return np.abs((a2 / 2) ** 2 - g2v ** 2)
-        g3v = -(a4 - 4 * a2 * a3 + (10 / 3) * a2 ** 3) / 2
-        return np.abs(g2v ** 2 - g3v ** 2)
-
-    return obj
-
-
-def _lemma_objective(sigma: float, mu: float):
-    def obj(g: np.ndarray) -> np.ndarray:
-        c1, c2, c3 = _triples(g)
-        return np.abs(c3 + sigma * c1 * c2 + mu * c1 ** 3)
-
-    return obj
 
 
 # starts that are always injected: the extremal omega(z) = i z, its real
@@ -268,9 +223,13 @@ def maximize(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     report = bounds.theorem_bound(functional, kind, phi)
-    obj = _functional_objective(functional, kind, phi)
+    bound = float(report.bound)  # an overflow fails here, before the search
+
+    def obj(g: np.ndarray) -> np.ndarray:
+        c = schur_map(g[..., 0], g[..., 1], g[..., 2])
+        return toeplitz(functional, coeff_map(kind, phi, *c))
+
     x, emp, iters = _maximize_objective(obj, budget, seed)
-    bound = float(report.bound)
     return VerificationReport(
         functional=functional,
         class_kind=kind,
@@ -305,10 +264,15 @@ def lemma1_scan(
     budget = operator.index(budget)
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    obj = _lemma_objective(float(sigma), float(mu))
+    sigma, mu = float(sigma), float(mu)
+
+    def obj(g: np.ndarray) -> np.ndarray:
+        c1, c2, c3 = schur_map(g[..., 0], g[..., 1], g[..., 2])
+        return np.abs(c3 + sigma * c1 * c2 + mu * c1 ** 3)
+
     _, emp, _ = _maximize_objective(obj, budget, seed)
-    membership = bounds.omega_region(float(sigma), float(mu))
+    membership = bounds.omega_region(sigma, mu)
     if membership.region is bounds.Region.NONE:
         return emp, None, Verdict.VALID_NOT_ATTAINED
-    bound = abs(float(mu))
+    bound = abs(mu)
     return emp, bound, _verdict(bound, emp, violation_tol, sharpness_tol)

@@ -9,17 +9,13 @@ compact body described by
     |c3 (1 - |c1|^2) + conj(c1) c2^2| <= (1 - |c1|^2)^2 - |c2|^2.
 
 Three free unit-disk parameters (gamma0, gamma1, gamma2) generate the
-whole body surjectively, which is what the sampler and the maximization
-oracle work with: box constraints only, no rejection needed.
+whole body surjectively, which is what the maximization oracle samples
+and searches: box constraints only, no rejection needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _PARAM_TOL = 1e-12
 
@@ -45,6 +41,16 @@ class SchwarzTriple:
     c3: complex
 
 
+def schur_map(g0, g1, g2):
+    """(c1, c2, c3) for free parameters (gamma0, gamma1, gamma2).
+
+    Unchecked, and elementwise: the parameters may be complex scalars or
+    numpy arrays (the oracle's objective).
+    """
+    t0 = 1.0 - abs(g0) ** 2
+    return g0, t0 * g1, t0 * ((1.0 - abs(g1) ** 2) * g2 - g0.conjugate() * g1 ** 2)
+
+
 def schur_to_coeffs(p: SchurParams) -> SchwarzTriple:
     """Forward map from free parameters onto the coefficient body.
 
@@ -55,11 +61,7 @@ def schur_to_coeffs(p: SchurParams) -> SchwarzTriple:
     for k, g in enumerate((g0, g1, g2)):
         if abs(g) > 1 + _PARAM_TOL:
             raise ValueError(f"|gamma{k}| = {abs(g)} exceeds 1")
-    t0 = 1.0 - abs(g0) ** 2
-    c1 = g0
-    c2 = t0 * g1
-    c3 = t0 * ((1.0 - abs(g1) ** 2) * g2 - g0.conjugate() * g1 ** 2)
-    return SchwarzTriple(c1, c2, c3)
+    return SchwarzTriple(*schur_map(g0, g1, g2))
 
 
 def coeffs_to_schur(t: SchwarzTriple) -> SchurParams:
@@ -95,34 +97,3 @@ def is_admissible(t: SchwarzTriple, tol: float = 1e-12) -> bool:
     lhs = abs(t.c3 * t0 + t.c1.conjugate() * t.c2 ** 2)
     rhs = t0 ** 2 - abs(t.c2) ** 2
     return lhs <= rhs + tol
-
-
-def sample_params(seed: int, n: int, strategy: str = "uniform-polar") -> np.ndarray:
-    """Draw n parameter triples as an (n, 3) complex array.
-
-    Deterministic given the seed, and prefix-stable: the first m rows of
-    a size-n draw equal a size-m draw with the same seed (the underlying
-    uniforms are generated row-major).
-
-    "uniform-polar" draws each gamma with uniform modulus and argument.
-    "boundary-biased" pushes |gamma0| into [0.9, 1] for half the rows,
-    since the functionals peak on the |gamma0| = 1 face.
-    """
-    import numpy as np
-
-    if strategy not in ("uniform-polar", "boundary-biased"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    rng = np.random.default_rng(seed)
-    u = rng.random((n, 7))
-    r = u[:, 0:5:2].copy()
-    theta = 2.0 * np.pi * u[:, 1:6:2]
-    if strategy == "boundary-biased":
-        near = u[:, 6] < 0.5
-        r[near, 0] = 1.0 - 0.1 * r[near, 0] ** 2
-    return r * np.exp(1j * theta)
-
-
-def sample(seed: int, strategy: str = "uniform-polar") -> SchurParams:
-    """One deterministic pseudo-random parameter triple."""
-    g = sample_params(seed, 1, strategy)[0]
-    return SchurParams(g[0], g[1], g[2])

@@ -12,7 +12,7 @@ import numpy as np
 
 from toepsharp.coeffs import PhiSpec
 from toepsharp.schwarz import SchwarzTriple, schur_to_coeffs, SchurParams
-from toepsharp.series import Series, compose
+from series import Series, compose
 
 
 def phi_series(phi: PhiSpec) -> Series:

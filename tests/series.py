@@ -4,7 +4,8 @@ Everything here works modulo z^(order+1): coefficients above the
 truncation degree are never produced or consumed.  This is enough to
 derive and cross-check all the coefficient identities used elsewhere
 (inverse coefficients, logarithmic coefficients, subordination
-recurrences) at machine precision, without symbolic algebra.
+recurrences) at machine precision, without symbolic algebra.  The tests
+use it as an independent reference: it shares no formula with toepsharp.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import numpy as np
 
 from helpers import random_triples, solve_convex, solve_starlike
+from series import Series, log_div_z, revert
 
 from toepsharp.bounds import omega_region, theorem_bound, Region
 from toepsharp.catalog import COROLLARY_CURVES, certificate_entries, phi_coeffs
@@ -18,7 +19,6 @@ from toepsharp.cli import main, verification_report_dict
 from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec, coeffs_from_schwarz
 from toepsharp.extremal import attainment
 from toepsharp.oracle import Verdict, lemma1_scan, maximize
-from toepsharp.series import Series, log_div_z, revert
 
 S, C = ClassKind.STARLIKE, ClassKind.CONVEX
 T21F, T22F = FunctionalKind.T21_LOG_INV, FunctionalKind.T22_LOG_INV

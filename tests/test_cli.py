@@ -209,6 +209,21 @@ class TestSweep:
                          "--functional", "t21-inv")
         assert code == 2
 
+    @pytest.mark.parametrize("param, fixed, unused", [
+        ("alpha", (), "--a=1/2"),
+        ("alpha", (), "--b=-1/2"),
+        ("beta", (), "--b=-1/2"),
+        ("janowski-a", ("--b=-1/2",), "--a=1/2"),
+        ("janowski-b", ("--a=1/2",), "--b=-1/2"),
+    ])
+    def test_flag_the_sweep_does_not_use_exits_2(self, capsys, param, fixed, unused):
+        code, out, err = run(capsys, "sweep", "--param", param, "--range", "1/4:1/2:1/4",
+                             "--class", "starlike", "--functional", "t21-inv",
+                             *fixed, unused)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and unused[:3] in err
+
 
 class TestExtremal:
     def test_halfplane_coefficients(self, capsys):
@@ -282,6 +297,38 @@ class TestErrorContract:
         assert out == ""
         assert err.startswith("error:") and named in err
         assert "Traceback" not in err
+
+    def test_huge_exponent_is_refused_at_once(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*_BOUND, "--b1", "1e99999999", "--b2", "0", "--b3", "0"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: argument --b1: exponent" in err and "Traceback" not in err
+        code, out, err = run(capsys, "sweep", "--param", "alpha",
+                             "--range", "0:1e99999999:1", "--class", "starlike",
+                             "--functional", "t21-inv")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "exponent" in err
+
+    def test_tiny_exponent_still_parses(self, capsys):
+        code, out, _ = run(capsys, *_BOUND, "--b1", "1e-400", "--b2", "0", "--b3", "0")
+        assert code in (0, 3)
+        assert out.startswith("bound: ")
+
+    def test_verify_overflow_fails_before_the_search(self, capsys, monkeypatch):
+        from toepsharp import oracle
+
+        def search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(oracle, "_maximize_objective", search)
+        code, out, err = run(capsys, "verify", "--class", "starlike", "--functional",
+                             "t22-inv", "--b1", "1e60", "--b2", "0", "--b3", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "floating-point" in err
 
     @pytest.mark.parametrize("argv", [
         _BOUND + ("--phi", "exp"),

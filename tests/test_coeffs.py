@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import random_triples, solve_convex, solve_starlike
+from series import Series, log_div_z, revert
 
 from toepsharp.coeffs import (
     ClassKind,
@@ -19,7 +20,6 @@ from toepsharp.coeffs import (
     toeplitz,
 )
 from toepsharp.schwarz import SchwarzTriple
-from toepsharp.series import Series, log_div_z, revert
 
 TOL = 1e-12
 

@@ -1,17 +1,16 @@
-"""Coefficient body of Schwarz functions: forward map, admissibility, sampling."""
+"""Coefficient body of Schwarz functions: forward map, admissibility, the sampler."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toepsharp import oracle
 from toepsharp.schwarz import (
     SchurParams,
     SchwarzTriple,
     coeffs_to_schur,
     is_admissible,
-    sample,
-    sample_params,
     schur_to_coeffs,
 )
 
@@ -55,33 +54,35 @@ class TestAdmissibility:
 
 
 class TestSampler:
+    """The oracle's block sampler, the one sampler of the parameter box."""
+
+    @staticmethod
+    def draw(seed, *sizes):
+        rng = np.random.default_rng(seed)
+        return np.concatenate([oracle._sample_block(rng, m) for m in sizes])
+
     def test_deterministic(self):
-        assert sample(123) == sample(123)
-        a = sample_params(9, 50, "boundary-biased")
-        b = sample_params(9, 50, "boundary-biased")
-        assert np.array_equal(a, b)
+        assert np.array_equal(self.draw(9, 50), self.draw(9, 50))
 
     def test_prefix_stable(self):
-        big = sample_params(5, 1000)
-        small = sample_params(5, 10)
-        assert np.array_equal(big[:10], small)
+        """Blocks drawn from one generator concatenate to one whole draw."""
+        block = oracle._BLOCK
+        whole = self.draw(5, 2 * block + 5)
+        assert np.array_equal(self.draw(5, block, block, 5), whole)
+        assert np.array_equal(self.draw(5, block - 1, 7, block - 1), whole)
+        assert np.array_equal(self.draw(5, 10), whole[:10])
 
     def test_all_samples_admissible(self):
-        for strategy in ("uniform-polar", "boundary-biased"):
-            g = sample_params(17, 10 ** 4, strategy)
-            assert np.all(np.abs(g) <= 1.0)
-            for row in g[:500]:
-                t = schur_to_coeffs(SchurParams(*row))
-                assert is_admissible(t, tol=1e-12)
+        g = oracle._gammas(self.draw(17, 10 ** 4))
+        assert np.all(np.abs(g) <= 1.0)
+        for row in g[:500]:
+            t = schur_to_coeffs(SchurParams(*row))
+            assert is_admissible(t, tol=1e-12)
 
     def test_boundary_bias_hits_the_face(self):
-        g = sample_params(3, 10 ** 4, "boundary-biased")
+        g = oracle._gammas(self.draw(3, 10 ** 4))
         frac = np.mean(np.abs(g[:, 0]) >= 0.9)
         assert frac >= 0.40
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            sample_params(0, 1, "gaussian")
 
 
 def test_parameter_recovery_roundtrip():

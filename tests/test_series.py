@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toepsharp.series import Series, compose, log_div_z, mul, revert
+from series import Series, compose, log_div_z, mul, revert
 
 TOL = 1e-12
 

@@ -79,14 +79,14 @@ def _in_region(sigma: float, mu: float, i: int) -> float:
     return min(s - 4.0, mu - (2.0 / 3.0) * (s - 1.0))
 
 
-def omega_region(sigma: float, mu: float, tol: float = HYP_TOL) -> RegionMembership:
-    """Lowest-index region containing (sigma, mu), or NONE.
+def omega_region(sigma: float, mu: float) -> RegionMembership:
+    """Lowest-index region containing (sigma, mu) within HYP_TOL, or NONE.
 
     Overlaps (|sigma| exactly 2 or 4) report the lower index.
     """
     sigma, mu = float(sigma), float(mu)
     for i, tag in ((1, Region.OMEGA1), (2, Region.OMEGA2), (3, Region.OMEGA3)):
-        if _in_region(sigma, mu, i) >= -tol:
+        if _in_region(sigma, mu, i) >= -HYP_TOL:
             return RegionMembership(tag, sigma, mu)
     return RegionMembership(Region.NONE, sigma, mu)
 

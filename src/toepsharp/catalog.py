@@ -104,31 +104,22 @@ _PARABOLIC_T22 = (64 * (_PI2 - 36) ** 2 / (9 * _PI2 ** 4)
                   + 64 * (23040 - 1440 * _PI2 + 23 * _PI2 ** 2) ** 2
                   / (18225 * _PI2 ** 6))
 
-_FIXTURES: dict[tuple[str, ClassKind], tuple[tuple[FunctionalKind, Real], ...]] = {
-    ("halfplane", ClassKind.STARLIKE): (
-        (_T21F, F(13, 4)), (_T22F, F(481, 36)), (_T21, F(29)), (_T22, F(221))),
-    ("halfplane", ClassKind.CONVEX): (
-        (_T21F, F(5, 16)), (_T22F, F(13, 144)), (_T21, F(2)), (_T22, F(2))),
-    ("exp", ClassKind.STARLIKE): (
-        (_T21F, F(25, 64)), (_T22F, F(785, 2592)), (_T21, F(41, 16)), (_T22, F(5869, 1296))),
-    ("lune", ClassKind.STARLIKE): (
-        (_T21F, F(25, 64)), (_T22F, F(9, 32)), (_T21, F(41, 16)), (_T22, F(625, 144))),
-    ("cardioid", ClassKind.STARLIKE): (
-        (_T21F, F(5, 16)), (_T21, F(2)), (_T22, F(61, 36))),
-    ("lemniscate", ClassKind.STARLIKE): (
-        (_T21F, F(1, 64)), (_T21, F(1, 16))),
-    ("parabolic", ClassKind.STARLIKE): (
-        (_T21, _PARABOLIC_T21), (_T22, _PARABOLIC_T22)),
-}
-
-_LABELS = {
-    ("halfplane", ClassKind.STARLIKE): "S*",
-    ("halfplane", ClassKind.CONVEX): "C",
-    ("exp", ClassKind.STARLIKE): "S*_e",
-    ("lune", ClassKind.STARLIKE): "Delta*",
-    ("cardioid", ClassKind.STARLIKE): "S*_rho",
-    ("lemniscate", ClassKind.STARLIKE): "S*_L",
-    ("parabolic", ClassKind.STARLIKE): "S_P",
+# (generator, class) -> (class label, published values)
+_FIXTURES: dict[tuple[str, ClassKind], tuple[str, tuple[tuple[FunctionalKind, Real], ...]]] = {
+    ("halfplane", ClassKind.STARLIKE): ("S*", (
+        (_T21F, F(13, 4)), (_T22F, F(481, 36)), (_T21, F(29)), (_T22, F(221)))),
+    ("halfplane", ClassKind.CONVEX): ("C", (
+        (_T21F, F(5, 16)), (_T22F, F(13, 144)), (_T21, F(2)), (_T22, F(2)))),
+    ("exp", ClassKind.STARLIKE): ("S*_e", (
+        (_T21F, F(25, 64)), (_T22F, F(785, 2592)), (_T21, F(41, 16)), (_T22, F(5869, 1296)))),
+    ("lune", ClassKind.STARLIKE): ("Delta*", (
+        (_T21F, F(25, 64)), (_T22F, F(9, 32)), (_T21, F(41, 16)), (_T22, F(625, 144)))),
+    ("cardioid", ClassKind.STARLIKE): ("S*_rho", (
+        (_T21F, F(5, 16)), (_T21, F(2)), (_T22, F(61, 36)))),
+    ("lemniscate", ClassKind.STARLIKE): ("S*_L", (
+        (_T21F, F(1, 64)), (_T21, F(1, 16)))),
+    ("parabolic", ClassKind.STARLIKE): ("S_P", (
+        (_T21, _PARABOLIC_T21), (_T22, _PARABOLIC_T22))),
 }
 
 
@@ -146,14 +137,14 @@ def fixtures(name: str, kind: ClassKind) -> tuple[tuple[FunctionalKind, Real], .
     key = (name, kind)
     if key not in _FIXTURES:
         raise ValueError(f"no fixtures for {name}/{kind.value}")
-    return _FIXTURES[key]
+    return _FIXTURES[key][1]
 
 
 def fixture_entries() -> tuple[CatalogEntry, ...]:
     """All parameter-free classes with published numeric values."""
     return tuple(
-        CatalogEntry(name, _LABELS[(name, kind)], kind, phi_coeffs(name), fx)
-        for (name, kind), fx in _FIXTURES.items()
+        CatalogEntry(name, label, kind, phi_coeffs(name), fx)
+        for (name, kind), (label, fx) in _FIXTURES.items()
     )
 
 

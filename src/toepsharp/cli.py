@@ -19,18 +19,17 @@ Only ``verify`` imports the numerical oracle, and with it numpy.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
+import os
 import re
 import sys
+from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from . import __version__, bounds, catalog, extremal
-from .coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec, Real, toeplitz
-
-if TYPE_CHECKING:
-    from . import oracle
+from .coeffs import ClassKind, FunctionalKind, PhiSpec, Real, toeplitz
 
 _REL_TOL = 1e-12
 
@@ -45,69 +44,37 @@ _CLASSES = {k.value: k for k in ClassKind}
 # ---------------------------------------------------------------------------
 # serialization
 
-def _num(x: Real):
+def report_dict(x):
+    """The JSON form of a report, walked through dataclasses, lists and dicts.
+
+    A Fraction becomes {"numerator", "denominator"} so exact values
+    survive the round trip, a complex number {"re", "im"}, an enum its
+    value; the ``class_kind`` field is written as ``class``.
+    """
+    if dataclasses.is_dataclass(x):
+        return {("class" if f.name == "class_kind" else f.name): report_dict(getattr(x, f.name))
+                for f in dataclasses.fields(x)}
     if isinstance(x, Fraction):
         return {"numerator": x.numerator, "denominator": x.denominator}
-    return float(x)
-
-
-def _cnum(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
-def _phi_dict(phi: PhiSpec) -> dict:
-    return {"b1": _num(phi.b1), "b2": _num(phi.b2), "b3": _num(phi.b3)}
-
-
-def bound_report_dict(r: bounds.BoundReport) -> dict:
-    sm = None
-    if r.sigma_mu is not None:
-        sm = {"region": r.sigma_mu.region.value,
-              "sigma": r.sigma_mu.sigma, "mu": r.sigma_mu.mu}
-    return {
-        "functional": r.functional.value,
-        "class": r.class_kind.value,
-        "phi": _phi_dict(r.phi),
-        "bound": _num(r.bound),
-        "hypotheses": [
-            {"name": h.name, "satisfied": h.satisfied, "margin": h.margin}
-            for h in r.hypotheses
-        ],
-        "sigma_mu": sm,
-        "applicable": r.applicable,
-        "witness": r.witness,
-    }
-
-
-def verification_report_dict(r: oracle.VerificationReport) -> dict:
-    return {
-        "functional": r.functional.value,
-        "class": r.class_kind.value,
-        "phi": _phi_dict(r.phi),
-        "bound": r.bound,
-        "empirical_max": r.empirical_max,
-        "argmax": {
-            "gamma0": _cnum(r.argmax.gamma0),
-            "gamma1": _cnum(r.argmax.gamma1),
-            "gamma2": _cnum(r.argmax.gamma2),
-        },
-        "samples_used": r.samples_used,
-        "refinement_iters": r.refinement_iters,
-        "seed": r.seed,
-        "verdict": r.verdict.value,
-        "margin": r.margin,
-        "applicable": r.applicable,
-    }
+    if isinstance(x, complex):
+        return {"re": x.real, "im": x.imag}
+    if isinstance(x, Enum):
+        return x.value
+    if isinstance(x, (list, tuple)):
+        return [report_dict(v) for v in x]
+    if isinstance(x, dict):
+        return {k: report_dict(v) for k, v in x.items()}
+    return x
 
 
 def _dump_json(d: dict) -> str:
     return json.dumps(d, indent=2, sort_keys=True)
 
 
-def _write_run_record(path: str, report: dict) -> None:
+def _write_run_record(path: str, argv: list[str], report: dict) -> None:
     record = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "command": " ".join(sys.argv),
+        "command": " ".join(argv),
         "version": __version__,
         "report": report,
     }
@@ -115,7 +82,7 @@ def _write_run_record(path: str, report: dict) -> None:
         with open(path, "w") as fh:
             fh.write(_dump_json(record) + "\n")
     except OSError as exc:
-        raise SystemExit2(f"cannot write run record {path!r}: {exc.strerror or exc}") from exc
+        raise ValueError(f"cannot write run record {path!r}: {exc.strerror or exc}") from exc
 
 
 def _fmt_value(x: Real) -> str:
@@ -163,20 +130,16 @@ def _resolve_phi(args) -> PhiSpec:
     raw = [args.b1, args.b2, args.b3]
     if args.phi is None:
         if any(v is None for v in raw):
-            raise SystemExit2("specify --phi NAME or all of --b1/--b2/--b3")
+            raise ValueError("specify --phi NAME or all of --b1/--b2/--b3")
         return PhiSpec(*raw)
     if any(v is not None for v in raw):
-        raise SystemExit2("--phi and raw --b1/--b2/--b3 are mutually exclusive")
+        raise ValueError("--phi and raw --b1/--b2/--b3 are mutually exclusive")
     params = {}
     for key in ("alpha", "beta", "a", "b"):
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val
     return catalog.phi_coeffs(args.phi, **params)
-
-
-class SystemExit2(Exception):
-    """Usage error detected after argparse; maps to exit code 2."""
 
 
 def _add_selectors(p: argparse.ArgumentParser, functional: bool = True) -> None:
@@ -211,7 +174,7 @@ def cmd_bound(args) -> tuple[int, list[str], dict]:
     phi = _resolve_phi(args)
     report = bounds.theorem_bound(
         _FUNCTIONALS[args.functional], _CLASSES[args.class_kind], phi)
-    d = bound_report_dict(report)
+    d = report_dict(report)
     if args.format == "json":
         lines = [_dump_json(d)]
     else:
@@ -259,9 +222,8 @@ def cmd_table(args) -> tuple[int, list[str], dict]:
     if args.only:
         rows = [r for r in rows if r["name"] == args.only]
         if not rows:
-            raise SystemExit2(f"no catalog entry named {args.only!r}")
-    d = {"rows": [dict(r, expected=_num(r["expected"]), computed=_num(r["computed"]))
-                  for r in rows]}
+            raise ValueError(f"no catalog entry named {args.only!r}")
+    d = report_dict({"rows": rows})
     if args.format == "csv":
         lines = ["class,functional,expected,computed,attained,match"]
         lines += [f"{r['class_label']},{r['functional']},{float(r['expected'])!r},"
@@ -283,13 +245,10 @@ def cmd_verify(args) -> tuple[int, list[str], dict]:
     from . import oracle
 
     phi = _resolve_phi(args)
-    kwargs = {}
-    if args.tol is not None:
-        kwargs["violation_tol"] = args.tol
     report = oracle.maximize(
         _FUNCTIONALS[args.functional], _CLASSES[args.class_kind], phi,
-        budget=args.budget, seed=args.seed, **kwargs)
-    d = verification_report_dict(report)
+        budget=args.budget, seed=args.seed)
+    d = report_dict(report)
     if args.format == "json":
         lines = [_dump_json(d)]
     else:
@@ -311,16 +270,16 @@ def _parse_range(text: str) -> list[Fraction]:
     """The exact grid lo, lo + step, ... <= hi of at most MAX_SWEEP_ROWS points."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise SystemExit2(f"range must be lo:hi:step, got {text!r}")
+        raise ValueError(f"range must be lo:hi:step, got {text!r}")
     try:
         lo, hi, step = (_fraction(p) for p in parts)
     except ValueError as exc:
-        raise SystemExit2(f"malformed range {text!r}: {exc}") from None
+        raise ValueError(f"malformed range {text!r}: {exc}") from None
     if step <= 0 or hi < lo:
-        raise SystemExit2(f"range needs step > 0 and hi >= lo, got {text!r}")
+        raise ValueError(f"range needs step > 0 and hi >= lo, got {text!r}")
     n = (hi - lo) // step + 1
     if n > MAX_SWEEP_ROWS:
-        raise SystemExit2(f"range {text!r} has {n} rows; at most {MAX_SWEEP_ROWS} allowed")
+        raise ValueError(f"range {text!r} has {n} rows; at most {MAX_SWEEP_ROWS} allowed")
     return [lo + k * step for k in range(n)]
 
 
@@ -329,8 +288,8 @@ def cmd_sweep(args) -> tuple[int, list[str], None]:
     fixed = {"janowski-a": "b", "janowski-b": "a"}.get(args.param)
     for key in ("a", "b"):
         if (getattr(args, key) is not None) != (key == fixed):
-            raise SystemExit2(f"{args.param} sweep needs fixed --{key}" if key == fixed
-                              else f"--{key} does not apply to a {args.param} sweep")
+            raise ValueError(f"{args.param} sweep needs fixed --{key}" if key == fixed
+                             else f"--{key} does not apply to a {args.param} sweep")
     kind = _CLASSES[args.class_kind]
     functional = _FUNCTIONALS[args.functional]
 
@@ -360,18 +319,15 @@ def cmd_extremal(args) -> tuple[int, list[str], dict]:
     kind = _CLASSES[args.class_kind]
     n = args.order
     coeffs = extremal.extremal_coeffs(kind, phi, n)
-    cb: CoeffBundle | None = coeffs.bundle() if n >= 4 else None
-    if cb is None:
-        ext4 = extremal.extremal_coeffs(kind, phi, 4)
-        cb = ext4.bundle()
-    d = {
-        "class": kind.value,
-        "phi": _phi_dict(phi),
-        "a": [_cnum(c) for c in coeffs.a],
-        "b": [_cnum(cb.b2), _cnum(cb.b3), _cnum(cb.b4)],
-        "gamma": [_cnum(cb.g1), _cnum(cb.g2), _cnum(cb.g3)],
+    cb = (coeffs if n >= 4 else extremal.extremal_coeffs(kind, phi, 4)).bundle()
+    d = report_dict({
+        "class": kind,
+        "phi": phi,
+        "a": coeffs.a,
+        "b": [cb.b2, cb.b3, cb.b4],
+        "gamma": [cb.g1, cb.g2, cb.g3],
         "functionals": {f.value: toeplitz(f, cb) for f in FunctionalKind},
-    }
+    })
     if args.format == "json":
         lines = [_dump_json(d)]
     else:
@@ -406,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_selectors(p)
     p.add_argument("--budget", type=int, default=10 ** 5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None,
-                   help="violation tolerance of the verdict")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -432,19 +386,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parsed = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(parsed)
     try:
         code, lines, report = args.func(args)
         if report is not None and args.out:
-            _write_run_record(args.out, report)
-    except (SystemExit2, ValueError) as exc:
+            _write_run_record(args.out, parsed, report)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     except OverflowError as exc:
         print(f"error: input outside the floating-point range ({exc})", file=sys.stderr)
         code = 2
     else:
-        print("\n".join(lines))
+        try:
+            print("\n".join(lines))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone; send the interpreter's final flush nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if argv is None:
         sys.exit(code)
     return code

@@ -120,16 +120,9 @@ def coeff_map(kind: ClassKind, phi: PhiSpec, c1, c2, c3) -> CoeffBundle:
     return CoeffBundle(a2, a3, a4)
 
 
-def coeffs_from_schwarz(
-    kind: ClassKind,
-    phi: PhiSpec,
-    t: SchwarzTriple,
-    *,
-    check: bool = True,
-    tol: float = 1e-12,
-) -> CoeffBundle:
+def coeffs_from_schwarz(kind: ClassKind, phi: PhiSpec, t: SchwarzTriple) -> CoeffBundle:
     """Map an admissible Schwarz triple to the coefficient bundle."""
-    if check and not is_admissible(t, tol):
+    if not is_admissible(t):
         raise InadmissibleTripleError(f"triple outside the coefficient body: {t}")
     return coeff_map(kind, phi, t.c1, t.c2, t.c3)
 

@@ -39,6 +39,7 @@ from . import bounds
 from .coeffs import ClassKind, FunctionalKind, PhiSpec, coeff_map, toeplitz
 from .schwarz import SchurParams, schur_map
 
+# verdict tolerances, in units of max(1, |bound|)
 VIOLATION_TOL = 1e-9
 SHARPNESS_TOL = 1e-4
 
@@ -195,11 +196,11 @@ def _params_of(x: np.ndarray) -> SchurParams:
     return SchurParams(complex(g0), complex(g1), complex(g2))
 
 
-def _verdict(bound: float, emp: float,
-             violation_tol: float, sharpness_tol: float) -> Verdict:
-    if emp > bound + violation_tol:
+def _verdict(bound: float, emp: float) -> Verdict:
+    s = max(1.0, abs(bound))
+    if emp > bound + VIOLATION_TOL * s:
         return Verdict.VIOLATION
-    if bound - emp <= sharpness_tol:
+    if bound - emp <= SHARPNESS_TOL * s:
         return Verdict.SHARP_CONFIRMED
     return Verdict.VALID_NOT_ATTAINED
 
@@ -210,14 +211,15 @@ def maximize(
     phi: PhiSpec,
     budget: int = 10 ** 5,
     seed: int = 0,
-    violation_tol: float = VIOLATION_TOL,
-    sharpness_tol: float = SHARPNESS_TOL,
 ) -> VerificationReport:
     """Empirically maximize a functional and judge it against its bound.
 
-    An inapplicable bound (failed hypothesis) still produces a report:
-    the formula value is judged as if it were a bound, flagged unproven
-    via ``applicable=False``.
+    With s = max(1, |bound|), the verdict is VIOLATION iff the empirical
+    maximum exceeds bound + VIOLATION_TOL * s, else SharpConfirmed iff it
+    is within SHARPNESS_TOL * s of the bound, else ValidNotAttained.  An
+    inapplicable bound (failed hypothesis) still produces a report: the
+    formula value is judged as if it were a bound, flagged unproven via
+    ``applicable=False``.
     """
     budget = operator.index(budget)
     if budget < 1:
@@ -240,7 +242,7 @@ def maximize(
         samples_used=budget,
         refinement_iters=iters,
         seed=seed,
-        verdict=_verdict(bound, emp, violation_tol, sharpness_tol),
+        verdict=_verdict(bound, emp),
         margin=bound - emp,
         applicable=report.applicable,
     )
@@ -251,15 +253,15 @@ def lemma1_scan(
     mu: float,
     budget: int = 10 ** 4,
     seed: int = 0,
-    violation_tol: float = VIOLATION_TOL,
-    sharpness_tol: float = SHARPNESS_TOL,
 ) -> tuple[float, float | None, Verdict]:
     """Scan |c3 + sigma c1 c2 + mu c1^3| over the coefficient body.
 
     Returns (empirical max, bound, verdict); the bound is |mu| when
     (sigma, mu) lies in one of the Omega regions and None otherwise, in
     which case only the empirical value is meaningful and the verdict is
-    judged against it (never VIOLATION).
+    ValidNotAttained.  A bound is judged as in ``maximize``: with s =
+    max(1, |mu|), VIOLATION iff the maximum exceeds |mu| + VIOLATION_TOL * s,
+    else SharpConfirmed iff it is within SHARPNESS_TOL * s of |mu|.
     """
     budget = operator.index(budget)
     if budget < 1:
@@ -275,4 +277,4 @@ def lemma1_scan(
     if membership.region is bounds.Region.NONE:
         return emp, None, Verdict.VALID_NOT_ATTAINED
     bound = abs(mu)
-    return emp, bound, _verdict(bound, emp, violation_tol, sharpness_tol)
+    return emp, bound, _verdict(bound, emp)

@@ -1,15 +1,23 @@
 """Command-line surface: exit codes, formats, and serialization contracts."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toepsharp
+from toepsharp.bounds import theorem_bound
+from toepsharp.catalog import PHI_NAMES
 from toepsharp.cli import MAX_SWEEP_ROWS, _parse_range, main
+from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec
 
 
 def run(capsys, *argv):
@@ -69,13 +77,24 @@ class TestBound:
 
     def test_run_record(self, capsys, tmp_path):
         path = tmp_path / "record.json"
-        code, out, _ = run(capsys, "bound", "--class", "starlike",
-                           "--phi", "halfplane", "--functional", "t22-inv",
-                           "--format", "json", "--out", str(path))
+        argv = ("bound", "--class", "starlike", "--phi", "halfplane",
+                "--functional", "t22-inv", "--format", "json", "--out", str(path))
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         record = json.loads(path.read_text())
         assert record["report"] == json.loads(out)
         assert set(record) == {"timestamp", "command", "version", "report"}
+        assert record["command"] == " ".join(argv)
+
+    def test_json_bound_beyond_float_range_stays_exact(self, capsys):
+        code, out, _ = run(capsys, "bound", "--class", "starlike", "--functional", "t21-inv",
+                           "--b1", "1e100", "--b2", "1/3", "--b3", "0", "--format", "json")
+        assert code == 0
+        bound = json.loads(out)["bound"]
+        want = theorem_bound(FunctionalKind.T21_INV, ClassKind.STARLIKE,
+                             PhiSpec(F(10 ** 100), F(1, 3), F(0))).bound
+        assert F(bound["numerator"], bound["denominator"]) == want
+        assert want > 10 ** 400  # beyond floats: only the text form needs float()
 
 
 class TestTable:
@@ -137,6 +156,18 @@ class TestVerify:
                            "--seed", "1", "--budget", "5000")
         assert code == 5
         assert "unproven" in out
+
+    @pytest.mark.parametrize("functional, b1, b2", [
+        ("t22-inv", "10", "0"),       # bound 7.13e6
+        ("t21-inv", "1", "1e154"),    # bound 2.5e307
+    ])
+    def test_large_sharp_bound_is_confirmed(self, capsys, functional, b1, b2):
+        # the verdict tolerances scale with the bound, so float rounding
+        # of a large empirical maximum is not a violation
+        code, out, _ = run(capsys, "verify", "--class", "starlike", "--functional", functional,
+                           "--b1", b1, "--b2", b2, "--b3", "0", "--budget", "2000")
+        assert code == 0
+        assert out.startswith("verdict: SharpConfirmed")
 
     def test_budget_one_is_enough_at_the_extremal(self, capsys):
         code, _, _ = run(capsys, "verify", "--class", "starlike",
@@ -258,6 +289,72 @@ class TestExtremal:
 _BOUND = ("bound", "--class", "starlike", "--functional", "t21-inv")
 
 
+def _child_env() -> dict:
+    """The environment of a new interpreter that imports this toepsharp."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(toepsharp.__file__).parents[1])
+    return env
+
+
+# argv for the fuzz: valid and invalid values of every flag, small exponents,
+# --budget <= 50, --order <= 9 and ranges of a few dozen rows
+_NUMBER = st.one_of(
+    st.sampled_from(["0", "1", "-1", "1/2", "-1/2", "2/3", "0.25", "x", "1/0", "", "nan"]),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-40, 40), st.integers(1, 12)),
+    st.builds(lambda m, k: f"{m}e{k}", st.integers(-9, 9), st.integers(-30, 400)),
+)
+_RANGE_END = st.sampled_from(["0", "1/4", "1/2", "1", "-1", "2", "x"])
+
+
+def _mostly(valid, invalid: str):
+    """One of ``valid``, or ``invalid`` about one time in ten."""
+    return st.sampled_from(list(valid) * (9 // len(valid) + 1) + [invalid])
+
+
+_FLAG_VALUES = {
+    "class": _mostly([k.value for k in ClassKind], "bogus"),
+    "functional": _mostly([f.value for f in FunctionalKind], "t23"),
+    "phi": _mostly(PHI_NAMES, "nephroid"),
+    **{key: _NUMBER for key in ("alpha", "beta", "a", "b", "b1", "b2", "b3")},
+    "format": _mostly(["text", "json", "csv", "markdown"], "xml"),
+    "budget": st.one_of(st.integers(-1, 50).map(str), st.just("1.5")),
+    "seed": st.one_of(st.integers(-2, 2 ** 40).map(str), st.just("s")),
+    "order": st.integers(-1, 9).map(str),
+    "only": _mostly(PHI_NAMES, "nephroid"),
+    "param": _mostly(["alpha", "beta", "janowski-a", "janowski-b"], "gamma"),
+    "range": st.one_of(
+        st.builds(lambda lo, hi, step: f"{lo}:{hi}:{step}", _RANGE_END, _RANGE_END,
+                  st.sampled_from(["1/10", "1/4", "1", "0", "-1/4"])),
+        st.just("0..1")),
+}
+_SELECTORS = ("class", "phi", "alpha", "beta", "a", "b", "b1", "b2", "b3", "format")
+_FLAGS = {
+    "bound": ("functional",) + _SELECTORS,
+    "verify": ("functional", "budget", "seed") + _SELECTORS,
+    "extremal": ("order",) + _SELECTORS,
+    "table": ("only", "format"),
+    "sweep": ("param", "range", "class", "functional", "a", "b"),
+}
+_REQUIRED = {"bound": ("class", "functional"), "verify": ("class", "functional"),
+             "extremal": ("class",), "table": (),
+             "sweep": ("param", "range", "class", "functional")}
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    sub = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = []
+    if draw(st.integers(0, 9)):  # nine in ten get the required flags and a generator
+        flags += _REQUIRED[sub]
+        if sub in ("bound", "verify", "extremal"):
+            flags += draw(st.sampled_from([("phi",), ("b1", "b2", "b3")]))
+    flags += draw(st.lists(st.sampled_from(_FLAGS[sub]), max_size=4))
+    if not draw(st.integers(0, 9)):  # one in ten gets a flag of any subcommand
+        flags.append(draw(st.sampled_from(sorted(_FLAG_VALUES))))
+    # --key=value keeps argparse from reading "-1/2" as an option
+    return [sub] + [f"--{key}={draw(_FLAG_VALUES[key])}" for key in flags]
+
+
 class TestErrorContract:
     """Bad input ends in ``error: ...`` on stderr, exit 2 and an empty stdout."""
 
@@ -334,18 +431,44 @@ class TestErrorContract:
         _BOUND + ("--phi", "exp"),
         ("table",),
         ("extremal", "--class", "starlike", "--phi", "exp"),
+        ("verify", "--class", "starlike", "--phi", "exp", "--functional", "t21-inv"),
     ])
-    def test_tol_only_on_verify(self, argv):
+    def test_tol_is_gone(self, argv):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--tol", "5"])
         assert exc.value.code == 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(argv=_argv())
+    def test_any_argv_ends_in_a_documented_exit(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects bad argv this way
+                code = exc.code
+        assert code in (0, 2, 3, 4, 5), (argv, code)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+
+    def test_closed_stdout_ends_quietly(self):
+        # about 600 KB of CSV, more than a pipe holds, so the write after
+        # the reader has gone always fails
+        argv = ["sweep", "--param", "alpha", "--range", "0:2/3:1/10000",
+                "--class", "starlike", "--functional", "t21-inv"]
+        with subprocess.Popen([sys.executable, "-m", "toepsharp.cli", *argv], env=_child_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"param,bound,applicable,attained\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 0
+        assert err == b""
+
 
 def _fresh_python(code: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a new interpreter that imports this toepsharp."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(toepsharp.__file__).parents[1])
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
                           text=True, timeout=120, check=False)
 
 

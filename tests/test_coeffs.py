@@ -15,6 +15,7 @@ from toepsharp.coeffs import (
     InadmissibleTripleError,
     PhiSpec,
     ZERO_BUNDLE,
+    coeff_map,
     coeffs_from_schwarz,
     fekete_szego_value,
     toeplitz,
@@ -50,9 +51,8 @@ class TestCoeffsFromSchwarz:
             coeffs_from_schwarz(ClassKind.STARLIKE, HALF_PLANE,
                                 SchwarzTriple(0.5, 0.75, 0.0))
 
-    def test_check_can_be_disabled(self):
-        cb = coeffs_from_schwarz(ClassKind.STARLIKE, HALF_PLANE,
-                                 SchwarzTriple(0.5, 0.75, 0.0), check=False)
+    def test_coeff_map_is_unchecked(self):
+        cb = coeff_map(ClassKind.STARLIKE, HALF_PLANE, 0.5, 0.75, 0.0)
         assert cb.a2 == 1.0
 
 

@@ -13,7 +13,6 @@ from .coeffs import (  # noqa: F401
     FunctionalKind,
     PhiSpec,
     coeffs_from_schwarz,
-    fekete_szego_value,
     toeplitz,
 )
 from .schwarz import SchurParams, SchwarzTriple, is_admissible, schur_to_coeffs  # noqa: F401

@@ -1,10 +1,11 @@
 """Closed-form sharp bounds with full hypothesis checking.
 
 Each of the four functionals |x_n^2 - x_{n+1}^2| has one bound per class,
-|x_n|^2 + |x_{n+1}|^2 over one table of coefficient bounds, valid under an
-inequality on the generator data and (for the T_{2,2} functionals) a
-region condition on an associated pair (sigma, mu).  The region calculus
-is the one of the |c3 + sigma c1 c2 + mu c1^3| <= |mu| lemma:
+|x_n|^2 + |x_{n+1}|^2 over the coefficient pair that coeffs.PAIRS names,
+valid under an inequality on the generator data and (for the T_{2,2}
+functionals) a region condition on an associated pair (sigma, mu).  The
+region calculus is the one of the |c3 + sigma c1 c2 + mu c1^3| <= |mu|
+lemma:
 
     Omega1: |sigma| <= 2 and mu >= 1
     Omega2: 2 <= |sigma| <= 4 and mu >= (sigma^2 + 8)/12
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .coeffs import ClassKind, FunctionalKind, PhiSpec, Real
+from .coeffs import PAIRS, ClassKind, FunctionalKind, PhiSpec, Real
 
 HYP_TOL = 1e-12
 
@@ -63,10 +64,6 @@ class BoundReport:
 
 class UndefinedSigmaMuError(ValueError):
     """Raised when B1 = 0 makes the (sigma, mu) pair undefined."""
-
-
-class HypothesisError(ValueError):
-    """Raised by intermediate_bound when its validity condition fails."""
 
 
 def _in_region(sigma: float, mu: float, i: int) -> float:
@@ -113,59 +110,45 @@ def fekete_szego_bound(kind: ClassKind, phi: PhiSpec, lam: Real) -> Real:
     return (t / 2 - b1 * b1 - b2) / 6
 
 
-class IntermediateKind(Enum):
-    A2 = "a2"
-    GAMMA2 = "gamma2"
-    GAMMA3 = "gamma3"
-    B3COEF = "b3"
-    B4COEF = "b4"
-
-
-# Each functional |x_n^2 - x_{n+1}^2| as its coefficient pair.  |b2| = |a2|
-# and |Gamma1| = |a2|/2 share the a2 bound, so x_n carries a divisor.
-_PAIRS = {
-    FunctionalKind.T21_INV: (IntermediateKind.A2, 1, IntermediateKind.B3COEF),
-    FunctionalKind.T22_INV: (IntermediateKind.B3COEF, 1, IntermediateKind.B4COEF),
-    FunctionalKind.T21_LOG_INV: (IntermediateKind.A2, 2, IntermediateKind.GAMMA2),
-    FunctionalKind.T22_LOG_INV: (IntermediateKind.GAMMA2, 1, IntermediateKind.GAMMA3),
-}
-
 # Which Omega union each third-coefficient bound requires, as printed.
 _ALLOWED_REGIONS = {
-    (IntermediateKind.GAMMA3, ClassKind.STARLIKE): (1, 2, 3),
-    (IntermediateKind.GAMMA3, ClassKind.CONVEX): (2, 3),
-    (IntermediateKind.B4COEF, ClassKind.STARLIKE): (2, 3),
-    (IntermediateKind.B4COEF, ClassKind.CONVEX): (1, 2, 3),
+    ("g3", ClassKind.STARLIKE): (1, 2, 3),
+    ("g3", ClassKind.CONVEX): (2, 3),
+    ("b4", ClassKind.STARLIKE): (2, 3),
+    ("b4", ClassKind.CONVEX): (1, 2, 3),
 }
 
 
-def _coefficient(kind: ClassKind, phi: PhiSpec, which: IntermediateKind):
-    """(q, d, hypothesis) with |x| <= |q|/d for the coefficient x named by ``which``.
+def _coefficient(kind: ClassKind, phi: PhiSpec, coef: str):
+    """(q, d, hypothesis) with |x| <= |q|/d for x the CoeffBundle field ``coef``.
 
-    a2 needs no hypothesis.  b3 and Gamma2 are bounded by the
-    Fekete-Szego-type lemma at lambda = 2 and 3/2, under the inequality
-    ``hypothesis = (name, margin)`` on the generator data.  b4 and Gamma3
-    are k (c3 + sigma c1 c2 + mu c1^3), bounded by |k mu| = |q|/d when
-    (sigma, mu) lies in the allowed Omega regions; then ``hypothesis =
-    (s, den)`` with (sigma, mu) = (s/den, q/den), and den = 0 iff B1 = 0.
+    b2 = -a2 and Gamma1 = -a2/2 need no hypothesis.  b3 and Gamma2 are
+    bounded by the Fekete-Szego-type lemma at lambda = 2 and 3/2, under
+    the inequality ``hypothesis = (name, margin)`` on the generator data.
+    b4 and Gamma3 are k (c3 + sigma c1 c2 + mu c1^3), bounded by
+    |k mu| = |q|/d when (sigma, mu) lies in the allowed Omega regions;
+    then ``hypothesis = (s, den)`` with (sigma, mu) = (s/den, q/den), and
+    den = 0 iff B1 = 0.
     """
     b1, b2, b3 = phi.b1, phi.b2, phi.b3
     star = kind is ClassKind.STARLIKE
-    if which is IntermediateKind.A2:
+    if coef == "b2":
         return b1, (1 if star else 2), None
-    if which is IntermediateKind.GAMMA2:
+    if coef == "g1":
+        return b1, (2 if star else 4), None
+    if coef == "g2":
         if star:
             q = b2 - 2 * b1 * b1
             return q, 4, ("|B2 - 2 B1^2| >= B1", abs(q) - b1)
         q = 4 * b2 - 5 * b1 * b1
         return q, 48, ("|B2 - (5/4) B1^2| >= B1", abs(q) / 4 - b1)
-    if which is IntermediateKind.B3COEF:
+    if coef == "b3":
         if star:
             q = 3 * b1 * b1 - b2
             return q, 2, ("B1 <= |3 B1^2 - B2|", abs(q) - b1)
         q = 2 * b1 * b1 - b2
         return q, 6, ("B1 <= |2 B1^2 - B2|", abs(q) - b1)
-    if which is IntermediateKind.GAMMA3:
+    if coef == "g3":
         if star:
             return (9 * b1 ** 3 - 9 * b1 * b2 + 2 * b3, 12,
                     (-(9 * b1 * b1 - 4 * b2), 2 * b1))
@@ -180,7 +163,7 @@ def sigma_mu(kind: ClassKind, phi: PhiSpec, which: FunctionalKind) -> tuple[Real
     """The (sigma, mu) pair whose region membership the T22 bounds need."""
     if which not in (FunctionalKind.T22_LOG_INV, FunctionalKind.T22_INV):
         raise ValueError(f"no (sigma, mu) data for {which}")
-    q, _, (s, den) = _coefficient(kind, phi, _PAIRS[which][2])
+    q, _, (s, den) = _coefficient(kind, phi, PAIRS[which][1])
     if den == 0:
         raise UndefinedSigmaMuError("(sigma, mu) undefined at B1 = 0")
     return s / den, q / den
@@ -190,10 +173,10 @@ def _ineq(name: str, margin) -> Hypothesis:
     return Hypothesis(name, margin >= -HYP_TOL, float(margin))
 
 
-def _check(kind: ClassKind, which: IntermediateKind, q: Real,
+def _check(kind: ClassKind, coef: str, q: Real,
            hypothesis) -> tuple[Hypothesis, RegionMembership | None]:
     """A coefficient's hypothesis, and (for b4, Gamma3) where (sigma, mu) lies."""
-    allowed = _ALLOWED_REGIONS.get((which, kind))
+    allowed = _ALLOWED_REGIONS.get((coef, kind))
     if allowed is None:
         return _ineq(*hypothesis), None
     s, den = hypothesis
@@ -203,21 +186,6 @@ def _check(kind: ClassKind, which: IntermediateKind, q: Real,
     slack = max(_in_region(sigma, mu, i) for i in allowed)
     names = " | ".join(f"Omega{i}" for i in allowed)
     return _ineq(f"(sigma, mu) in {names}", slack), omega_region(sigma, mu)
-
-
-def intermediate_bound(kind: ClassKind, phi: PhiSpec, which: IntermediateKind) -> Real:
-    """Sharp bound on one coefficient magnitude, as used in the proofs.
-
-    Bounds the actual quantity named: |a2|, |Gamma2|, |Gamma3|, |b3| or
-    |b4|.  Raises HypothesisError when the matching validity condition
-    (inequality on the generator data, or region membership) fails.
-    """
-    q, d, hypothesis = _coefficient(kind, phi, which)
-    if hypothesis is not None:
-        h, _ = _check(kind, which, q, hypothesis)
-        if not h.satisfied:
-            raise HypothesisError(f"hypothesis failed: {h.name} (margin {h.margin})")
-    return abs(q) / d
 
 
 def _witness(kind: ClassKind) -> str:
@@ -233,14 +201,13 @@ def theorem_bound(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec) -> 
     every hypothesis holds (within HYP_TOL, so boundary generators
     count as satisfied).
     """
-    if functional not in _PAIRS:
+    if functional not in PAIRS:
         raise ValueError(f"unknown functional {functional}")
-    first, scale, second = _PAIRS[functional]
+    first, second = PAIRS[functional]
     q, d, hq = _coefficient(kind, phi, first)
     n, e, hn = _coefficient(kind, phi, second)
-    d *= scale
-    checks = [_check(kind, which, x, h)
-              for which, x, h in ((first, q, hq), (second, n, hn)) if h is not None]
+    checks = [_check(kind, coef, x, h)
+              for coef, x, h in ((first, q, hq), (second, n, hn)) if h is not None]
     hyps = tuple(h for h, _ in checks)
     return BoundReport(
         functional=functional,

@@ -132,14 +132,6 @@ class CatalogEntry:
     fixtures: tuple[tuple[FunctionalKind, Real], ...]
 
 
-def fixtures(name: str, kind: ClassKind) -> tuple[tuple[FunctionalKind, Real], ...]:
-    """Published (functional, sharp value) pairs for a catalog class."""
-    key = (name, kind)
-    if key not in _FIXTURES:
-        raise ValueError(f"no fixtures for {name}/{kind.value}")
-    return _FIXTURES[key][1]
-
-
 def fixture_entries() -> tuple[CatalogEntry, ...]:
     """All parameter-free classes with published numeric values."""
     return tuple(

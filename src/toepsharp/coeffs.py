@@ -29,10 +29,19 @@ class ClassKind(Enum):
 class FunctionalKind(Enum):
     """The four |x_n^2 - x_{n+1}^2| determinants under study."""
 
-    T21_INV = "t21-inv"          # |b2^2 - b3^2|
-    T22_INV = "t22-inv"          # |b3^2 - b4^2|
-    T21_LOG_INV = "t21-log-inv"  # |Gamma1^2 - Gamma2^2|
-    T22_LOG_INV = "t22-log-inv"  # |Gamma2^2 - Gamma3^2|
+    T21_INV = "t21-inv"
+    T22_INV = "t22-inv"
+    T21_LOG_INV = "t21-log-inv"
+    T22_LOG_INV = "t22-log-inv"
+
+
+# Each functional's (x_n, x_{n+1}) as CoeffBundle names (g_n is Gamma_n).
+PAIRS = {
+    FunctionalKind.T21_INV: ("b2", "b3"),
+    FunctionalKind.T22_INV: ("b3", "b4"),
+    FunctionalKind.T21_LOG_INV: ("g1", "g2"),
+    FunctionalKind.T22_LOG_INV: ("g2", "g3"),
+}
 
 
 @dataclass(frozen=True)
@@ -99,9 +108,6 @@ class CoeffBundle:
         return -(self.a4 - 4 * self.a2 * self.a3 + (10 / 3) * self.a2 ** 3) / 2
 
 
-ZERO_BUNDLE = CoeffBundle(0j, 0j, 0j)
-
-
 def coeff_map(kind: ClassKind, phi: PhiSpec, c1, c2, c3) -> CoeffBundle:
     """(a2, a3, a4) of the class member whose Schwarz function starts c1, c2, c3.
 
@@ -132,17 +138,7 @@ def toeplitz(kind: FunctionalKind, cb: CoeffBundle) -> float:
 
     Elementwise when the bundle holds numpy arrays.
     """
-    if kind is FunctionalKind.T21_INV:
-        return abs(cb.b2 ** 2 - cb.b3 ** 2)
-    if kind is FunctionalKind.T22_INV:
-        return abs(cb.b3 ** 2 - cb.b4 ** 2)
-    if kind is FunctionalKind.T21_LOG_INV:
-        return abs(cb.g1 ** 2 - cb.g2 ** 2)
-    if kind is FunctionalKind.T22_LOG_INV:
-        return abs(cb.g2 ** 2 - cb.g3 ** 2)
-    raise ValueError(f"unknown functional {kind}")
-
-
-def fekete_szego_value(cb: CoeffBundle, lam: float) -> float:
-    """|a3 - lambda a2^2|."""
-    return abs(cb.a3 - lam * cb.a2 ** 2)
+    if kind not in PAIRS:
+        raise ValueError(f"unknown functional {kind}")
+    first, second = PAIRS[kind]
+    return abs(getattr(cb, first) ** 2 - getattr(cb, second) ** 2)

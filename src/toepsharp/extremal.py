@@ -26,22 +26,20 @@ class ExtremalCoeffs:
         return CoeffBundle(self.a[1], self.a[2], self.a[3])
 
 
-def extremal_coeffs(
-    kind: ClassKind, phi: PhiSpec, n: int, b_tail: tuple[float, ...] = ()
-) -> ExtremalCoeffs:
+def extremal_coeffs(kind: ClassKind, phi: PhiSpec, n: int) -> ExtremalCoeffs:
     """Taylor coefficients a_1..a_N of the rotation extremal.
 
     Starlike: (m-1) a_m = sum_{k>=1} i^k B_k a_{m-k}.
     Convex: the derivative coefficients d_m obey m d_m = sum i^k B_k d_{m-k}
     with d_0 = 1, and a_m = d_{m-1}/m.
 
-    Only the first three generator coefficients affect a_2..a_4 (and hence
-    every functional); ``b_tail`` supplies B_4, B_5, ... for callers who
-    expand an exactly known generator past degree 4.
+    The generator is cut after B3 (B_4 = B_5 = ... = 0).  Only B1..B3
+    affect a_2..a_4, and hence every functional; a_5 onward are those of
+    the cut generator.
     """
     if n < 2:
         raise ValueError("need N >= 2")
-    B = [complex(x) for x in phi.as_floats()] + [complex(x) for x in b_tail]
+    B = [complex(x) for x in phi.as_floats()]
     rot = [(1j) ** (k + 1) * B[k] for k in range(len(B))]  # i^k B_k
 
     def tail(seq: list[complex], m: int) -> complex:

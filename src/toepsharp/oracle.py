@@ -29,6 +29,7 @@ embarrassingly parallel with identical results in any execution order.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -225,7 +226,11 @@ def maximize(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     report = bounds.theorem_bound(functional, kind, phi)
-    bound = float(report.bound)  # an overflow fails here, before the search
+    # A Fraction bound past the float range raises in float(); a float one
+    # has overflowed to inf.  Either way it fails here, before the search.
+    bound = float(report.bound)
+    if not math.isfinite(bound):
+        raise OverflowError(f"bound {bound} overflows a float")
 
     def obj(g: np.ndarray) -> np.ndarray:
         c = schur_map(g[..., 0], g[..., 1], g[..., 2])

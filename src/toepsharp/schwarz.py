@@ -64,24 +64,6 @@ def schur_to_coeffs(p: SchurParams) -> SchwarzTriple:
     return SchwarzTriple(*schur_map(g0, g1, g2))
 
 
-def coeffs_to_schur(t: SchwarzTriple) -> SchurParams:
-    """Inverse of the forward map, defined only in the interior.
-
-    Degenerate layers (|c1| = 1, or |gamma1| = 1) have no unique
-    preimage; callers sampling the interior never hit them.
-    """
-    t0 = 1.0 - abs(t.c1) ** 2
-    if t0 <= 0:
-        raise ValueError("parameter recovery undefined at |c1| = 1")
-    g0 = t.c1
-    g1 = t.c2 / t0
-    t1 = 1.0 - abs(g1) ** 2
-    if t1 <= 0:
-        raise ValueError("parameter recovery undefined at |gamma1| = 1")
-    g2 = (t.c3 / t0 + g0.conjugate() * g1 ** 2) / t1
-    return SchurParams(g0, g1, g2)
-
-
 def is_admissible(t: SchwarzTriple, tol: float = 1e-12) -> bool:
     """Whether (c1, c2, c3) lies in the coefficient body, within tol.
 

@@ -1,4 +1,5 @@
-"""Shared test utilities: independent pipeline solvers and random data.
+"""Shared test utilities: independent pipeline solvers, random data, and
+the inverse of the Schur parameter map.
 
 The solvers here derive (a2, a3, a4) directly from the defining
 differential relations using only the series engine, term by term.  They
@@ -43,6 +44,24 @@ def solve_convex(phi: PhiSpec, t: SchwarzTriple) -> tuple[complex, complex, comp
         d.append(sum(p[k] * d[m - k] for k in range(1, m + 1)) / m)
     # f' coefficient of z^{m} is (m+1) a_{m+1}
     return d[1] / 2, d[2] / 3, d[3] / 4
+
+
+def coeffs_to_schur(t: SchwarzTriple) -> SchurParams:
+    """Inverse of ``schur_to_coeffs``, defined only in the interior.
+
+    Degenerate layers (|c1| = 1, or |gamma1| = 1) have no unique
+    preimage; callers sampling the interior never hit them.
+    """
+    t0 = 1.0 - abs(t.c1) ** 2
+    if t0 <= 0:
+        raise ValueError("parameter recovery undefined at |c1| = 1")
+    g0 = t.c1
+    g1 = t.c2 / t0
+    t1 = 1.0 - abs(g1) ** 2
+    if t1 <= 0:
+        raise ValueError("parameter recovery undefined at |gamma1| = 1")
+    g2 = (t.c3 / t0 + g0.conjugate() * g1 ** 2) / t1
+    return SchurParams(g0, g1, g2)
 
 
 def random_complex(rng: np.random.Generator, scale: float = 5.0) -> complex:

@@ -1,5 +1,6 @@
-"""Closed-form bounds, region calculus, and the intermediate estimates."""
+"""Closed-form bounds, region calculus, and their link to Fekete-Szego."""
 
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,19 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toepsharp.bounds import (
-    HypothesisError,
-    IntermediateKind,
     Region,
     UndefinedSigmaMuError,
     fekete_szego_bound,
-    intermediate_bound,
     omega_region,
     sigma_mu,
     theorem_bound,
 )
-from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec
-
-TOL = 1e-12
+from toepsharp.coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec, toeplitz
 
 HALF_PLANE = PhiSpec(F(2), F(2), F(2))
 EXP = PhiSpec(F(1), F(1, 2), F(1, 6))
@@ -108,106 +104,33 @@ class TestFeketeSzego:
                     assert abs(lo - hi) < 1e-8
 
 
+def _random_fraction(rng: random.Random, lo: int, hi: int) -> F:
+    den = rng.randint(1, 12)
+    return F(rng.randint(lo * den, hi * den), den)
+
+
 class TestIntermediateBounds:
-    def test_second_coefficient(self):
-        assert intermediate_bound(ClassKind.STARLIKE, HALF_PLANE,
-                                  IntermediateKind.A2) == 2
-        assert intermediate_bound(ClassKind.CONVEX, HALF_PLANE,
-                                  IntermediateKind.A2) == 1
-
-    def test_second_log_coefficient(self):
-        # |Gamma2| <= |B2 - 2 B1^2| / 4 at the half-plane data: 6/4
-        assert intermediate_bound(ClassKind.STARLIKE, HALF_PLANE,
-                                  IntermediateKind.GAMMA2) == F(3, 2)
-
-    def test_fourth_inverse_coefficient(self):
-        # |b4| of the rotated extremal: |64 - 24 + 2| / 3 = 14
-        assert intermediate_bound(ClassKind.STARLIKE, HALF_PLANE,
-                                  IntermediateKind.B4COEF) == 14
-
-    def test_third_inverse_coefficient(self):
-        assert intermediate_bound(ClassKind.STARLIKE, HALF_PLANE,
-                                  IntermediateKind.B3COEF) == 5
-        assert intermediate_bound(ClassKind.CONVEX, HALF_PLANE,
-                                  IntermediateKind.B3COEF) == 1
-
-    def test_hypothesis_failure_raises(self):
-        # cardioid data: |B2 - 2 B1^2| = 1 is not >= B1 = 1 strictly... it is
-        # equal, so use the exp data where |1/2 - 2| = 3/2 >= 1 holds; a
-        # failing case is (1, 1.5, 0): |1.5 - 2| = 0.5 < 1
-        with pytest.raises(HypothesisError):
-            intermediate_bound(ClassKind.STARLIKE, PhiSpec(1, 1.5, 0),
-                               IntermediateKind.GAMMA2)
-        # cardioid (sigma1, mu1) = (-5/2, 1/2) lies in no region
-        with pytest.raises(HypothesisError):
-            intermediate_bound(ClassKind.STARLIKE, CARDIOID,
-                               IntermediateKind.GAMMA3)
+    """The per-coefficient bounds of the proofs, read through theorem_bound."""
 
     def test_links_to_fekete_szego(self):
-        rng = np.random.default_rng(11)
-        checked = 0
-        while checked < 100:
-            phi = PhiSpec(rng.uniform(0.1, 3), rng.uniform(-3, 3),
-                          rng.uniform(-3, 3))
-            for kind in ClassKind:
-                try:
-                    g2 = intermediate_bound(kind, phi, IntermediateKind.GAMMA2)
-                except HypothesisError:
-                    continue
-                fs = fekete_szego_bound(kind, phi, 1.5)
-                assert abs(g2 - fs / 2) <= TOL * max(1.0, abs(fs))
-                checked += 1
-
-
-def _sum_of_squares_pairs():
-    return (
-        (FunctionalKind.T22_LOG_INV, IntermediateKind.GAMMA2,
-         IntermediateKind.GAMMA3),
-        (FunctionalKind.T22_INV, IntermediateKind.B3COEF,
-         IntermediateKind.B4COEF),
-    )
-
-
-def test_t22_bounds_are_sums_of_squared_intermediates():
-    rng = np.random.default_rng(13)
-    checked = 0
-    while checked < 100:
-        phi = PhiSpec(rng.uniform(0.1, 3), rng.uniform(-4, 4), rng.uniform(-4, 4))
-        for kind in ClassKind:
-            for functional, first, second in _sum_of_squares_pairs():
-                try:
-                    x = intermediate_bound(kind, phi, first)
-                    y = intermediate_bound(kind, phi, second)
-                except HypothesisError:
-                    continue
-                rep = theorem_bound(functional, kind, phi)
-                if not rep.applicable:
-                    continue
-                want = x * x + y * y
-                assert abs(rep.bound - want) <= 1e-13 * max(1.0, want)
-                checked += 1
-
-
-def test_t21_bounds_are_sums_of_squared_intermediates():
-    rng = np.random.default_rng(15)
-    checked = 0
-    while checked < 100:
-        phi = PhiSpec(rng.uniform(0.1, 3), rng.uniform(-4, 4), rng.uniform(-4, 4))
-        for kind in ClassKind:
-            a2 = intermediate_bound(
-                kind, phi, IntermediateKind.A2)  # |b2| = |a2| shares the bound
-            try:
-                g2 = intermediate_bound(kind, phi, IntermediateKind.GAMMA2)
-                b3 = intermediate_bound(kind, phi, IntermediateKind.B3COEF)
-            except HypothesisError:
-                continue
-            log_rep = theorem_bound(FunctionalKind.T21_LOG_INV, kind, phi)
-            inv_rep = theorem_bound(FunctionalKind.T21_INV, kind, phi)
-            assert abs(log_rep.bound - ((a2 / 2) ** 2 + g2 * g2)) <= 1e-13 * max(
-                1.0, float(log_rep.bound))
-            assert abs(inv_rep.bound - (a2 * a2 + b3 * b3)) <= 1e-13 * max(
-                1.0, float(inv_rep.bound))
-            checked += 1
+        # Where every hypothesis holds, the second coefficient's bound is the
+        # outer branch of the Fekete-Szego bound (Ma & Minda, 1992): |b3| =
+        # |a3 - 2 a2^2| at lambda = 2, |Gamma2| = |a3 - (3/2) a2^2| / 2 at
+        # lambda = 3/2.  The first is |b2| = |a2| <= B1/d or |Gamma1| = |a2|/2.
+        rng = random.Random(17)
+        for kind, d in ((ClassKind.STARLIKE, 1), (ClassKind.CONVEX, 2)):
+            hits = dict.fromkeys((FunctionalKind.T21_INV, FunctionalKind.T21_LOG_INV), 0)
+            for _ in range(400):
+                phi = PhiSpec(_random_fraction(rng, 0, 3), _random_fraction(rng, -4, 4),
+                              _random_fraction(rng, -4, 4))
+                for functional, lam, half in ((FunctionalKind.T21_INV, 2, 1),
+                                              (FunctionalKind.T21_LOG_INV, F(3, 2), 2)):
+                    rep = theorem_bound(functional, kind, phi)
+                    if all(h.margin >= 0 for h in rep.hypotheses):
+                        fs = fekete_szego_bound(kind, phi, lam)
+                        assert rep.bound == (phi.b1 / (half * d)) ** 2 + (fs / half) ** 2
+                        hits[functional] += 1
+            assert min(hits.values()) >= 100, (kind, hits)
 
 
 class TestTheoremBound:
@@ -256,6 +179,13 @@ class TestTheoremBound:
                     assert rep.applicable == all(
                         h.satisfied for h in rep.hypotheses)
                     assert float(rep.bound) >= 0
+
+    def test_rejects_an_unknown_functional(self):
+        # the functional's value, not a FunctionalKind: no coefficient pair
+        with pytest.raises(ValueError, match="unknown functional"):
+            theorem_bound("t21-inv", ClassKind.STARLIKE, HALF_PLANE)
+        with pytest.raises(ValueError, match="unknown functional"):
+            toeplitz("t21-inv", CoeffBundle(1j, 0j, 0j))
 
     def test_witness_mentions_the_rotation(self):
         rep = theorem_bound(FunctionalKind.T21_INV, ClassKind.STARLIKE,

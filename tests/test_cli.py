@@ -49,6 +49,12 @@ class TestBound:
                            "--phi", "lemniscate", "--functional", "t22-inv")
         assert code == 3
         assert "applicable: False" in out
+        # phi data (1, 3/2, 0) fails the Gamma2 hypothesis: |3/2 - 2| < 1
+        code, out, _ = run(capsys, "bound", "--class", "starlike", "--b1", "1",
+                           "--b2", "3/2", "--b3", "0", "--functional", "t21-log-inv")
+        assert code == 3
+        assert "[FAIL] |B2 - 2 B1^2| >= B1" in out
+        assert "applicable: False" in out
 
     def test_raw_coefficients(self, capsys):
         code, out, _ = run(capsys, "bound", "--class", "convex",

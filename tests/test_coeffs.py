@@ -8,16 +8,15 @@ import pytest
 from helpers import random_triples, solve_convex, solve_starlike
 from series import Series, log_div_z, revert
 
+from toepsharp.bounds import fekete_szego_bound
 from toepsharp.coeffs import (
     ClassKind,
     CoeffBundle,
     FunctionalKind,
     InadmissibleTripleError,
     PhiSpec,
-    ZERO_BUNDLE,
     coeff_map,
     coeffs_from_schwarz,
-    fekete_szego_value,
     toeplitz,
 )
 from toepsharp.schwarz import SchwarzTriple
@@ -65,7 +64,7 @@ class TestToeplitz:
 
     def test_zero_bundle(self):
         for f in FunctionalKind:
-            assert toeplitz(f, ZERO_BUNDLE) == 0
+            assert toeplitz(f, CoeffBundle(0j, 0j, 0j)) == 0
 
     def test_inverse_pair_value(self):
         # bundle with b = (-2i, -5, 14i): the rotated Koebe inverse data
@@ -76,16 +75,22 @@ class TestToeplitz:
 
 
 class TestFeketeSzego:
+    """|a3 - lambda a2^2| against the Fekete-Szego bound."""
+
     def test_koebe_lambda_zero(self):
         cb = coeffs_from_schwarz(ClassKind.STARLIKE, HALF_PLANE, ROT)
-        assert fekete_szego_value(cb, 0.0) == 3
+        assert abs(cb.a3) == 3
+        assert fekete_szego_bound(ClassKind.STARLIKE, HALF_PLANE, 0) == 3
 
     def test_koebe_lambda_three_halves(self):
         cb = coeffs_from_schwarz(ClassKind.STARLIKE, HALF_PLANE, ROT)
-        assert fekete_szego_value(cb, 1.5) == 3
+        assert abs(cb.a3 - 1.5 * cb.a2 ** 2) == 3
+        assert fekete_szego_bound(ClassKind.STARLIKE, HALF_PLANE, 1.5) == 3
 
     def test_zero_bundle(self):
-        assert fekete_szego_value(ZERO_BUNDLE, 2.7) == 0
+        # phi = 1: every class member is f(z) = z, whose bundle is zero
+        for kind in ClassKind:
+            assert fekete_szego_bound(kind, PhiSpec(0, 0, 0), 2.7) == 0
 
 
 def _random_phis(seed: int, n: int) -> list[PhiSpec]:

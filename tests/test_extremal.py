@@ -1,5 +1,6 @@
 """Extremal function coefficients and attainment certificates."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -34,13 +35,17 @@ class TestExtremalCoeffs:
             assert abs(ext_s.a[1] - 1j * b1) < TOL
             assert abs(ext_c.a[1] - 1j * b1 / 2) < TOL
 
-    def test_koebe_closed_form_through_degree_eight(self):
-        # z/(1 - i z)^2 has coefficients a_n = n i^(n-1); past degree 4 the
-        # recursion needs the generator's higher coefficients (all 2)
-        ext = extremal_coeffs(ClassKind.STARLIKE, HALF_PLANE, 8,
-                              b_tail=(2, 2, 2, 2))
-        for n, a in enumerate(ext.a, start=1):
-            assert abs(a - n * (1j) ** (n - 1)) < TOL * n
+    def test_linear_generator_closed_form_through_degree_ten(self):
+        # phi = 1 + z has no tail past B3, so every a_n is exact: z f'/f =
+        # 1 + i z gives f = z exp(i z), and 1 + z f''/f' = 1 + i z gives
+        # f' = exp(i z)
+        for phi in (PhiSpec(1, 0, 0), PhiSpec(F(1), F(0), F(0))):
+            star = extremal_coeffs(ClassKind.STARLIKE, phi, 10)
+            convex = extremal_coeffs(ClassKind.CONVEX, phi, 10)
+            for n in range(1, 11):
+                rot = (1j) ** (n - 1)
+                assert abs(star.a[n - 1] - rot / math.factorial(n - 1)) < TOL
+                assert abs(convex.a[n - 1] - rot / math.factorial(n)) < TOL
 
     def test_matches_schwarz_pipeline_at_the_rotation(self):
         rotation = SchwarzTriple(1j, 0, 0)

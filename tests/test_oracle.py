@@ -8,6 +8,7 @@ import json
 import math
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -74,6 +75,15 @@ class TestMaximize:
         assert not rep.applicable
         assert rep.verdict is Verdict.VIOLATION
         assert rep.empirical_max > rep.bound
+
+    @pytest.mark.parametrize("functional", list(FunctionalKind))
+    def test_float_bound_overflow_raises_before_the_search(self, functional):
+        # B1 = 1e80 squares to 1e160 and then to inf inside the bound
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                maximize(functional, ClassKind.STARLIKE, PhiSpec(1e80, 0.0, 0.0),
+                         budget=10)
 
     def test_margin_bookkeeping(self):
         rep = maximize(FunctionalKind.T21_INV, ClassKind.CONVEX, HALF_PLANE,

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import coeffs_to_schur
+
 from toepsharp import oracle
 from toepsharp.schwarz import (
     SchurParams,
     SchwarzTriple,
-    coeffs_to_schur,
     is_admissible,
     schur_to_coeffs,
 )

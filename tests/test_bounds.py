@@ -17,6 +17,7 @@ from toepsharp.bounds import (
     theorem_bound,
 )
 from toepsharp.coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec, toeplitz
+from toepsharp.extremal import extremal_coeffs
 
 HALF_PLANE = PhiSpec(F(2), F(2), F(2))
 EXP = PhiSpec(F(1), F(1, 2), F(1, 6))
@@ -131,6 +132,39 @@ class TestIntermediateBounds:
                         assert rep.bound == (phi.b1 / (half * d)) ** 2 + (fs / half) ** 2
                         hits[functional] += 1
             assert min(hits.values()) >= 100, (kind, hits)
+
+    def test_hypothesis_failure_raises(self):
+        # A failed hypothesis is reported, not raised: the bound keeps its
+        # formula value and the failing condition carries a negative margin.
+        # (1, 3/2, 0): |B2 - 2 B1^2| = 1/2 < B1 = 1, so the Gamma2 estimate fails
+        rep = theorem_bound(FunctionalKind.T21_LOG_INV, ClassKind.STARLIKE,
+                            PhiSpec(1, F(3, 2), 0))
+        (hyp,) = rep.hypotheses
+        assert hyp.name == "|B2 - 2 B1^2| >= B1"
+        assert not hyp.satisfied and hyp.margin == -0.5
+        assert not rep.applicable
+        # cardioid (sigma1, mu1) = (-5/2, 1/2) lies in no region: Gamma3 fails
+        rep = theorem_bound(FunctionalKind.T22_LOG_INV, ClassKind.STARLIKE,
+                            CARDIOID)
+        assert [h.satisfied for h in rep.hypotheses] == [True, False]
+        assert rep.hypotheses[1].name.startswith("(sigma, mu) in")
+        assert not rep.applicable
+
+
+def test_t21_bounds_are_sums_of_squared_intermediates():
+    # The intermediates are read off the rotation extremal, whose |b2|, |b3|,
+    # |Gamma1|, |Gamma2| are the per-coefficient bounds of the proofs.
+    rng = random.Random(15)
+    for _ in range(200):
+        phi = PhiSpec(_random_fraction(rng, 0, 3), _random_fraction(rng, -4, 4),
+                      _random_fraction(rng, -4, 4))
+        for kind in ClassKind:
+            cb = extremal_coeffs(kind, phi, 4).bundle()
+            for functional, x, y in ((FunctionalKind.T21_INV, cb.b2, cb.b3),
+                                     (FunctionalKind.T21_LOG_INV, cb.g1, cb.g2)):
+                want = abs(x) ** 2 + abs(y) ** 2
+                got = float(theorem_bound(functional, kind, phi).bound)
+                assert abs(got - want) <= 1e-12 * max(1.0, want), (functional, kind, phi)
 
 
 class TestTheoremBound:

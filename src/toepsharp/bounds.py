@@ -19,6 +19,7 @@ not applicable, so parameter sweeps see the whole curve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -67,7 +68,12 @@ class UndefinedSigmaMuError(ValueError):
 
 
 def _in_region(sigma: float, mu: float, i: int) -> float:
-    """Smallest slack of region Omega_i's conditions (negative = outside)."""
+    """Smallest slack of region Omega_i's conditions (negative = outside).
+
+    NaN data lies in no region (min() would silently drop a NaN slack).
+    """
+    if sigma != sigma or mu != mu:  # NaN; cheaper than math.isnan on this hot path
+        return -math.inf
     s = abs(sigma)
     if i == 1:
         return min(2.0 - s, mu - 1.0)
@@ -88,27 +94,33 @@ def omega_region(sigma: float, mu: float) -> RegionMembership:
     return RegionMembership(Region.NONE, sigma, mu)
 
 
-def fekete_szego_bound(kind: ClassKind, phi: PhiSpec, lam: Real) -> Real:
-    """Sharp piecewise bound on |a3 - lambda a2^2| for real lambda.
+def _fekete_szego(star: bool, b1: Real, b2: Real, m: Real) -> tuple[Real, int]:
+    """(p, d) with the sharp |a3 - lambda a2^2| <= max(|p|, B1)/d, m = 2 lambda - 1.
 
-    Adjacent branch formulas agree at the branch boundaries, so plain
-    comparisons suffice.
+    The Fekete-Szego lemma for Ma-Minda classes (Ma & Minda, 1992); |p| >= B1
+    is exactly "not the middle branch B1/d".  The convex row is the starlike
+    one at m' = (3m - 1)/4, divided by 3: h is convex iff z h' is starlike
+    (Alexander), and a_n(h) = a_n(z h')/n.  With an integer m, a float p
+    rounds exactly as the paper's closed forms (3 B1^2 - B2, ...) do.
     """
-    b1, b2 = phi.b1, phi.b2
-    if kind is ClassKind.STARLIKE:
-        t = 2 * lam * b1 * b1
-        if t <= b1 * b1 + b2 - b1:
-            return (b1 * b1 + b2 - t) / 2
-        if t <= b1 * b1 + b2 + b1:
-            return b1 / 2
-        return (t - b1 * b1 - b2) / 2
-    t = 3 * lam * b1 * b1
-    if t <= 2 * (b1 * b1 + b2 - b1):
-        return (b2 + b1 * b1 - t / 2) / 6
-    if t <= 2 * (b1 * b1 + b2 + b1):
-        return b1 / 6
-    return (t / 2 - b1 * b1 - b2) / 6
+    if star:
+        return m * b1 * b1 - b2, 2
+    return (3 * m - 1) * b1 * b1 / 4 - b2, 6
 
+
+def fekete_szego_bound(kind: ClassKind, phi: PhiSpec, lam: Real) -> Real:
+    """Sharp bound on |a3 - lambda a2^2| for real lambda."""
+    p, d = _fekete_szego(kind is ClassKind.STARLIKE, phi.b1, phi.b2, 2 * lam - 1)
+    return max(abs(p), phi.b1) / d
+
+
+# (m, divisor scale, hypothesis |p| >= B1 as printed for starlike and convex)
+# of the two second-coefficient rows: b3 = 2 a2^2 - a3 at m = 3, and
+# 2 Gamma2 = (3/2) a2^2 - a3 at m = 2.
+_FEKETE_SZEGO_ROWS = {
+    "b3": (3, 1, ("B1 <= |3 B1^2 - B2|", "B1 <= |2 B1^2 - B2|")),
+    "g2": (2, 2, ("|B2 - 2 B1^2| >= B1", "|B2 - (5/4) B1^2| >= B1")),
+}
 
 # Which Omega union each third-coefficient bound requires, as printed.
 _ALLOWED_REGIONS = {
@@ -122,9 +134,9 @@ _ALLOWED_REGIONS = {
 def _coefficient(kind: ClassKind, phi: PhiSpec, coef: str):
     """(q, d, hypothesis) with |x| <= |q|/d for x the CoeffBundle field ``coef``.
 
-    b2 = -a2 and Gamma1 = -a2/2 need no hypothesis.  b3 and Gamma2 are
-    bounded by the Fekete-Szego-type lemma at lambda = 2 and 3/2, under
-    the inequality ``hypothesis = (name, margin)`` on the generator data.
+    b2 = -a2 and Gamma1 = -a2/2 need no hypothesis.  b3 and Gamma2 take the
+    outer branch |p|/d of the Fekete-Szego bound (_FEKETE_SZEGO_ROWS), under
+    the paper's hypothesis ``hypothesis = (name, margin)``, margin = |p| - B1.
     b4 and Gamma3 are k (c3 + sigma c1 c2 + mu c1^3), bounded by
     |k mu| = |q|/d when (sigma, mu) lies in the allowed Omega regions;
     then ``hypothesis = (s, den)`` with (sigma, mu) = (s/den, q/den), and
@@ -136,18 +148,10 @@ def _coefficient(kind: ClassKind, phi: PhiSpec, coef: str):
         return b1, (1 if star else 2), None
     if coef == "g1":
         return b1, (2 if star else 4), None
-    if coef == "g2":
-        if star:
-            q = b2 - 2 * b1 * b1
-            return q, 4, ("|B2 - 2 B1^2| >= B1", abs(q) - b1)
-        q = 4 * b2 - 5 * b1 * b1
-        return q, 48, ("|B2 - (5/4) B1^2| >= B1", abs(q) / 4 - b1)
-    if coef == "b3":
-        if star:
-            q = 3 * b1 * b1 - b2
-            return q, 2, ("B1 <= |3 B1^2 - B2|", abs(q) - b1)
-        q = 2 * b1 * b1 - b2
-        return q, 6, ("B1 <= |2 B1^2 - B2|", abs(q) - b1)
+    if coef in _FEKETE_SZEGO_ROWS:
+        m, scale, names = _FEKETE_SZEGO_ROWS[coef]
+        p, d = _fekete_szego(star, b1, b2, m)
+        return p, scale * d, (names[0] if star else names[1], abs(p) - b1)
     if coef == "g3":
         if star:
             return (9 * b1 ** 3 - 9 * b1 * b2 + 2 * b3, 12,

@@ -179,68 +179,52 @@ class CorollaryCurve:
     erratum: str | None = None
 
 
-def _order_s(a: Real) -> PhiSpec:
-    return phi_coeffs("starlike-order", alpha=a)
-
-
-def _order_c(a: Real) -> PhiSpec:
-    return phi_coeffs("convex-order", alpha=a)
-
-
-def _ss(b: Real) -> PhiSpec:
-    return phi_coeffs("strongly-starlike", beta=b)
-
-
-def _cc(b: Real) -> PhiSpec:
-    return phi_coeffs("strongly-convex", beta=b)
-
-
 def _jan_slice(a: Real) -> PhiSpec:
     return phi_coeffs("janowski", a=a, b=F(-1))
 
 
 COROLLARY_CURVES: tuple[CorollaryCurve, ...] = (
     # starlike functions of order alpha
-    CorollaryCurve("S*(alpha)", ClassKind.STARLIKE, _T21F, "alpha", 0, 1 / 2, _order_s,
+    CorollaryCurve("S*(alpha)", ClassKind.STARLIKE, _T21F, "alpha", 0, 1 / 2, _order,
                    lambda a: (1 - a) ** 2 * ((3 - 4 * a) ** 2 + 4) / 4),
-    CorollaryCurve("S*(alpha)", ClassKind.STARLIKE, _T22F, "alpha", 0, 7 / 15, _order_s,
+    CorollaryCurve("S*(alpha)", ClassKind.STARLIKE, _T22F, "alpha", 0, 7 / 15, _order,
                    lambda a: (1 - a) ** 2 * (9 * (3 - 4 * a) ** 2
                              + 4 * (2 - 3 * a) ** 2 * (5 - 6 * a) ** 2) / 36),
-    CorollaryCurve("S*(alpha)", ClassKind.STARLIKE, _T21, "alpha", 0, 2 / 3, _order_s,
+    CorollaryCurve("S*(alpha)", ClassKind.STARLIKE, _T21, "alpha", 0, 2 / 3, _order,
                    lambda a: (1 - a) ** 2 * (36 * a * a - 60 * a + 29)),
-    CorollaryCurve("S*(alpha)", ClassKind.STARLIKE, _T22, "alpha", 0, 3 / 5, _order_s,
+    CorollaryCurve("S*(alpha)", ClassKind.STARLIKE, _T22, "alpha", 0, 3 / 5, _order,
                    lambda a: (1 - a) ** 2 * (9 * (5 - 6 * a) ** 2
                              + 4 * (3 - 4 * a) ** 2 * (7 - 8 * a) ** 2) / 9),
     # convex functions of order alpha
-    CorollaryCurve("C(alpha)", ClassKind.CONVEX, _T21F, "alpha", 0, 1 / 5, _order_c,
+    CorollaryCurve("C(alpha)", ClassKind.CONVEX, _T21F, "alpha", 0, 1 / 5, _order,
                    lambda a: 5 * (1 - a) ** 2 * (5 * a * a - 6 * a + 9) / 144),
-    CorollaryCurve("C(alpha)", ClassKind.CONVEX, _T22F, "alpha", 0, 7 / 47, _order_c,
+    CorollaryCurve("C(alpha)", ClassKind.CONVEX, _T22F, "alpha", 0, 7 / 47, _order,
                    lambda a: (1 - a) ** 2 * ((6 * a * a - 7 * a + 2) ** 2
                              + (3 - 5 * a) ** 2) / 144),
-    CorollaryCurve("C(alpha)", ClassKind.CONVEX, _T21, "alpha", 0, 1 / 2, _order_c,
+    CorollaryCurve("C(alpha)", ClassKind.CONVEX, _T21, "alpha", 0, 1 / 2, _order,
                    lambda a: (1 - a) ** 2 * ((3 - 4 * a) ** 2 + 9) / 9,
                    erratum=("published corollary reads ((1-alpha)^2 (3-4 alpha)^2 + 9)/9; "
                             "the proven bound carries (1-alpha)^2 on both terms "
                             "(the two agree at alpha = 0, value 2)")),
-    CorollaryCurve("C(alpha)", ClassKind.CONVEX, _T22, "alpha", 0, 39 / 95, _order_c,
+    CorollaryCurve("C(alpha)", ClassKind.CONVEX, _T22, "alpha", 0, 39 / 95, _order,
                    lambda a: (1 - a) ** 2 * ((2 - 3 * a) ** 2 + 4) * (3 - 4 * a) ** 2 / 36),
     # strongly starlike of order beta
-    CorollaryCurve("SS*(beta)", ClassKind.STARLIKE, _T21F, "beta", 1 / 3, 1, _ss,
+    CorollaryCurve("SS*(beta)", ClassKind.STARLIKE, _T21F, "beta", 1 / 3, 1, _strongly,
                    lambda b: b * b * (9 * b * b + 4) / 4),
-    CorollaryCurve("SS*(beta)", ClassKind.STARLIKE, _T22F, "beta", 1 / 3, 1, _ss,
+    CorollaryCurve("SS*(beta)", ClassKind.STARLIKE, _T22F, "beta", 1 / 3, 1, _strongly,
                    lambda b: b * b * (3364 * b ** 4 + 961 * b * b + 4) / 324),
-    CorollaryCurve("SS*(beta)", ClassKind.STARLIKE, _T21, "beta", 1 / 5, 1, _ss,
+    CorollaryCurve("SS*(beta)", ClassKind.STARLIKE, _T21, "beta", 1 / 5, 1, _strongly,
                    lambda b: b * b * (25 * b * b + 4)),
-    CorollaryCurve("SS*(beta)", ClassKind.STARLIKE, _T22, "beta", 1 / 5, 1, _ss,
+    CorollaryCurve("SS*(beta)", ClassKind.STARLIKE, _T22, "beta", 1 / 5, 1, _strongly,
                    lambda b: b * b * (15376 * b ** 4 + 2521 * b * b + 4) / 81),
     # strongly convex of order beta
-    CorollaryCurve("CC(beta)", ClassKind.CONVEX, _T21F, "beta", 2 / 3, 1, _cc,
+    CorollaryCurve("CC(beta)", ClassKind.CONVEX, _T21F, "beta", 2 / 3, 1, _strongly,
                    lambda b: b * b * (b * b + 4) / 16),
-    CorollaryCurve("CC(beta)", ClassKind.CONVEX, _T22F, "beta", 2 / 3, 1, _cc,
+    CorollaryCurve("CC(beta)", ClassKind.CONVEX, _T22F, "beta", 2 / 3, 1, _strongly,
                    lambda b: b * b * (25 * b ** 4 + 91 * b * b + 1) / 1296),
-    CorollaryCurve("CC(beta)", ClassKind.CONVEX, _T21, "beta", 1 / 3, 1, _cc,
+    CorollaryCurve("CC(beta)", ClassKind.CONVEX, _T21, "beta", 1 / 3, 1, _strongly,
                    lambda b: b * b * (b * b + 1)),
-    CorollaryCurve("CC(beta)", ClassKind.CONVEX, _T22, "beta", math.sqrt(2 / 17), 1, _cc,
+    CorollaryCurve("CC(beta)", ClassKind.CONVEX, _T22, "beta", math.sqrt(2 / 17), 1, _strongly,
                    lambda b: b * b * (289 * b ** 4 + 358 * b * b + 1) / 324),
     # Janowski slices along B = -1 (A = 1 recovers the half-plane class);
     # the A ranges keep every hypothesis, including region membership,

@@ -29,9 +29,9 @@ class ExtremalCoeffs:
 def extremal_coeffs(kind: ClassKind, phi: PhiSpec, n: int) -> ExtremalCoeffs:
     """Taylor coefficients a_1..a_N of the rotation extremal.
 
-    Starlike: (m-1) a_m = sum_{k>=1} i^k B_k a_{m-k}.
-    Convex: the derivative coefficients d_m obey m d_m = sum i^k B_k d_{m-k}
-    with d_0 = 1, and a_m = d_{m-1}/m.
+    Starlike: (m-1) a_m = sum_{k>=1} i^k B_k a_{m-k}.  Convex: the Alexander
+    transform of the starlike extremal (h is convex iff z h' is starlike), so
+    a_m(h) = a_m(z h')/m.
 
     The generator is cut after B3 (B_4 = B_5 = ... = 0).  Only B1..B3
     affect a_2..a_4, and hence every functional; a_5 onward are those of
@@ -41,19 +41,11 @@ def extremal_coeffs(kind: ClassKind, phi: PhiSpec, n: int) -> ExtremalCoeffs:
         raise ValueError("need N >= 2")
     B = [complex(x) for x in phi.as_floats()]
     rot = [(1j) ** (k + 1) * B[k] for k in range(len(B))]  # i^k B_k
-
-    def tail(seq: list[complex], m: int) -> complex:
-        return sum(rot[k - 1] * seq[m - k] for k in range(1, min(m, len(B)) + 1))
-
-    if kind is ClassKind.STARLIKE:
-        a = [1.0 + 0j]
-        for m in range(2, n + 1):
-            a.append(tail(a, m - 1) / (m - 1))
-    else:
-        d = [1.0 + 0j]
-        for m in range(1, n):
-            d.append(tail(d, m) / m)
-        a = [d[m - 1] / m for m in range(1, n + 1)]
+    a = [1.0 + 0j]
+    for m in range(1, n):
+        a.append(sum(rot[k - 1] * a[m - k] for k in range(1, min(m, len(B)) + 1)) / m)
+    if kind is ClassKind.CONVEX:
+        a = [x / m for m, x in enumerate(a, 1)]
     return ExtremalCoeffs(kind, phi, tuple(a))
 
 

@@ -266,12 +266,15 @@ def lemma1_scan(
     which case only the empirical value is meaningful and the verdict is
     ValidNotAttained.  A bound is judged as in ``maximize``: with s =
     max(1, |mu|), VIOLATION iff the maximum exceeds |mu| + VIOLATION_TOL * s,
-    else SharpConfirmed iff it is within SHARPNESS_TOL * s of |mu|.
+    else SharpConfirmed iff it is within SHARPNESS_TOL * s of |mu|.  A NaN or
+    infinite sigma or mu raises ValueError before the search.
     """
     budget = operator.index(budget)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     sigma, mu = float(sigma), float(mu)
+    if not (math.isfinite(sigma) and math.isfinite(mu)):
+        raise ValueError(f"sigma and mu must be finite, got ({sigma!r}, {mu!r})")
 
     def obj(g: np.ndarray) -> np.ndarray:
         c1, c2, c3 = schur_map(g[..., 0], g[..., 1], g[..., 2])

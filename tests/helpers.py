@@ -1,5 +1,5 @@
-"""Shared test utilities: independent pipeline solvers, random data, and
-the inverse of the Schur parameter map.
+"""Shared test utilities: independent pipeline solvers, random data, the
+inverse of the Schur parameter map, and the piecewise Fekete-Szego bound.
 
 The solvers here derive (a2, a3, a4) directly from the defining
 differential relations using only the series engine, term by term.  They
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from toepsharp.coeffs import PhiSpec
+from toepsharp.coeffs import ClassKind, PhiSpec
 from toepsharp.schwarz import SchwarzTriple, schur_to_coeffs, SchurParams
 from series import Series, compose
 
@@ -62,6 +62,29 @@ def coeffs_to_schur(t: SchwarzTriple) -> SchurParams:
         raise ValueError("parameter recovery undefined at |gamma1| = 1")
     g2 = (t.c3 / t0 + g0.conjugate() * g1 ** 2) / t1
     return SchurParams(g0, g1, g2)
+
+
+def fekete_szego_reference(kind: ClassKind, phi: PhiSpec, lam):
+    """The sharp bound on |a3 - lambda a2^2| as three branches in lambda.
+
+    Written out branch by branch, as Ma and Minda state it, to check the
+    library's one-expression form.  Adjacent branch formulas agree at the
+    branch boundaries, so plain comparisons suffice.
+    """
+    b1, b2 = phi.b1, phi.b2
+    if kind is ClassKind.STARLIKE:
+        t = 2 * lam * b1 * b1
+        if t <= b1 * b1 + b2 - b1:
+            return (b1 * b1 + b2 - t) / 2
+        if t <= b1 * b1 + b2 + b1:
+            return b1 / 2
+        return (t - b1 * b1 - b2) / 2
+    t = 3 * lam * b1 * b1
+    if t <= 2 * (b1 * b1 + b2 - b1):
+        return (b2 + b1 * b1 - t / 2) / 6
+    if t <= 2 * (b1 * b1 + b2 + b1):
+        return b1 / 6
+    return (t / 2 - b1 * b1 - b2) / 6
 
 
 def random_complex(rng: np.random.Generator, scale: float = 5.0) -> complex:

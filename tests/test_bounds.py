@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import fekete_szego_reference
 from toepsharp.bounds import (
     Region,
     UndefinedSigmaMuError,
@@ -50,6 +51,11 @@ class TestOmegaRegion:
     def test_boundary_tolerance(self):
         assert omega_region(0, 1 - 1e-13).region is Region.OMEGA1
         assert omega_region(0, 1 - 1e-6).region is Region.NONE
+
+    def test_nan_lies_in_no_region(self):
+        nan = float("nan")
+        for s, m in ((0.0, nan), (nan, 1.0), (3.0, nan), (-7.0, nan), (nan, nan)):
+            assert omega_region(s, m).region is Region.NONE
 
 
 @given(sigma=st.floats(-10, 10), mu=st.floats(-5, 20),
@@ -105,6 +111,26 @@ class TestFeketeSzego:
                     assert abs(lo - hi) < 1e-8
 
 
+_FRACTIONS = st.fractions(min_value=-8, max_value=8, max_denominator=30)
+
+
+@given(kind=st.sampled_from(ClassKind), b1=st.fractions(min_value=0, max_value=4,
+                                                        max_denominator=30),
+       b2=_FRACTIONS, lam=_FRACTIONS, edge=st.sampled_from((None, -1, 1)))
+@settings(max_examples=400)
+def test_fekete_szego_matches_the_piecewise_reference(kind, b1, b2, lam, edge):
+    star = kind is ClassKind.STARLIKE
+    if edge is not None and b1 > 0:
+        # lambda on the lower or upper branch boundary, where |p| = B1
+        lam = (b1 * b1 + b2 + edge * b1) / ((2 if star else F(3, 2)) * b1 * b1)
+    phi = PhiSpec(b1, b2, F(0))
+    got = fekete_szego_bound(kind, phi, lam)
+    assert isinstance(got, F)
+    assert got == fekete_szego_reference(kind, phi, lam)
+    if edge is not None and b1 > 0:
+        assert got == b1 / (2 if star else 6)
+
+
 def _random_fraction(rng: random.Random, lo: int, hi: int) -> F:
     den = rng.randint(1, 12)
     return F(rng.randint(lo * den, hi * den), den)
@@ -132,6 +158,27 @@ class TestIntermediateBounds:
                         assert rep.bound == (phi.b1 / (half * d)) ** 2 + (fs / half) ** 2
                         hits[functional] += 1
             assert min(hits.values()) >= 100, (kind, hits)
+
+    def test_failed_hypothesis_is_the_fekete_szego_middle_branch(self):
+        # Where the b3 or Gamma2 hypothesis |p| >= B1 fails, Fekete-Szego is
+        # its middle value B1/d, and the formula's |p|/d lies strictly below
+        # it: the reported value is then no bound on that coefficient.
+        rng = random.Random(23)
+        for kind, d, fs_d in ((ClassKind.STARLIKE, 1, 2), (ClassKind.CONVEX, 2, 6)):
+            hits = dict.fromkeys((FunctionalKind.T21_INV, FunctionalKind.T21_LOG_INV), 0)
+            for _ in range(400):
+                phi = PhiSpec(_random_fraction(rng, 0, 3), _random_fraction(rng, -4, 4),
+                              _random_fraction(rng, -4, 4))
+                for functional, lam, half in ((FunctionalKind.T21_INV, 2, 1),
+                                              (FunctionalKind.T21_LOG_INV, F(3, 2), 2)):
+                    rep = theorem_bound(functional, kind, phi)
+                    (hyp,) = rep.hypotheses
+                    if not hyp.satisfied:
+                        fs = fekete_szego_bound(kind, phi, lam)
+                        assert fs == phi.b1 / fs_d
+                        assert rep.bound < (phi.b1 / (half * d)) ** 2 + (fs / half) ** 2
+                        hits[functional] += 1
+            assert min(hits.values()) >= 20, (kind, hits)
 
     def test_hypothesis_failure_raises(self):
         # A failed hypothesis is reported, not raised: the bound keeps its
@@ -195,6 +242,14 @@ class TestTheoremBound:
         assert not rep.applicable
         assert rep.sigma_mu is None
         assert rep.bound == F(1, 16)  # formula value only
+
+    def test_nan_mu_fails_the_region_hypothesis(self):
+        # 8 B1^3 and 6 B1 B2 both overflow to inf, so mu = (inf - inf)/B1 is NaN
+        rep = theorem_bound(FunctionalKind.T22_INV, ClassKind.STARLIKE,
+                            PhiSpec(3e102, 1e300, 0.0))
+        assert rep.sigma_mu.region is Region.NONE
+        assert not rep.hypotheses[1].satisfied
+        assert not rep.applicable
 
     def test_exact_rational_arithmetic(self):
         for functional in FunctionalKind:

@@ -158,6 +158,16 @@ class TestLemmaScan:
         with pytest.raises(TypeError):
             lemma1_scan(0, 1, budget=budget)
 
+    @pytest.mark.parametrize("sigma, mu", [(0.0, math.nan), (math.nan, 1.0),
+                                           (math.inf, 1.0), (0.0, -math.inf)])
+    def test_rejects_non_finite_data_before_the_search(self, sigma, mu, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(oracle, "_maximize_objective", no_search)
+        with pytest.raises(ValueError, match="must be finite"):
+            lemma1_scan(sigma, mu, budget=100)
+
 
 # Screen selection: the streamed top-k must pick exactly the rows a stable
 # descending sort of the whole sample picks, ties, NaN and +-inf included.

@@ -1,11 +1,14 @@
 """Closed-form sharp bounds with full hypothesis checking.
 
 Each of the four functionals |x_n^2 - x_{n+1}^2| has one bound per class,
-|x_n|^2 + |x_{n+1}|^2 over the coefficient pair that coeffs.PAIRS names,
-valid under an inequality on the generator data and (for the T_{2,2}
-functionals) a region condition on an associated pair (sigma, mu).  The
-region calculus is the one of the |c3 + sigma c1 c2 + mu c1^3| <= |mu|
-lemma:
+|x_n|^2 + |x_{n+1}|^2 over the coefficient pair that coeffs.PAIRS names.
+One row table, _ROWS, bounds each coefficient by one of three lemma forms:
+
+    b2, Gamma1  first coefficient: |a2| <= B1 |c1|
+    b3, Gamma2  Fekete-Szego: |a3 - lambda a2^2| <= |p|/d if |p| >= B1
+    b4, Gamma3  third coefficient: a4 - lambda a2 a3 - nu a2^3 =
+                k (c3 + sigma c1 c2 + mu c1^3), and |c3 + ...| <= |mu|
+                if (sigma, mu) lies in the regions the row allows:
 
     Omega1: |sigma| <= 2 and mu >= 1
     Omega2: 2 <= |sigma| <= 4 and mu >= (sigma^2 + 8)/12
@@ -114,82 +117,80 @@ def fekete_szego_bound(kind: ClassKind, phi: PhiSpec, lam: Real) -> Real:
     return max(abs(p), phi.b1) / d
 
 
-# (m, divisor scale, hypothesis |p| >= B1 as printed for starlike and convex)
-# of the two second-coefficient rows: b3 = 2 a2^2 - a3 at m = 3, and
-# 2 Gamma2 = (3/2) a2^2 - a3 at m = 2.
-_FEKETE_SZEGO_ROWS = {
-    "b3": (3, 1, ("B1 <= |3 B1^2 - B2|", "B1 <= |2 B1^2 - B2|")),
-    "g2": (2, 2, ("|B2 - 2 B1^2| >= B1", "|B2 - (5/4) B1^2| >= B1")),
-}
+def _third(star: bool, phi: PhiSpec, l3: int, n6: int) -> tuple[Real, int, Real, Real]:
+    """(q, d, s, den): a4 - lambda a2 a3 - nu a2^3 = k (c3 + sigma c1 c2 + mu c1^3)
+    with |k mu| = |q|/d and (sigma, mu) = (s, q)/den; l3 = 3 lambda, n6 = 6 nu.
 
-# Which Omega union each third-coefficient bound requires, as printed.
-_ALLOWED_REGIONS = {
-    ("g3", ClassKind.STARLIKE): (1, 2, 3),
-    ("g3", ClassKind.CONVEX): (2, 3),
-    ("b4", ClassKind.STARLIKE): (2, 3),
-    ("b4", ClassKind.CONVEX): (1, 2, 3),
-}
-
-
-def _coefficient(kind: ClassKind, phi: PhiSpec, coef: str):
-    """(q, d, hypothesis) with |x| <= |q|/d for x the CoeffBundle field ``coef``.
-
-    b2 = -a2 and Gamma1 = -a2/2 need no hypothesis.  b3 and Gamma2 take the
-    outer branch |p|/d of the Fekete-Szego bound (_FEKETE_SZEGO_ROWS), under
-    the paper's hypothesis ``hypothesis = (name, margin)``, margin = |p| - B1.
-    b4 and Gamma3 are k (c3 + sigma c1 c2 + mu c1^3), bounded by
-    |k mu| = |q|/d when (sigma, mu) lies in the allowed Omega regions;
-    then ``hypothesis = (s, den)`` with (sigma, mu) = (s/den, q/den), and
-    den = 0 iff B1 = 0.
+    Starlike: 6 (a4 - ...) = 2 B1 c3 + (C B1^2 + 4 B2) c1 c2 + (A B1^3 + C B1 B2
+    + 2 B3) c1^3, A = 1 - 3 lambda - 6 nu, C = 3 - 3 lambda.  Convex: the
+    starlike row at (2 lambda/3, nu/2), over 4 (Alexander, as in _fekete_szego).
+    Lowest-term multipliers make a float q round as the paper's closed forms
+    (8 B1^3 - 6 B1 B2 + B3, ...) do; a float B1^3 past the float range is inf.
     """
-    b1, b2, b3 = phi.b1, phi.b2, phi.b3
-    star = kind is ClassKind.STARLIKE
-    if coef == "b2":
-        return b1, (1 if star else 2), None
-    if coef == "g1":
-        return b1, (2 if star else 4), None
-    if coef in _FEKETE_SZEGO_ROWS:
-        m, scale, names = _FEKETE_SZEGO_ROWS[coef]
-        p, d = _fekete_szego(star, b1, b2, m)
-        return p, scale * d, (names[0] if star else names[1], abs(p) - b1)
-    if coef == "g3":
-        if star:
-            return (9 * b1 ** 3 - 9 * b1 * b2 + 2 * b3, 12,
-                    (-(9 * b1 * b1 - 4 * b2), 2 * b1))
-        return (3 * b1 ** 3 - 5 * b1 * b2 + 2 * b3, 48,
-                (-(5 * b1 * b1 - 4 * b2), 2 * b1))
     if star:
-        return 8 * b1 ** 3 - 6 * b1 * b2 + b3, 3, (2 * (b2 - 3 * b1 * b1), b1)
-    return 6 * b1 ** 3 - 7 * b1 * b2 + 2 * b3, 24, (4 * b2 - 7 * b1 * b1, 2 * b1)
+        a, c, e, d = 1 - l3 - n6, 3 - l3, 2, 6
+    else:  # 6 times the starlike (a, c, e, 4 d) at (2 l3/3, n6/2)
+        a, c, e, d = 6 - 4 * l3 - 3 * n6, 18 - 4 * l3, 12, 144
+    g = math.gcd(a, c, e, d)
+    a, c, e, d = a // g, c // g, e // g, d // g
+    b1 = phi.b1
+    try:
+        cube = b1 ** 3
+    except OverflowError:
+        cube = math.inf
+    return a * cube + c * b1 * phi.b2 + e * phi.b3, d, c * b1 * b1 + 2 * e * phi.b2, e * b1
 
 
-def sigma_mu(kind: ClassKind, phi: PhiSpec, which: FunctionalKind) -> tuple[Real, Real]:
-    """The (sigma, mu) pair whose region membership the T22 bounds need."""
-    if which not in (FunctionalKind.T22_LOG_INV, FunctionalKind.T22_INV):
-        raise ValueError(f"no (sigma, mu) data for {which}")
-    q, _, (s, den) = _coefficient(kind, phi, PAIRS[which][1])
-    if den == 0:
-        raise UndefinedSigmaMuError("(sigma, mu) undefined at B1 = 0")
-    return s / den, q / den
+# CoeffBundle field -> (lemma, its parameter, divisor scale, hypothesis for
+# (starlike, convex): printed for Fekete-Szego, the allowed Omega regions
+# for _third).  b3 = 2 a2^2 - a3 and 2 Gamma2 = (3/2) a2^2 - a3 are at m = 3
+# and 2; b4 = 5 a2 a3 - 5 a2^3 - a4 and 2 Gamma3 = 4 a2 a3 - (10/3) a2^3 - a4
+# at (3 lambda, 6 nu) = (15, -30) and (12, -20).  None: |a2| <= B1 |c1|.
+_ROWS = {
+    "b2": (None, None, 1, None),
+    "g1": (None, None, 2, None),
+    "b3": (_fekete_szego, 3, 1, ("B1 <= |3 B1^2 - B2|", "B1 <= |2 B1^2 - B2|")),
+    "g2": (_fekete_szego, 2, 2, ("|B2 - 2 B1^2| >= B1", "|B2 - (5/4) B1^2| >= B1")),
+    "b4": (_third, (15, -30), 1, ((2, 3), (1, 2, 3))),
+    "g3": (_third, (12, -20), 2, ((1, 2, 3), (2, 3))),
+}
 
 
 def _ineq(name: str, margin) -> Hypothesis:
     return Hypothesis(name, margin >= -HYP_TOL, float(margin))
 
 
-def _check(kind: ClassKind, coef: str, q: Real,
-           hypothesis) -> tuple[Hypothesis, RegionMembership | None]:
-    """A coefficient's hypothesis, and (for b4, Gamma3) where (sigma, mu) lies."""
-    allowed = _ALLOWED_REGIONS.get((coef, kind))
-    if allowed is None:
-        return _ineq(*hypothesis), None
-    s, den = hypothesis
+def _coefficient(kind: ClassKind, phi: PhiSpec, coef: str):
+    """(q, d, hypothesis, region): |x| <= |q|/d for x the CoeffBundle field
+    ``coef`` under ``hypothesis``; ``region`` is where (sigma, mu) lies, for a
+    third-coefficient row with B1 > 0.
+    """
+    lemma, param, scale, checks = _ROWS[coef]
+    star = kind is ClassKind.STARLIKE
+    if lemma is None:
+        return phi.b1, (scale if star else 2 * scale), None, None
+    check = checks[0] if star else checks[1]
+    if lemma is _fekete_szego:
+        p, d = _fekete_szego(star, phi.b1, phi.b2, param)
+        return p, scale * d, _ineq(check, abs(p) - phi.b1), None
+    q, d, s, den = _third(star, phi, *param)
     if den == 0:
-        return Hypothesis("B1 > 0 ((sigma, mu) defined)", False, 0.0), None
+        return q, scale * d, Hypothesis("B1 > 0 ((sigma, mu) defined)", False, 0.0), None
     sigma, mu = float(s / den), float(q / den)
-    slack = max(_in_region(sigma, mu, i) for i in allowed)
-    names = " | ".join(f"Omega{i}" for i in allowed)
-    return _ineq(f"(sigma, mu) in {names}", slack), omega_region(sigma, mu)
+    slack = max(_in_region(sigma, mu, i) for i in check)
+    names = " | ".join(f"Omega{i}" for i in check)
+    return q, scale * d, _ineq(f"(sigma, mu) in {names}", slack), omega_region(sigma, mu)
+
+
+def sigma_mu(kind: ClassKind, phi: PhiSpec, which: FunctionalKind) -> tuple[Real, Real]:
+    """The (sigma, mu) pair whose region membership the T22 bounds need."""
+    if which not in (FunctionalKind.T22_LOG_INV, FunctionalKind.T22_INV):
+        raise ValueError(f"no (sigma, mu) data for {which}")
+    _, param, _, _ = _ROWS[PAIRS[which][1]]
+    q, _, s, den = _third(kind is ClassKind.STARLIKE, phi, *param)
+    if den == 0:
+        raise UndefinedSigmaMuError("(sigma, mu) undefined at B1 = 0")
+    return s / den, q / den
 
 
 def _witness(kind: ClassKind) -> str:
@@ -208,18 +209,16 @@ def theorem_bound(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec) -> 
     if functional not in PAIRS:
         raise ValueError(f"unknown functional {functional}")
     first, second = PAIRS[functional]
-    q, d, hq = _coefficient(kind, phi, first)
-    n, e, hn = _coefficient(kind, phi, second)
-    checks = [_check(kind, coef, x, h)
-              for coef, x, h in ((first, q, hq), (second, n, hn)) if h is not None]
-    hyps = tuple(h for h, _ in checks)
+    q, d, hq, _ = _coefficient(kind, phi, first)
+    n, e, hn, region = _coefficient(kind, phi, second)
+    hyps = tuple(h for h in (hq, hn) if h is not None)
     return BoundReport(
         functional=functional,
         class_kind=kind,
         phi=phi,
         bound=q * q / (d * d) + n * n / (e * e),
         hypotheses=hyps,
-        sigma_mu=checks[-1][1],  # x_{n+1}'s check: the region one, if any
+        sigma_mu=region,
         applicable=all(h.satisfied for h in hyps),
         witness=_witness(kind),
     )

@@ -283,30 +283,29 @@ def _parse_range(text: str) -> list[Fraction]:
     return [lo + k * step for k in range(n)]
 
 
+# --param -> (catalog generator, swept keyword, fixed Janowski partner); the
+# order and strong generators are the same for both classes.
+_SWEEPS = {
+    "alpha": ("starlike-order", "alpha", None),
+    "beta": ("strongly-starlike", "beta", None),
+    "janowski-a": ("janowski", "a", "b"),
+    "janowski-b": ("janowski", "b", "a"),
+}
+
+
 def cmd_sweep(args) -> tuple[int, list[str], None]:
     grid = _parse_range(args.range)
-    fixed = {"janowski-a": "b", "janowski-b": "a"}.get(args.param)
+    name, swept, fixed = _SWEEPS[args.param]
     for key in ("a", "b"):
         if (getattr(args, key) is not None) != (key == fixed):
             raise ValueError(f"{args.param} sweep needs fixed --{key}" if key == fixed
                              else f"--{key} does not apply to a {args.param} sweep")
     kind = _CLASSES[args.class_kind]
     functional = _FUNCTIONALS[args.functional]
-
-    def phi_at(v: Fraction) -> PhiSpec:
-        if args.param == "alpha":
-            name = "starlike-order" if kind is ClassKind.STARLIKE else "convex-order"
-            return catalog.phi_coeffs(name, alpha=v)
-        if args.param == "beta":
-            name = "strongly-starlike" if kind is ClassKind.STARLIKE else "strongly-convex"
-            return catalog.phi_coeffs(name, beta=v)
-        if args.param == "janowski-a":
-            return catalog.phi_coeffs("janowski", a=v, b=args.b)
-        return catalog.phi_coeffs("janowski", a=args.a, b=v)
-
+    params = {fixed: getattr(args, fixed)} if fixed else {}
     lines = ["param,bound,applicable,attained"]
     for v in grid:
-        phi = phi_at(v)
+        phi = catalog.phi_coeffs(name, **params, **{swept: v})
         rep = bounds.theorem_bound(functional, kind, phi)
         att = extremal.attainment(functional, kind, phi)
         lines.append(f"{float(v)!r},{float(rep.bound)!r},"
@@ -317,13 +316,15 @@ def cmd_sweep(args) -> tuple[int, list[str], None]:
 def cmd_extremal(args) -> tuple[int, list[str], dict]:
     phi = _resolve_phi(args)
     kind = _CLASSES[args.class_kind]
-    n = args.order
-    coeffs = extremal.extremal_coeffs(kind, phi, n)
-    cb = (coeffs if n >= 4 else extremal.extremal_coeffs(kind, phi, 4)).bundle()
+    if args.order < 2:
+        raise ValueError("need N >= 2")
+    coeffs = extremal.extremal_coeffs(kind, phi, max(args.order, 4))
+    a = coeffs.a[:args.order]
+    cb = coeffs.bundle()
     d = report_dict({
         "class": kind,
         "phi": phi,
-        "a": coeffs.a,
+        "a": a,
         "b": [cb.b2, cb.b3, cb.b4],
         "gamma": [cb.g1, cb.g2, cb.g3],
         "functionals": {f.value: toeplitz(f, cb) for f in FunctionalKind},
@@ -331,7 +332,7 @@ def cmd_extremal(args) -> tuple[int, list[str], dict]:
     if args.format == "json":
         lines = [_dump_json(d)]
     else:
-        lines = [f"a{m} = {c:.12g}" for m, c in enumerate(coeffs.a, start=1)]
+        lines = [f"a{m} = {c:.12g}" for m, c in enumerate(a, start=1)]
         lines.append(f"b2, b3, b4 = {cb.b2:.12g}, {cb.b3:.12g}, {cb.b4:.12g}")
         lines.append(f"Gamma1, Gamma2, Gamma3 = {cb.g1:.12g}, {cb.g2:.12g}, {cb.g3:.12g}")
         lines += [f"{f.value} = {toeplitz(f, cb)!r}" for f in FunctionalKind]
@@ -366,8 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="bound curve over a class parameter (CSV)")
-    p.add_argument("--param", required=True,
-                   choices=("alpha", "beta", "janowski-a", "janowski-b"))
+    p.add_argument("--param", required=True, choices=tuple(_SWEEPS))
     p.add_argument("--range", required=True, metavar="LO:HI:STEP")
     p.add_argument("--class", dest="class_kind", required=True,
                    choices=sorted(_CLASSES))

@@ -1,5 +1,6 @@
 """Shared test utilities: independent pipeline solvers, random data, the
-inverse of the Schur parameter map, and the piecewise Fekete-Szego bound.
+inverse of the Schur parameter map, the piecewise Fekete-Szego bound, and
+the paper's closed forms of the third-coefficient bounds.
 
 The solvers here derive (a2, a3, a4) directly from the defining
 differential relations using only the series engine, term by term.  They
@@ -85,6 +86,26 @@ def fekete_szego_reference(kind: ClassKind, phi: PhiSpec, lam):
     if t <= 2 * (b1 * b1 + b2 + b1):
         return b1 / 6
     return (t / 2 - b1 * b1 - b2) / 6
+
+
+def third_coefficient_reference(kind: ClassKind, phi: PhiSpec, coef: str):
+    """(q, D, sigma, mu) of the b4 or Gamma3 bound as the paper writes it.
+
+    |x| <= |q|/D inside the allowed Omega regions, x the CoeffBundle field
+    ``coef``.  Each (class, coefficient) is typed out separately, to check
+    the library's one lemma form down to the last bit of a float.
+    """
+    b1, b2, b3 = phi.b1, phi.b2, phi.b3
+    star = kind is ClassKind.STARLIKE
+    if coef == "g3" and star:
+        q, d, s, den = 9 * b1 ** 3 - 9 * b1 * b2 + 2 * b3, 12, -(9 * b1 * b1 - 4 * b2), 2 * b1
+    elif coef == "g3":
+        q, d, s, den = 3 * b1 ** 3 - 5 * b1 * b2 + 2 * b3, 48, -(5 * b1 * b1 - 4 * b2), 2 * b1
+    elif star:
+        q, d, s, den = 8 * b1 ** 3 - 6 * b1 * b2 + b3, 3, 2 * (b2 - 3 * b1 * b1), b1
+    else:
+        q, d, s, den = 6 * b1 ** 3 - 7 * b1 * b2 + 2 * b3, 24, 4 * b2 - 7 * b1 * b1, 2 * b1
+    return q, d, s / den, q / den
 
 
 def random_complex(rng: np.random.Generator, scale: float = 5.0) -> complex:

@@ -1,9 +1,10 @@
-"""The library's public surface: no public name exists only for the tests.
+"""The library's surface: no name exists only for the tests, or for nothing.
 
 A public top-level name of ``src/toepsharp`` must be exported from the
 package ``__init__`` or used somewhere in the library, the scripts or
-the benchmark, beyond its own definition.  Machinery that only the
-tests need lives under ``tests/``.
+the benchmark, beyond its own definition.  A private (``_``) top-level
+name must be read somewhere in the library beyond its definition.
+Machinery that only the tests need lives under ``tests/``.
 """
 
 import ast
@@ -13,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "toepsharp"
 
 
-def _public_names(tree: ast.Module) -> set[str]:
+def _top_level_names(tree: ast.Module) -> set[str]:
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -21,7 +22,7 @@ def _public_names(tree: ast.Module) -> set[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {n for n in names if not n.startswith("_")}
+    return names
 
 
 def _used_names(tree: ast.Module, modules: set[str]) -> set[str]:
@@ -53,5 +54,15 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     trees = [*modules.values(), *map(_parse, callers)]
     used = set().union(*(_used_names(t, {"toepsharp", *modules}) for t in trees))
     unused = [f"{stem}.{name}" for stem, tree in modules.items()
-              for name in sorted(_public_names(tree) - used)]
+              for name in sorted(_top_level_names(tree) - used)
+              if not name.startswith("_")]
     assert unused == [], f"public names only the tests use: {unused}"
+
+
+def test_every_private_name_is_read_in_the_library():
+    modules = {p.stem: _parse(p) for p in sorted(PACKAGE.glob("*.py"))}
+    used = set().union(*(_used_names(t, {"toepsharp", *modules}) for t in modules.values()))
+    dead = [f"{stem}.{name}" for stem, tree in modules.items()
+            for name in sorted(_top_level_names(tree) - used)
+            if name.startswith("_") and not name.endswith("__")]
+    assert dead == [], f"private names the library never reads: {dead}"

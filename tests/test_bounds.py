@@ -1,5 +1,6 @@
 """Closed-form bounds, region calculus, and their link to Fekete-Szego."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fekete_szego_reference
+from helpers import fekete_szego_reference, random_triples, third_coefficient_reference
+from toepsharp import bounds
 from toepsharp.bounds import (
     Region,
     UndefinedSigmaMuError,
@@ -17,7 +19,7 @@ from toepsharp.bounds import (
     sigma_mu,
     theorem_bound,
 )
-from toepsharp.coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec, toeplitz
+from toepsharp.coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec, coeff_map, toeplitz
 from toepsharp.extremal import extremal_coeffs
 
 HALF_PLANE = PhiSpec(F(2), F(2), F(2))
@@ -198,6 +200,59 @@ class TestIntermediateBounds:
         assert not rep.applicable
 
 
+def _seeded_phis(seed: int, n: int) -> list[PhiSpec]:
+    """n Fraction generators, then n float ones with magnitudes 1e-3 to 1e3."""
+    rng = random.Random(seed)
+    out = [PhiSpec(_random_fraction(rng, 0, 3), _random_fraction(rng, -4, 4),
+                   _random_fraction(rng, -4, 4)) for _ in range(n)]
+    out += [PhiSpec(*(s * 10 ** rng.uniform(-3, 3) for s in (1, rng.choice((-1, 1)),
+                                                            rng.choice((-1, 1)))))
+            for _ in range(n)]
+    return out
+
+
+class TestCoefficientRows:
+    """Each row of the coefficient table against what it claims to bound."""
+
+    def test_rows_are_identities_for_the_coefficients(self):
+        # x = -(B1 c1)/D, -(B1 c2 - p c1^2)/D or -(den c3 + s c1 c2 + q c1^3)/D,
+        # D the row's full divisor, for any Schwarz function: the lemma forms
+        # are exact rewritings of CoeffBundle, not only at the extremal point.
+        triples = random_triples(31, 12)
+        for phi in _seeded_phis(29, 40):
+            for kind in ClassKind:
+                star = kind is ClassKind.STARLIKE
+                for t in triples:
+                    cb = coeff_map(kind, phi, t.c1, t.c2, t.c3)
+                    for coef, (lemma, param, _, _) in bounds._ROWS.items():
+                        q, big_d, _, _ = bounds._coefficient(kind, phi, coef)
+                        if lemma is None:
+                            num = phi.b1 * t.c1
+                        elif lemma is bounds._fekete_szego:
+                            num = phi.b1 * t.c2 - q * t.c1 ** 2
+                        else:
+                            _, _, s, den = bounds._third(star, phi, *param)
+                            num = den * t.c3 + s * t.c1 * t.c2 + q * t.c1 ** 3
+                        want = getattr(cb, coef)
+                        assert abs(-num / big_d - want) <= 1e-13 * max(1.0, abs(want)), \
+                            (coef, kind, phi, t)
+
+    def test_third_coefficient_rows_match_the_closed_forms_bitwise(self):
+        # Float q, D, sigma and mu as the paper's closed forms round them; the
+        # last generator's doubled q (multipliers not in lowest terms) would
+        # square to inf in the bound.  (sigma, mu) needs B1 > 0.
+        phis = [phi for phi in _seeded_phis(37, 100) if phi.b1] + [
+            PhiSpec(1.0479749333039448e+51, -1.0373300468362366e+51, 5.331473784156751e+50)]
+        for phi in phis:
+            for kind in ClassKind:
+                for functional, coef in ((FunctionalKind.T22_INV, "b4"),
+                                         (FunctionalKind.T22_LOG_INV, "g3")):
+                    q, big_d, _, _ = bounds._coefficient(kind, phi, coef)
+                    got = (q, big_d, *sigma_mu(kind, phi, functional))
+                    want = third_coefficient_reference(kind, phi, coef)
+                    assert list(map(repr, got)) == list(map(repr, want)), (coef, kind, phi)
+
+
 def test_t21_bounds_are_sums_of_squared_intermediates():
     # The intermediates are read off the rotation extremal, whose |b2|, |b3|,
     # |Gamma1|, |Gamma2| are the per-coefficient bounds of the proofs.
@@ -250,6 +305,14 @@ class TestTheoremBound:
         assert rep.sigma_mu.region is Region.NONE
         assert not rep.hypotheses[1].satisfied
         assert not rep.applicable
+
+    @pytest.mark.parametrize("kind", list(ClassKind))
+    def test_cube_past_the_float_range_gives_an_infinite_bound(self, kind):
+        # B1^3 overflows a float from B1 ~ 5.6e102; every functional's bound
+        # is then inf, the T22 ones included, instead of an OverflowError
+        phi = PhiSpec(1e103, 0.0, 0.0)
+        for functional in FunctionalKind:
+            assert theorem_bound(functional, kind, phi).bound == math.inf
 
     def test_exact_rational_arithmetic(self):
         for functional in FunctionalKind:

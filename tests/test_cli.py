@@ -286,6 +286,16 @@ class TestExtremal:
         d = json.loads(out)
         assert all(v == 0 for v in d["functionals"].values())
 
+    def test_low_order_prints_a_prefix_of_order_four(self, capsys):
+        # the a-lines are cut to --order; b, Gamma and the functionals still
+        # come from a2..a4
+        argv = ("extremal", "--class", "convex", "--phi", "exp", "--order")
+        four = run(capsys, *argv, "4")[1].splitlines()
+        for n in (2, 3):
+            code, out, _ = run(capsys, *argv, str(n))
+            assert code == 0
+            assert out.splitlines() == four[:n] + four[4:]
+
     def test_bad_order_exits_2(self, capsys):
         code, _, _ = run(capsys, "extremal", "--class", "starlike",
                          "--phi", "exp", "--order", "1")

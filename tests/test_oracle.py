@@ -85,6 +85,12 @@ class TestMaximize:
                 maximize(functional, ClassKind.STARLIKE, PhiSpec(1e80, 0.0, 0.0),
                          budget=10)
 
+    @pytest.mark.parametrize("kind", list(ClassKind))
+    def test_float_cube_overflow_raises_before_the_search(self, kind):
+        # B1^3 passes the float range: the T22 bound is inf, refused as above
+        with pytest.raises(OverflowError, match="overflows a float"):
+            maximize(FunctionalKind.T22_LOG_INV, kind, PhiSpec(1e103, 0.0, 0.0), budget=10)
+
     def test_margin_bookkeeping(self):
         rep = maximize(FunctionalKind.T21_INV, ClassKind.CONVEX, HALF_PLANE,
                        budget=2000, seed=9)

@@ -25,6 +25,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ _REL_TOL = 1e-12
 
 # A sweep computes every row before printing; this caps the work a tiny
 # step can ask for (0:1:1/10000 is the largest decimal grid on [0, 1]).
+# It caps ``extremal --order`` as well.
 MAX_SWEEP_ROWS = 10_001
 
 _FUNCTIONALS = {f.value: f for f in FunctionalKind}
@@ -100,7 +102,7 @@ _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)")
 
 
 def _fraction(text: str) -> Fraction:
-    """Fraction(text), or ValueError naming the text.
+    """Fraction(text), so '1/4', '0.25' or '3' stay exact, or ArgumentTypeError.
 
     Fraction expands a decimal exponent into an exact integer, at a cost
     that grows with it, so an exponent above sys.get_int_max_str_digits()
@@ -111,34 +113,25 @@ def _fraction(text: str) -> Fraction:
     if m and limit:
         digits = m.group(1).replace("_", "").lstrip("0")
         if len(digits) > len(str(limit)) or int(digits or 0) > limit:
-            raise ValueError(f"exponent of {text!r} exceeds {limit}")
+            raise argparse.ArgumentTypeError(f"exponent of {text!r} exceeds {limit}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"not a number: {text!r}") from None
-
-
-def _parse_rational(text: str) -> Real:
-    """Accept '1/4', '0.25' or '3' and keep them exact."""
-    try:
-        return _fraction(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
 def _resolve_phi(args) -> PhiSpec:
     raw = [args.b1, args.b2, args.b3]
+    params = {key: getattr(args, key) for key in ("alpha", "beta", "a", "b")
+              if getattr(args, key) is not None}
     if args.phi is None:
+        if params:
+            raise ValueError(f"--{next(iter(params))} needs --phi")
         if any(v is None for v in raw):
             raise ValueError("specify --phi NAME or all of --b1/--b2/--b3")
         return PhiSpec(*raw)
     if any(v is not None for v in raw):
         raise ValueError("--phi and raw --b1/--b2/--b3 are mutually exclusive")
-    params = {}
-    for key in ("alpha", "beta", "a", "b"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
     return catalog.phi_coeffs(args.phi, **params)
 
 
@@ -150,13 +143,13 @@ def _add_selectors(p: argparse.ArgumentParser, functional: bool = True) -> None:
                        choices=sorted(_FUNCTIONALS), help="Toeplitz functional")
     p.add_argument("--phi", choices=sorted(catalog.PHI_NAMES),
                    help="catalog generator name")
-    p.add_argument("--alpha", type=_parse_rational, help="order parameter")
-    p.add_argument("--beta", type=_parse_rational, help="strong-class parameter")
-    p.add_argument("--a", type=_parse_rational, help="Janowski A")
-    p.add_argument("--b", type=_parse_rational, help="Janowski B")
-    p.add_argument("--b1", type=_parse_rational, help="raw B1")
-    p.add_argument("--b2", type=_parse_rational, help="raw B2")
-    p.add_argument("--b3", type=_parse_rational, help="raw B3")
+    p.add_argument("--alpha", type=_fraction, help="order parameter")
+    p.add_argument("--beta", type=_fraction, help="strong-class parameter")
+    p.add_argument("--a", type=_fraction, help="Janowski A")
+    p.add_argument("--b", type=_fraction, help="Janowski B")
+    p.add_argument("--b1", type=_fraction, help="raw B1")
+    p.add_argument("--b2", type=_fraction, help="raw B2")
+    p.add_argument("--b3", type=_fraction, help="raw B3")
 
 
 def _add_common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
@@ -167,17 +160,19 @@ def _add_common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-# Each subcommand returns (exit code, stdout lines, run-record report);
-# ``main`` writes the record and only then prints.
+# Each subcommand returns (exit code, report, text renderer). ``main`` alone
+# turns that into output: the JSON of the report for --format json, else the
+# renderer's lines; it writes the --out record of the report and only then
+# prints. A report of None (sweep) has neither JSON nor a record.
+_Result = tuple[int, object, Callable[[], list[str]]]
 
-def cmd_bound(args) -> tuple[int, list[str], dict]:
+
+def cmd_bound(args) -> _Result:
     phi = _resolve_phi(args)
     report = bounds.theorem_bound(
         _FUNCTIONALS[args.functional], _CLASSES[args.class_kind], phi)
-    d = report_dict(report)
-    if args.format == "json":
-        lines = [_dump_json(d)]
-    else:
+
+    def text() -> list[str]:
         lines = [f"bound: {_fmt_value(report.bound)}"]
         for h in report.hypotheses:
             mark = "ok" if h.satisfied else "FAIL"
@@ -188,7 +183,8 @@ def cmd_bound(args) -> tuple[int, list[str], dict]:
                          f"region = {sm.region.value}")
         lines.append(f"  applicable: {report.applicable}")
         lines.append(f"  attained by: {report.witness}")
-    return (0 if report.applicable else 3), lines, d
+        return lines
+    return (0 if report.applicable else 3), report, text
 
 
 def _table_rows() -> list[dict]:
@@ -217,43 +213,40 @@ def _table_rows() -> list[dict]:
     return rows
 
 
-def cmd_table(args) -> tuple[int, list[str], dict]:
+def cmd_table(args) -> _Result:
     rows = _table_rows()
     if args.only:
         rows = [r for r in rows if r["name"] == args.only]
         if not rows:
             raise ValueError(f"no catalog entry named {args.only!r}")
-    d = report_dict({"rows": rows})
-    if args.format == "csv":
-        lines = ["class,functional,expected,computed,attained,match"]
-        lines += [f"{r['class_label']},{r['functional']},{float(r['expected'])!r},"
-                  f"{float(r['computed'])!r},{r['attained']!r},{str(r['match']).lower()}"
-                  for r in rows]
-    elif args.format == "json":
-        lines = [_dump_json(d)]
-    else:  # text / markdown
-        lines = ["| class | functional | expected | computed | attained | match | notes |",
-                 "|---|---|---|---|---|---|---|"]
-        lines += [f"| {r['class_label']} | {r['functional']} | {_fmt_value(r['expected'])} "
-                  f"| {_fmt_value(r['computed'])} | {r['attained']:.12g} "
-                  f"| {'yes' if r['match'] else 'NO'} | {r['notes']} |"
-                  for r in rows]
-    return (0 if all(r["match"] for r in rows) else 5), lines, d
+
+    def text() -> list[str]:
+        if args.format == "csv":
+            return ["class,functional,expected,computed,attained,match"] + [
+                f"{r['class_label']},{r['functional']},{float(r['expected'])!r},"
+                f"{float(r['computed'])!r},{r['attained']!r},{str(r['match']).lower()}"
+                for r in rows]
+        # text / markdown
+        return ["| class | functional | expected | computed | attained | match | notes |",
+                "|---|---|---|---|---|---|---|"] + [
+            f"| {r['class_label']} | {r['functional']} | {_fmt_value(r['expected'])} "
+            f"| {_fmt_value(r['computed'])} | {r['attained']:.12g} "
+            f"| {'yes' if r['match'] else 'NO'} | {r['notes']} |"
+            for r in rows]
+    return (0 if all(r["match"] for r in rows) else 5), {"rows": rows}, text
 
 
-def cmd_verify(args) -> tuple[int, list[str], dict]:
+def cmd_verify(args) -> _Result:
     from . import oracle
 
     phi = _resolve_phi(args)
     report = oracle.maximize(
         _FUNCTIONALS[args.functional], _CLASSES[args.class_kind], phi,
         budget=args.budget, seed=args.seed)
-    d = report_dict(report)
-    if args.format == "json":
-        lines = [_dump_json(d)]
-    else:
+
+    def text() -> list[str]:
         flag = "" if report.applicable else " (bound unproven: hypothesis fails)"
-        lines = [
+        return [
             f"verdict: {report.verdict.value}{flag}",
             f"  bound = {report.bound!r}",
             f"  empirical max = {report.empirical_max!r} (margin {report.margin:.3g})",
@@ -263,7 +256,7 @@ def cmd_verify(args) -> tuple[int, list[str], dict]:
             f"{report.refinement_iters}, seed = {report.seed}",
         ]
     code = {"SharpConfirmed": 0, "ValidNotAttained": 4, "VIOLATION": 5}[report.verdict.value]
-    return code, lines, d
+    return code, report, text
 
 
 def _parse_range(text: str) -> list[Fraction]:
@@ -273,7 +266,7 @@ def _parse_range(text: str) -> list[Fraction]:
         raise ValueError(f"range must be lo:hi:step, got {text!r}")
     try:
         lo, hi, step = (_fraction(p) for p in parts)
-    except ValueError as exc:
+    except argparse.ArgumentTypeError as exc:
         raise ValueError(f"malformed range {text!r}: {exc}") from None
     if step <= 0 or hi < lo:
         raise ValueError(f"range needs step > 0 and hi >= lo, got {text!r}")
@@ -293,7 +286,7 @@ _SWEEPS = {
 }
 
 
-def cmd_sweep(args) -> tuple[int, list[str], None]:
+def cmd_sweep(args) -> _Result:
     grid = _parse_range(args.range)
     name, swept, fixed = _SWEEPS[args.param]
     for key in ("a", "b"):
@@ -310,33 +303,27 @@ def cmd_sweep(args) -> tuple[int, list[str], None]:
         att = extremal.attainment(functional, kind, phi)
         lines.append(f"{float(v)!r},{float(rep.bound)!r},"
                      f"{str(rep.applicable).lower()},{att!r}")
-    return 0, lines, None
+    return 0, None, lambda: lines
 
 
-def cmd_extremal(args) -> tuple[int, list[str], dict]:
+def cmd_extremal(args) -> _Result:
     phi = _resolve_phi(args)
     kind = _CLASSES[args.class_kind]
-    if args.order < 2:
-        raise ValueError("need N >= 2")
+    if not 2 <= args.order <= MAX_SWEEP_ROWS:
+        raise ValueError(f"--order needs 2 <= N <= {MAX_SWEEP_ROWS}, got {args.order}")
     coeffs = extremal.extremal_coeffs(kind, phi, max(args.order, 4))
     a = coeffs.a[:args.order]
     cb = coeffs.bundle()
-    d = report_dict({
-        "class": kind,
-        "phi": phi,
-        "a": a,
-        "b": [cb.b2, cb.b3, cb.b4],
-        "gamma": [cb.g1, cb.g2, cb.g3],
-        "functionals": {f.value: toeplitz(f, cb) for f in FunctionalKind},
-    })
-    if args.format == "json":
-        lines = [_dump_json(d)]
-    else:
+    values = {f.value: toeplitz(f, cb) for f in FunctionalKind}
+
+    def text() -> list[str]:
         lines = [f"a{m} = {c:.12g}" for m, c in enumerate(a, start=1)]
         lines.append(f"b2, b3, b4 = {cb.b2:.12g}, {cb.b3:.12g}, {cb.b4:.12g}")
         lines.append(f"Gamma1, Gamma2, Gamma3 = {cb.g1:.12g}, {cb.g2:.12g}, {cb.g3:.12g}")
-        lines += [f"{f.value} = {toeplitz(f, cb)!r}" for f in FunctionalKind]
-    return 0, lines, d
+        return lines + [f"{name} = {v!r}" for name, v in values.items()]
+    report = {"class": kind, "phi": phi, "a": a, "b": [cb.b2, cb.b3, cb.b4],
+              "gamma": [cb.g1, cb.g2, cb.g3], "functionals": values}
+    return 0, report, text
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="class_kind", required=True,
                    choices=sorted(_CLASSES))
     p.add_argument("--functional", required=True, choices=sorted(_FUNCTIONALS))
-    p.add_argument("--a", type=_parse_rational, help="fixed Janowski A")
-    p.add_argument("--b", type=_parse_rational, help="fixed Janowski B")
-    p.set_defaults(func=cmd_sweep)
+    p.add_argument("--a", type=_fraction, help="fixed Janowski A")
+    p.add_argument("--b", type=_fraction, help="fixed Janowski B")
+    p.set_defaults(func=cmd_sweep, format="csv", out=None)
 
     p = sub.add_parser("extremal", help="extremal function coefficients")
     _add_selectors(p, functional=False)
@@ -389,9 +376,11 @@ def main(argv: list[str] | None = None) -> int:
     parsed = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(parsed)
     try:
-        code, lines, report = args.func(args)
-        if report is not None and args.out:
-            _write_run_record(args.out, parsed, report)
+        code, report, render = args.func(args)
+        d = report_dict(report)
+        lines = [_dump_json(d)] if args.format == "json" else render()
+        if args.out:
+            _write_run_record(args.out, parsed, d)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2

@@ -301,6 +301,31 @@ class TestExtremal:
                          "--phi", "exp", "--order", "1")
         assert code == 2
 
+    def test_order_at_the_cap_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "extremal", "--class", "starlike",
+                           "--phi", "exp", "--order", str(MAX_SWEEP_ROWS))
+        assert code == 0
+        assert sum(line.startswith("a") for line in out.splitlines()) == MAX_SWEEP_ROWS
+
+    @pytest.mark.parametrize("order", [MAX_SWEEP_ROWS + 1, 10 ** 12])
+    def test_order_above_the_cap_exits_2_before_the_extremal(self, capsys, monkeypatch,
+                                                              order):
+        from toepsharp import extremal
+
+        computed = extremal.extremal_coeffs
+
+        def capped(kind, phi, n):
+            # fail at once rather than build a list of n coefficients
+            assert n <= MAX_SWEEP_ROWS, f"extremal_coeffs ran at n = {n}"
+            return computed(kind, phi, n)
+
+        monkeypatch.setattr(extremal, "extremal_coeffs", capped)
+        code, out, err = run(capsys, "extremal", "--class", "starlike",
+                             "--phi", "exp", "--order", str(order))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --order") and str(MAX_SWEEP_ROWS) in err
+
 
 _BOUND = ("bound", "--class", "starlike", "--functional", "t21-inv")
 
@@ -313,7 +338,8 @@ def _child_env() -> dict:
 
 
 # argv for the fuzz: valid and invalid values of every flag, small exponents,
-# --budget <= 50, --order <= 9 and ranges of a few dozen rows
+# --budget <= 50, --order up to 10**12 (refused above MAX_SWEEP_ROWS) and
+# ranges of a few dozen rows
 _NUMBER = st.one_of(
     st.sampled_from(["0", "1", "-1", "1/2", "-1/2", "2/3", "0.25", "x", "1/0", "", "nan"]),
     st.builds(lambda n, d: f"{n}/{d}", st.integers(-40, 40), st.integers(1, 12)),
@@ -335,7 +361,7 @@ _FLAG_VALUES = {
     "format": _mostly(["text", "json", "csv", "markdown"], "xml"),
     "budget": st.one_of(st.integers(-1, 50).map(str), st.just("1.5")),
     "seed": st.one_of(st.integers(-2, 2 ** 40).map(str), st.just("s")),
-    "order": st.integers(-1, 9).map(str),
+    "order": st.one_of(st.integers(-1, 9), st.integers(-1, 10 ** 12)).map(str),
     "only": _mostly(PHI_NAMES, "nephroid"),
     "param": _mostly(["alpha", "beta", "janowski-a", "janowski-b"], "gamma"),
     "range": st.one_of(
@@ -394,6 +420,37 @@ class TestErrorContract:
                            "--out", str(path))
         assert code == 0
         assert json.loads(path.read_text())["report"] == json.loads(out)
+
+    @pytest.mark.parametrize("argv", [
+        ("bound", "--class", "starlike", "--phi", "exp", "--functional", "t22-log-inv"),
+        ("table", "--only", "lune"),
+        ("verify", "--class", "starlike", "--phi", "exp", "--functional", "t21-inv",
+         "--budget", "100", "--seed", "2"),
+        ("extremal", "--class", "convex", "--phi", "halfplane", "--order", "6"),
+    ])
+    def test_record_report_equals_json_stdout(self, capsys, tmp_path, argv):
+        # the record holds the JSON report whatever --format prints
+        code, out, _ = run(capsys, *argv, "--format", "json", "--out", str(tmp_path / "j"))
+        assert code == 0
+        assert json.loads((tmp_path / "j").read_text())["report"] == json.loads(out)
+        code, text, _ = run(capsys, *argv, "--out", str(tmp_path / "t"))
+        assert code == 0 and text != out
+        assert json.loads((tmp_path / "t").read_text())["report"] == json.loads(out)
+
+    @pytest.mark.parametrize("sub", [
+        ("bound", "--functional", "t21-inv"),
+        ("verify", "--functional", "t21-inv", "--budget", "10"),
+        ("extremal",),
+    ])
+    @pytest.mark.parametrize("family", ["--alpha=1/2", "--beta=1/2", "--a=1/2", "--b=-1/2"])
+    def test_family_flag_without_phi_exits_2(self, capsys, sub, family):
+        # raw --b1/--b2/--b3 fix the generator; a family parameter next to
+        # them would be ignored, so it is refused
+        code, out, err = run(capsys, sub[0], "--class", "starlike", *sub[1:],
+                             "--b1", "1", "--b2", "0", "--b3", "0", family)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {family.split('=')[0]} needs --phi\n"
 
     @pytest.mark.parametrize("argv, named", [
         (_BOUND + ("--phi", "janowski", "--a", "1"), "missing b"),

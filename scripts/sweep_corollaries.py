@@ -30,6 +30,8 @@ def run(points: int) -> None:
 
 if __name__ == "__main__":
     p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--points", type=int, default=50)
+    p.add_argument("--points", type=int, default=50, help="grid points per curve, >= 2")
     args = p.parse_args()
+    if args.points < 2:
+        p.error(f"--points needs N >= 2 (both interval ends), got {args.points}")
     run(args.points)

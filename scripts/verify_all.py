@@ -43,7 +43,10 @@ def run(budget: int, seeds: int) -> int:
 
 if __name__ == "__main__":
     p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--budget", type=int, default=10 ** 5)
-    p.add_argument("--seeds", type=int, default=3)
+    p.add_argument("--budget", type=int, default=10 ** 5, help="samples per run, >= 1")
+    p.add_argument("--seeds", type=int, default=3, help="runs per pair, >= 1")
     args = p.parse_args()
+    for flag, n in (("--budget", args.budget), ("--seeds", args.seeds)):
+        if n < 1:
+            p.error(f"{flag} needs N >= 1, got {n}")
     sys.exit(run(args.budget, args.seeds))

@@ -12,11 +12,10 @@ from .coeffs import (  # noqa: F401
     CoeffBundle,
     FunctionalKind,
     PhiSpec,
-    coeffs_from_schwarz,
     toeplitz,
 )
-from .schwarz import SchurParams, SchwarzTriple, is_admissible, schur_to_coeffs  # noqa: F401
-from .bounds import BoundReport, fekete_szego_bound, omega_region, sigma_mu, theorem_bound  # noqa: F401
+from .schwarz import SchurParams  # noqa: F401
+from .bounds import BoundReport, fekete_szego_bound, omega_region, theorem_bound  # noqa: F401
 from .extremal import ExtremalCoeffs, attainment, extremal_coeffs  # noqa: F401
 
 # The numerical oracle is the only numpy user.  It and its names load on

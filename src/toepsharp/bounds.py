@@ -66,10 +66,6 @@ class BoundReport:
     witness: str
 
 
-class UndefinedSigmaMuError(ValueError):
-    """Raised when B1 = 0 makes the (sigma, mu) pair undefined."""
-
-
 def _in_region(sigma: float, mu: float, i: int) -> float:
     """Smallest slack of region Omega_i's conditions (negative = outside).
 
@@ -182,15 +178,12 @@ def _coefficient(kind: ClassKind, phi: PhiSpec, coef: str):
     return q, scale * d, _ineq(f"(sigma, mu) in {names}", slack), omega_region(sigma, mu)
 
 
-def sigma_mu(kind: ClassKind, phi: PhiSpec, which: FunctionalKind) -> tuple[Real, Real]:
-    """The (sigma, mu) pair whose region membership the T22 bounds need."""
-    if which not in (FunctionalKind.T22_LOG_INV, FunctionalKind.T22_INV):
-        raise ValueError(f"no (sigma, mu) data for {which}")
-    _, param, _, _ = _ROWS[PAIRS[which][1]]
-    q, _, s, den = _third(kind is ClassKind.STARLIKE, phi, *param)
-    if den == 0:
-        raise UndefinedSigmaMuError("(sigma, mu) undefined at B1 = 0")
-    return s / den, q / den
+def _square(q: Real, d: int) -> Real:
+    """(q/d)^2 rounded as q*q/(d*d), or as (q/d)*(q/d) where a float q*q overflows."""
+    sq = q * q / (d * d)
+    if type(sq) is float and sq == math.inf:
+        return (q / d) * (q / d)
+    return sq
 
 
 def _witness(kind: ClassKind) -> str:
@@ -216,7 +209,7 @@ def theorem_bound(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec) -> 
         functional=functional,
         class_kind=kind,
         phi=phi,
-        bound=q * q / (d * d) + n * n / (e * e),
+        bound=_square(q, d) + _square(n, e),
         hypotheses=hyps,
         sigma_mu=region,
         applicable=all(h.satisfied for h in hyps),

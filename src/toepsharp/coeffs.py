@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .schwarz import SchwarzTriple, is_admissible
-
 Real = float | Fraction
 
 
@@ -67,10 +65,6 @@ class PhiSpec:
 
     def as_floats(self) -> tuple[float, float, float]:
         return (float(self.b1), float(self.b2), float(self.b3))
-
-
-class InadmissibleTripleError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -124,13 +118,6 @@ def coeff_map(kind: ClassKind, phi: PhiSpec, c1, c2, c3) -> CoeffBundle:
     if kind is ClassKind.CONVEX:
         a2, a3, a4 = a2 / 2, a3 / 3, a4 / 4
     return CoeffBundle(a2, a3, a4)
-
-
-def coeffs_from_schwarz(kind: ClassKind, phi: PhiSpec, t: SchwarzTriple) -> CoeffBundle:
-    """Map an admissible Schwarz triple to the coefficient bundle."""
-    if not is_admissible(t):
-        raise InadmissibleTripleError(f"triple outside the coefficient body: {t}")
-    return coeff_map(kind, phi, t.c1, t.c2, t.c3)
 
 
 def toeplitz(kind: FunctionalKind, cb: CoeffBundle) -> float:

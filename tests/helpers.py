@@ -1,6 +1,7 @@
-"""Shared test utilities: independent pipeline solvers, random data, the
-inverse of the Schur parameter map, the piecewise Fekete-Szego bound, and
-the paper's closed forms of the third-coefficient bounds.
+"""Shared test utilities: the Schwarz coefficient body as a reference,
+independent pipeline solvers, random data, the inverse of the Schur
+parameter map, the piecewise Fekete-Szego bound, and the paper's closed
+forms of the third-coefficient bounds.
 
 The solvers here derive (a2, a3, a4) directly from the defining
 differential relations using only the series engine, term by term.  They
@@ -10,11 +11,41 @@ a genuine cross-check.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from toepsharp.coeffs import ClassKind, PhiSpec
-from toepsharp.schwarz import SchwarzTriple, schur_to_coeffs, SchurParams
+from toepsharp.schwarz import SchurParams, schur_map
 from series import Series, compose
+
+
+class SchwarzTriple(NamedTuple):
+    """Leading coefficients (c1, c2, c3) of a Schwarz function."""
+
+    c1: complex
+    c2: complex
+    c3: complex
+
+
+def is_admissible(t: SchwarzTriple, tol: float = 1e-12) -> bool:
+    """Whether (c1, c2, c3) lies in the coefficient body, within tol:
+
+        |c1| <= 1,  |c2| <= 1 - |c1|^2,
+        |c3 (1 - |c1|^2) + conj(c1) c2^2| <= (1 - |c1|^2)^2 - |c2|^2.
+
+    Extremal points sit exactly on the constraint surface, so a small
+    positive tolerance is the useful default.
+    """
+    s1 = abs(t.c1)
+    if s1 > 1 + tol:
+        return False
+    t0 = 1.0 - s1 ** 2
+    if abs(t.c2) > t0 + tol:
+        return False
+    lhs = abs(t.c3 * t0 + t.c1.conjugate() * t.c2 ** 2)
+    rhs = t0 ** 2 - abs(t.c2) ** 2
+    return lhs <= rhs + tol
 
 
 def phi_series(phi: PhiSpec) -> Series:
@@ -48,7 +79,7 @@ def solve_convex(phi: PhiSpec, t: SchwarzTriple) -> tuple[complex, complex, comp
 
 
 def coeffs_to_schur(t: SchwarzTriple) -> SchurParams:
-    """Inverse of ``schur_to_coeffs``, defined only in the interior.
+    """Inverse of ``schwarz.schur_map``, defined only in the interior.
 
     Degenerate layers (|c1| = 1, or |gamma1| = 1) have no unique
     preimage; callers sampling the interior never hit them.
@@ -120,5 +151,5 @@ def random_triples(seed: int, n: int) -> list[SchwarzTriple]:
         r = rng.random(3) ** 0.5
         th = rng.uniform(0, 2 * np.pi, 3)
         g = r * np.exp(1j * th)
-        out.append(schur_to_coeffs(SchurParams(g[0], g[1], g[2])))
+        out.append(SchwarzTriple(*schur_map(*map(complex, g))))
     return out

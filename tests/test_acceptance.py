@@ -16,7 +16,7 @@ from series import Series, log_div_z, revert
 from toepsharp.bounds import omega_region, theorem_bound, Region
 from toepsharp.catalog import COROLLARY_CURVES, certificate_entries, phi_coeffs
 from toepsharp.cli import main, report_dict
-from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec, coeffs_from_schwarz
+from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec, coeff_map
 from toepsharp.extremal import attainment
 from toepsharp.oracle import Verdict, lemma1_scan, maximize
 
@@ -162,7 +162,7 @@ def test_criterion_7_algebraic_equivalence_suites():
     for t in triples:
         phi = PhiSpec(rng.uniform(0, 3), rng.uniform(-3, 3), rng.uniform(-3, 3))
         for kind, solver in ((S, solve_starlike), (C, solve_convex)):
-            cb = coeffs_from_schwarz(kind, phi, t)
+            cb = coeff_map(kind, phi, *t)
             a2, a3, a4 = solver(phi, t)
             assert abs(cb.a2 - a2) <= 1e-12
             assert abs(cb.a3 - a3) <= 1e-12

@@ -1,13 +1,16 @@
 """The library's surface: no name exists only for the tests, or for nothing.
 
-A public top-level name of ``src/toepsharp`` must be exported from the
-package ``__init__`` or used somewhere in the library, the scripts or
-the benchmark, beyond its own definition.  A private (``_``) top-level
-name must be read somewhere in the library beyond its definition.
-Machinery that only the tests need lives under ``tests/``.
+A public top-level name of ``src/toepsharp`` must be used somewhere in the
+library outside the package ``__init__``, in the scripts or in the
+benchmark, beyond its own definition, or be named in README.md.  An
+``__init__`` re-export alone is no use: it would keep alive any name the
+tests import from the package.  A private (``_``) top-level name must be
+read somewhere in the library beyond its definition.  Machinery that only
+the tests need lives under ``tests/``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,12 +50,22 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _readme_names() -> set[str]:
+    """Every identifier in README.md's code: fenced blocks and `inline` spans."""
+    text = (ROOT / "README.md").read_text()
+    code = re.findall(r"```.*?```", text, flags=re.DOTALL)
+    code += re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.DOTALL))
+    return set(re.findall(r"\w+", " ".join(code)))
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     modules = {p.stem: _parse(p) for p in sorted(PACKAGE.glob("*.py"))}
     callers = [p for d in ("scripts", "perfbench") for p in sorted((ROOT / d).glob("*.py"))
                if not p.name.startswith("test_")]
-    trees = [*modules.values(), *map(_parse, callers)]
+    trees = [t for stem, t in modules.items() if stem != "__init__"]
+    trees += map(_parse, callers)
     used = set().union(*(_used_names(t, {"toepsharp", *modules}) for t in trees))
+    used |= _readme_names()
     unused = [f"{stem}.{name}" for stem, tree in modules.items()
               for name in sorted(_top_level_names(tree) - used)
               if not name.startswith("_")]

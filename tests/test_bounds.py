@@ -13,14 +13,12 @@ from helpers import fekete_szego_reference, random_triples, third_coefficient_re
 from toepsharp import bounds
 from toepsharp.bounds import (
     Region,
-    UndefinedSigmaMuError,
     fekete_szego_bound,
     omega_region,
-    sigma_mu,
     theorem_bound,
 )
 from toepsharp.coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec, coeff_map, toeplitz
-from toepsharp.extremal import extremal_coeffs
+from toepsharp.extremal import attainment, extremal_coeffs
 
 HALF_PLANE = PhiSpec(F(2), F(2), F(2))
 EXP = PhiSpec(F(1), F(1, 2), F(1, 6))
@@ -69,22 +67,32 @@ def test_region_membership_is_monotone_in_mu(sigma, mu, bump):
 
 
 class TestSigmaMu:
+    """The (sigma, mu) a T22 report carries for its third-coefficient bound."""
+
     def test_halfplane_log_pair(self):
-        assert sigma_mu(ClassKind.STARLIKE, HALF_PLANE,
-                        FunctionalKind.T22_LOG_INV) == (-7, 10)
+        sm = theorem_bound(FunctionalKind.T22_LOG_INV, ClassKind.STARLIKE, HALF_PLANE).sigma_mu
+        assert (sm.sigma, sm.mu) == (-7, 10)
 
     def test_exp_inverse_pair(self):
-        s, m = sigma_mu(ClassKind.STARLIKE, EXP, FunctionalKind.T22_INV)
-        assert (s, m) == (F(-5), F(31, 6))
+        sm = theorem_bound(FunctionalKind.T22_INV, ClassKind.STARLIKE, EXP).sigma_mu
+        assert (sm.sigma, sm.mu) == (-5, float(F(31, 6)))
 
     def test_undefined_at_vanishing_linear_coefficient(self):
-        with pytest.raises(UndefinedSigmaMuError):
-            sigma_mu(ClassKind.STARLIKE, PhiSpec(0, F(1, 2), 0),
-                     FunctionalKind.T22_INV)
+        # (sigma, mu) = (s, q)/B1 up to a constant: no pair, and the report
+        # says which hypothesis that fails
+        for functional in (FunctionalKind.T22_INV, FunctionalKind.T22_LOG_INV):
+            rep = theorem_bound(functional, ClassKind.STARLIKE, PhiSpec(0, F(1, 2), 0))
+            assert rep.sigma_mu is None
+            assert [h.name for h in rep.hypotheses if not h.satisfied] == [
+                "B1 > 0 ((sigma, mu) defined)"]
+            assert not rep.applicable
 
     def test_only_defined_for_t22_functionals(self):
-        with pytest.raises(ValueError):
-            sigma_mu(ClassKind.STARLIKE, HALF_PLANE, FunctionalKind.T21_INV)
+        for kind in ClassKind:
+            for functional in FunctionalKind:
+                rep = theorem_bound(functional, kind, HALF_PLANE)
+                assert (rep.sigma_mu is None) == (functional in (
+                    FunctionalKind.T21_INV, FunctionalKind.T21_LOG_INV))
 
 
 class TestFeketeSzego:
@@ -245,10 +253,11 @@ class TestCoefficientRows:
             PhiSpec(1.0479749333039448e+51, -1.0373300468362366e+51, 5.331473784156751e+50)]
         for phi in phis:
             for kind in ClassKind:
-                for functional, coef in ((FunctionalKind.T22_INV, "b4"),
-                                         (FunctionalKind.T22_LOG_INV, "g3")):
+                for coef in ("b4", "g3"):
                     q, big_d, _, _ = bounds._coefficient(kind, phi, coef)
-                    got = (q, big_d, *sigma_mu(kind, phi, functional))
+                    _, param, _, _ = bounds._ROWS[coef]
+                    _, _, s, den = bounds._third(kind is ClassKind.STARLIKE, phi, *param)
+                    got = (q, big_d, s / den, q / den)
                     want = third_coefficient_reference(kind, phi, coef)
                     assert list(map(repr, got)) == list(map(repr, want)), (coef, kind, phi)
 
@@ -267,6 +276,24 @@ def test_t21_bounds_are_sums_of_squared_intermediates():
                 want = abs(x) ** 2 + abs(y) ** 2
                 got = float(theorem_bound(functional, kind, phi).bound)
                 assert abs(got - want) <= 1e-12 * max(1.0, want), (functional, kind, phi)
+
+
+def test_formula_value_equals_the_attainment_applicable_or_not():
+    # At the rotation omega(z) = i z each coefficient's |x| is its row's |q|/D
+    # and x_n^2, x_{n+1}^2 have opposite signs, so the rotation extremal
+    # attains the formula value whether or not a hypothesis holds.  maximize
+    # always starts there (gamma0 = i): its maximum is never below the
+    # formula value, so a formula value above the true maximum cannot occur.
+    inapplicable = 0
+    for phi in _seeded_phis(43, 150):
+        for kind in ClassKind:
+            for functional in FunctionalKind:
+                rep = theorem_bound(functional, kind, phi)
+                want = float(rep.bound)
+                got = attainment(functional, kind, phi)
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (functional, kind, phi)
+                inapplicable += not rep.applicable
+    assert inapplicable >= 400
 
 
 class TestTheoremBound:
@@ -313,6 +340,16 @@ class TestTheoremBound:
         phi = PhiSpec(1e103, 0.0, 0.0)
         for functional in FunctionalKind:
             assert theorem_bound(functional, kind, phi).bound == math.inf
+
+    def test_square_past_the_float_range_is_formed_from_the_ratio(self):
+        # convex Gamma3 has |q|/D = |3 B1^3 - 5 B1 B2 + 2 B3|/48; q = 1.4e154
+        # squares past the float range, (q/48)^2 = 8.5e304 does not
+        exact = theorem_bound(FunctionalKind.T22_LOG_INV, ClassKind.CONVEX,
+                              PhiSpec(F(1), F(0), F(7e153))).bound
+        got = theorem_bound(FunctionalKind.T22_LOG_INV, ClassKind.CONVEX,
+                            PhiSpec(1.0, 0.0, 7e153)).bound
+        assert math.isfinite(got)
+        assert abs(got - float(exact)) <= 1e-15 * float(exact)
 
     def test_exact_rational_arithmetic(self):
         for functional in FunctionalKind:

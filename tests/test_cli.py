@@ -539,6 +539,27 @@ class TestErrorContract:
         assert err == b""
 
 
+class TestScriptArguments:
+    """The scripts refuse counts they cannot run with, as argparse usage errors."""
+
+    SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+    @pytest.mark.parametrize("script, argv", [
+        ("sweep_corollaries.py", ["--points", "1"]),  # one point: no grid step
+        ("sweep_corollaries.py", ["--points", "0"]),  # no rows, only the header
+        ("verify_all.py", ["--seeds", "0"]),          # min() of no runs
+        ("verify_all.py", ["--budget", "0"]),         # maximize refuses it
+    ])
+    def test_bad_count_exits_2_with_usage(self, script, argv):
+        done = subprocess.run([sys.executable, str(self.SCRIPTS / script), *argv],
+                              env=_child_env(), capture_output=True, text=True,
+                              timeout=120, check=False)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("usage:") and "Traceback" not in done.stderr
+        assert f"{argv[0]} needs N >= " in done.stderr
+
+
 def _fresh_python(code: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a new interpreter that imports this toepsharp."""
     return subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,

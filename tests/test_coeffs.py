@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_triples, solve_convex, solve_starlike
+from helpers import SchwarzTriple, random_triples, solve_convex, solve_starlike
 from series import Series, log_div_z, revert
 
 from toepsharp.bounds import fekete_szego_bound
@@ -13,13 +13,10 @@ from toepsharp.coeffs import (
     ClassKind,
     CoeffBundle,
     FunctionalKind,
-    InadmissibleTripleError,
     PhiSpec,
     coeff_map,
-    coeffs_from_schwarz,
     toeplitz,
 )
-from toepsharp.schwarz import SchwarzTriple
 
 TOL = 1e-12
 
@@ -29,7 +26,7 @@ ROT = SchwarzTriple(1, 0, 0)  # omega(z) = z
 
 class TestCoeffsFromSchwarz:
     def test_koebe(self):
-        cb = coeffs_from_schwarz(ClassKind.STARLIKE, HALF_PLANE, ROT)
+        cb = coeff_map(ClassKind.STARLIKE, HALF_PLANE, *ROT)
         assert (cb.a2, cb.a3, cb.a4) == (2, 3, 4)
         assert (cb.b2, cb.b3, cb.b4) == (-2, 5, -14)
         assert cb.g1 == -1
@@ -37,18 +34,12 @@ class TestCoeffsFromSchwarz:
         assert abs(cb.g3 - (-10 / 3)) < TOL
 
     def test_halfplane_map(self):
-        cb = coeffs_from_schwarz(ClassKind.CONVEX, HALF_PLANE, ROT)
+        cb = coeff_map(ClassKind.CONVEX, HALF_PLANE, *ROT)
         assert (cb.a2, cb.a3, cb.a4) == (1, 1, 1)
 
     def test_zero_schwarz_function(self):
-        cb = coeffs_from_schwarz(ClassKind.STARLIKE, PhiSpec(1, 0.5, 1 / 6),
-                                 SchwarzTriple(0, 0, 0))
+        cb = coeff_map(ClassKind.STARLIKE, PhiSpec(1, 0.5, 1 / 6), 0, 0, 0)
         assert (cb.a2, cb.a3, cb.a4) == (0, 0, 0)
-
-    def test_rejects_inadmissible(self):
-        with pytest.raises(InadmissibleTripleError):
-            coeffs_from_schwarz(ClassKind.STARLIKE, HALF_PLANE,
-                                SchwarzTriple(0.5, 0.75, 0.0))
 
     def test_coeff_map_is_unchecked(self):
         cb = coeff_map(ClassKind.STARLIKE, HALF_PLANE, 0.5, 0.75, 0.0)
@@ -78,12 +69,12 @@ class TestFeketeSzego:
     """|a3 - lambda a2^2| against the Fekete-Szego bound."""
 
     def test_koebe_lambda_zero(self):
-        cb = coeffs_from_schwarz(ClassKind.STARLIKE, HALF_PLANE, ROT)
+        cb = coeff_map(ClassKind.STARLIKE, HALF_PLANE, *ROT)
         assert abs(cb.a3) == 3
         assert fekete_szego_bound(ClassKind.STARLIKE, HALF_PLANE, 0) == 3
 
     def test_koebe_lambda_three_halves(self):
-        cb = coeffs_from_schwarz(ClassKind.STARLIKE, HALF_PLANE, ROT)
+        cb = coeff_map(ClassKind.STARLIKE, HALF_PLANE, *ROT)
         assert abs(cb.a3 - 1.5 * cb.a2 ** 2) == 3
         assert fekete_szego_bound(ClassKind.STARLIKE, HALF_PLANE, 1.5) == 3
 
@@ -110,7 +101,7 @@ def test_pipeline_equivalence_with_series_solver():
     for phi, t in zip(phis, triples):
         for kind, solver in ((ClassKind.STARLIKE, solve_starlike),
                              (ClassKind.CONVEX, solve_convex)):
-            cb = coeffs_from_schwarz(kind, phi, t)
+            cb = coeff_map(kind, phi, *t)
             a2, a3, a4 = solver(phi, t)
             assert abs(cb.a2 - a2) < 1e-12
             assert abs(cb.a3 - a3) < 1e-12
@@ -122,7 +113,7 @@ def test_inverse_coefficients_match_series_reversion():
     triples = random_triples(4, 60)
     for phi, t in zip(phis, triples):
         for kind in ClassKind:
-            cb = coeffs_from_schwarz(kind, phi, t)
+            cb = coeff_map(kind, phi, *t)
             g = revert(Series((0, 1, cb.a2, cb.a3, cb.a4)))
             assert abs(cb.b2 - g[2]) < 1e-12
             assert abs(cb.b3 - g[3]) < 1e-12
@@ -134,7 +125,7 @@ def test_log_coefficients_match_series_log_of_inverse():
     triples = random_triples(6, 60)
     for phi, t in zip(phis, triples):
         for kind in ClassKind:
-            cb = coeffs_from_schwarz(kind, phi, t)
+            cb = coeff_map(kind, phi, *t)
             inv = revert(Series((0, 1, cb.a2, cb.a3, cb.a4)))
             lg = log_div_z(inv)
             assert abs(cb.g1 - lg[1] / 2) < 1e-12
@@ -148,8 +139,8 @@ def test_conjugation_invariance_of_functionals():
     for phi, t in zip(phis, triples):
         tc = SchwarzTriple(t.c1.conjugate(), t.c2.conjugate(), t.c3.conjugate())
         for kind in ClassKind:
-            cb = coeffs_from_schwarz(kind, phi, t)
-            cc = coeffs_from_schwarz(kind, phi, tc)
+            cb = coeff_map(kind, phi, *t)
+            cc = coeff_map(kind, phi, *tc)
             assert abs(cc.a2 - cb.a2.conjugate()) < 1e-13
             assert abs(cc.a3 - cb.a3.conjugate()) < 1e-13
             assert abs(cc.a4 - cb.a4.conjugate()) < 1e-13

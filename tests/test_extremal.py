@@ -6,9 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from toepsharp.bounds import theorem_bound
-from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec, coeffs_from_schwarz
+from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec, coeff_map
 from toepsharp.extremal import attainment, extremal_coeffs
-from toepsharp.schwarz import SchwarzTriple
 
 TOL = 1e-12
 
@@ -48,10 +47,9 @@ class TestExtremalCoeffs:
                 assert abs(convex.a[n - 1] - rot / math.factorial(n)) < TOL
 
     def test_matches_schwarz_pipeline_at_the_rotation(self):
-        rotation = SchwarzTriple(1j, 0, 0)
         for phi in (HALF_PLANE, EXP, PhiSpec(1.3, 0.4, -0.2)):
             for kind in ClassKind:
-                cb = coeffs_from_schwarz(kind, phi, rotation)
+                cb = coeff_map(kind, phi, 1j, 0, 0)  # omega(z) = i z
                 ext = extremal_coeffs(kind, phi, 4)
                 assert abs(ext.a[1] - cb.a2) < TOL
                 assert abs(ext.a[2] - cb.a3) < TOL

@@ -130,6 +130,19 @@ class TestMaximize:
         assert peak < 4 * 10 ** 6, f"peak traced allocation {peak} bytes"
 
 
+class TestVerdict:
+    """The documented verdict line: with s = max(1, |bound|), VIOLATION above
+    bound + 1e-9 s, SharpConfirmed within 1e-4 s below the bound."""
+
+    @pytest.mark.parametrize("bound", [0.5, -3.0, 10.0, 2.5e6])
+    def test_just_inside_and_outside_each_tolerance(self, bound):
+        s = max(1.0, abs(bound))
+        assert oracle._verdict(bound, bound + 0.9e-9 * s) is Verdict.SHARP_CONFIRMED
+        assert oracle._verdict(bound, bound + 1.1e-9 * s) is Verdict.VIOLATION
+        assert oracle._verdict(bound, bound - 0.9e-4 * s) is Verdict.SHARP_CONFIRMED
+        assert oracle._verdict(bound, bound - 1.1e-4 * s) is Verdict.VALID_NOT_ATTAINED
+
+
 class TestLemmaScan:
     def test_interior_point(self):
         emp, bound, verdict = lemma1_scan(0, 1, budget=10 ** 4, seed=1)
@@ -150,6 +163,13 @@ class TestLemmaScan:
         assert verdict is Verdict.VALID_NOT_ATTAINED
         # with sigma = mu = 0 the objective is |c3|, maximized at 1
         assert abs(emp - 1) < 1e-6
+
+    def test_budget_one_still_reaches_the_bound(self):
+        # the injected start gamma0 = 1 gives c1 = 1, where the objective is |mu|
+        emp, bound, verdict = lemma1_scan(-7, 10, budget=1)
+        assert bound == 10
+        assert abs(emp - 10) <= 1e-9 * 10
+        assert verdict is Verdict.SHARP_CONFIRMED
 
     def test_deterministic(self):
         assert lemma1_scan(3, 2, budget=3000, seed=7) == lemma1_scan(

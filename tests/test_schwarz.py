@@ -1,39 +1,38 @@
-"""Coefficient body of Schwarz functions: forward map, admissibility, the sampler."""
+"""Coefficient body of Schwarz functions: forward map, admissibility, the sampler.
+
+The body-membership check ``is_admissible`` is test code (``helpers``): it
+is the reference the library's unchecked ``schur_map`` and the oracle's
+sampler are held against.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import coeffs_to_schur
+from helpers import SchwarzTriple, coeffs_to_schur, is_admissible
 
 from toepsharp import oracle
-from toepsharp.schwarz import (
-    SchurParams,
-    SchwarzTriple,
-    is_admissible,
-    schur_to_coeffs,
-)
+from toepsharp.schwarz import schur_map
 
 unit_disk = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
 
 class TestForwardMap:
     def test_zero(self):
-        t = schur_to_coeffs(SchurParams(0, 0, 0))
-        assert (t.c1, t.c2, t.c3) == (0, 0, 0)
+        assert schur_map(0j, 0j, 0j) == (0, 0, 0)
 
     def test_unimodular_first_parameter_freezes_tail(self):
-        t = schur_to_coeffs(SchurParams(1, 0.3 + 0.4j, -0.9))
-        assert (t.c1, t.c2, t.c3) == (1, 0, 0)
+        assert schur_map(1 + 0j, 0.3 + 0.4j, -0.9 + 0j) == (1, 0, 0)
 
     def test_rotation_point(self):
-        t = schur_to_coeffs(SchurParams(1j, 0, 0))
-        assert (t.c1, t.c2, t.c3) == (1j, 0, 0)
+        assert schur_map(1j, 0j, 0j) == (1j, 0, 0)
 
     def test_rejects_out_of_disk(self):
-        with pytest.raises(ValueError):
-            schur_to_coeffs(SchurParams(1.1, 0, 0))
+        # schur_map is unchecked: a parameter outside the disk maps outside
+        # the body, so the box of the oracle's search must be the closed disks
+        for g in ((1.1 + 0j, 0j, 0j), (0j, 1.1j, 0j), (0j, 0j, -1.1 + 0j)):
+            assert not is_admissible(SchwarzTriple(*schur_map(*g)))
 
 
 class TestAdmissibility:
@@ -77,8 +76,7 @@ class TestSampler:
         g = oracle._gammas(self.draw(17, 10 ** 4))
         assert np.all(np.abs(g) <= 1.0)
         for row in g[:500]:
-            t = schur_to_coeffs(SchurParams(*row))
-            assert is_admissible(t, tol=1e-12)
+            assert is_admissible(SchwarzTriple(*schur_map(*map(complex, row))), tol=1e-12)
 
     def test_boundary_bias_hits_the_face(self):
         g = oracle._gammas(self.draw(3, 10 ** 4))
@@ -101,7 +99,7 @@ def test_parameter_recovery_roundtrip():
         g = coeffs_to_schur(t)
         if abs(g.gamma1) >= 1 - 1e-6:
             continue
-        back = schur_to_coeffs(g)
+        back = SchwarzTriple(*schur_map(g.gamma0, g.gamma1, g.gamma2))
         assert abs(back.c1 - t.c1) < 1e-10
         assert abs(back.c2 - t.c2) < 1e-10
         assert abs(back.c3 - t.c3) < 1e-10
@@ -118,14 +116,14 @@ def test_recovery_undefined_on_degenerate_layers():
 @given(g0=unit_disk, g1=unit_disk, g2=unit_disk)
 @settings(max_examples=150)
 def test_conjugation_symmetry(g0, g1, g2):
-    t = schur_to_coeffs(SchurParams(g0, g1, g2))
-    tc = schur_to_coeffs(SchurParams(g0.conjugate(), g1.conjugate(), g2.conjugate()))
-    assert tc.c1 == t.c1.conjugate()
-    assert tc.c2 == t.c2.conjugate()
-    assert abs(tc.c3 - t.c3.conjugate()) < 1e-15
+    c1, c2, c3 = schur_map(g0, g1, g2)
+    d1, d2, d3 = schur_map(g0.conjugate(), g1.conjugate(), g2.conjugate())
+    assert d1 == c1.conjugate()
+    assert d2 == c2.conjugate()
+    assert abs(d3 - c3.conjugate()) < 1e-15
 
 
 @given(g0=unit_disk, g1=unit_disk, g2=unit_disk)
 @settings(max_examples=150)
 def test_forward_map_lands_in_the_body(g0, g1, g2):
-    assert is_admissible(schur_to_coeffs(SchurParams(g0, g1, g2)), tol=1e-12)
+    assert is_admissible(SchwarzTriple(*schur_map(g0, g1, g2)), tol=1e-12)

@@ -3,7 +3,8 @@
 
 One row per (curve, grid point): the closed-form published value, the
 theorem value, the attainment value, and the applicability flag.  All
-three value columns should agree to ~1e-15 wherever applicable.
+three value columns should agree to ~1e-15 wherever applicable.  A reader
+that stops early (``| head``) ends the dump quietly, with exit 0.
 
     python3 scripts/sweep_corollaries.py [--points N] > curves.csv
 """
@@ -12,20 +13,26 @@ import argparse
 
 from toepsharp.bounds import theorem_bound
 from toepsharp.catalog import COROLLARY_CURVES
+from toepsharp.cli import print_until_closed
 from toepsharp.extremal import attainment
 
 
-def run(points: int) -> None:
-    print("label,functional,param,value,published,theorem,attained,applicable")
+def _rows(points: int):
+    yield "label,functional,param,value,published,theorem,attained,applicable"
     for c in COROLLARY_CURVES:
         for k in range(points):
-            x = c.lo + (c.hi - c.lo) * k / (points - 1)
+            # hi itself at the end: lo + (hi - lo) can round past a closed end (beta <= 1)
+            x = float(c.hi) if k == points - 1 else c.lo + (c.hi - c.lo) * k / (points - 1)
             phi = c.phi_of(x)
             rep = theorem_bound(c.functional, c.class_kind, phi)
             att = attainment(c.functional, c.class_kind, phi)
-            print(f"{c.label},{c.functional.value},{c.param},{x!r},"
-                  f"{float(c.expected(x))!r},{float(rep.bound)!r},{att!r},"
-                  f"{str(rep.applicable).lower()}")
+            yield (f"{c.label},{c.functional.value},{c.param},{x!r},"
+                   f"{float(c.expected(x))!r},{float(rep.bound)!r},{att!r},"
+                   f"{str(rep.applicable).lower()}")
+
+
+def run(points: int) -> None:
+    print_until_closed(_rows(points))
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ For each catalog class (fixed classes plus one representative parameter
 point per parametric family) and each functional whose closed-form bound
 is applicable, maximize the functional over the coefficient body with
 several seeds and report the verdict.  Exits nonzero if any run is not
-SharpConfirmed.
+SharpConfirmed, or if the reader of stdout stops early (``| head``): the
+sweep then ends at once, and an unfinished sweep is no pass.
 
     python3 scripts/verify_all.py [--budget N] [--seeds K]
 """
@@ -16,14 +17,14 @@ import time
 
 from toepsharp.bounds import theorem_bound
 from toepsharp.catalog import certificate_entries
+from toepsharp.cli import print_until_closed
 from toepsharp.coeffs import FunctionalKind
 from toepsharp.oracle import Verdict, maximize
 
 
-def run(budget: int, seeds: int) -> int:
-    failures = 0
+def _rows(budget: int, seeds: int, failed: list[bool]):
     t0 = time.perf_counter()
-    print(f"{'class':14} {'functional':14} {'bound':>14} {'worst margin':>13} verdicts")
+    yield f"{'class':14} {'functional':14} {'bound':>14} {'worst margin':>13} verdicts"
     for label, kind, phi in certificate_entries():
         for functional in FunctionalKind:
             if not theorem_bound(functional, kind, phi).applicable:
@@ -33,12 +34,17 @@ def run(budget: int, seeds: int) -> int:
             worst = min(r.margin for r in reports)
             verdicts = {r.verdict for r in reports}
             ok = verdicts == {Verdict.SHARP_CONFIRMED}
-            failures += not ok
+            failed.append(not ok)
             tags = "/".join(sorted(v.value for v in verdicts))
-            print(f"{label:14} {functional.value:14} {reports[0].bound:14.9g} "
-                  f"{worst:13.3g} {tags}{'' if ok else '  <-- FAIL'}")
-    print(f"\n{time.perf_counter() - t0:.1f}s, failures: {failures}")
-    return 1 if failures else 0
+            yield (f"{label:14} {functional.value:14} {reports[0].bound:14.9g} "
+                   f"{worst:13.3g} {tags}{'' if ok else '  <-- FAIL'}")
+    yield f"\n{time.perf_counter() - t0:.1f}s, failures: {sum(failed)}"
+
+
+def run(budget: int, seeds: int) -> int:
+    failed: list[bool] = []
+    finished = print_until_closed(_rows(budget, seeds, failed))
+    return 0 if finished and not any(failed) else 1
 
 
 if __name__ == "__main__":

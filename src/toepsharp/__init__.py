@@ -16,7 +16,7 @@ from .coeffs import (  # noqa: F401
 )
 from .schwarz import SchurParams  # noqa: F401
 from .bounds import BoundReport, fekete_szego_bound, omega_region, theorem_bound  # noqa: F401
-from .extremal import ExtremalCoeffs, attainment, extremal_coeffs  # noqa: F401
+from .extremal import attainment, extremal_coeffs  # noqa: F401
 
 # The numerical oracle is the only numpy user.  It and its names load on
 # first access (PEP 562), so the exact-arithmetic paths never import numpy.

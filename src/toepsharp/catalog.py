@@ -13,7 +13,6 @@ with that Taylor data.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,17 +76,14 @@ def phi_coeffs(name: str, **params: Real) -> PhiSpec:
         return _FIXED_PHIS[name]
     if name in _PARAMETRIC_PHIS:
         make = _PARAMETRIC_PHIS[name]
-        try:
-            return make(**params)
-        except TypeError:
-            wanted = tuple(inspect.signature(make).parameters)
-            missing = [p for p in wanted if p not in params]
-            unexpected = [p for p in params if p not in wanted]
-            if not (missing or unexpected):
-                raise
+        wanted = make.__code__.co_varnames[:make.__code__.co_argcount]  # its parameter names
+        missing = [p for p in wanted if p not in params]
+        unexpected = [p for p in params if p not in wanted]
+        if missing or unexpected:
             raise ValueError(f"{name} takes parameters {', '.join(wanted)}: "
                              f"missing {', '.join(missing) or 'none'}, "
-                             f"unexpected {', '.join(unexpected) or 'none'}") from None
+                             f"unexpected {', '.join(unexpected) or 'none'}")
+        return make(**params)
     raise ValueError(f"unknown catalog generator {name!r}")
 
 

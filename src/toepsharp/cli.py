@@ -19,18 +19,19 @@ Only ``verify`` imports the numerical oracle, and with it numpy.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import datetime
 import json
 import os
 import re
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from enum import Enum
 from fractions import Fraction
 
 from . import __version__, bounds, catalog, extremal
-from .coeffs import ClassKind, FunctionalKind, PhiSpec, Real, toeplitz
+from .coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec, Real, toeplitz
 
 _REL_TOL = 1e-12
 
@@ -71,6 +72,17 @@ def report_dict(x):
 
 def _dump_json(d: dict) -> str:
     return json.dumps(d, indent=2, sort_keys=True)
+
+
+def print_until_closed(chunks: Iterable[str]) -> bool:
+    """Print and flush each chunk; False, drawing no more, once stdout's reader has gone."""
+    try:
+        for chunk in chunks:
+            print(chunk, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # a quiet exit flush
+        return False
+    return True
 
 
 def _write_run_record(path: str, argv: list[str], report: dict) -> None:
@@ -311,18 +323,19 @@ def cmd_extremal(args) -> _Result:
     kind = _CLASSES[args.class_kind]
     if not 2 <= args.order <= MAX_SWEEP_ROWS:
         raise ValueError(f"--order needs 2 <= N <= {MAX_SWEEP_ROWS}, got {args.order}")
-    coeffs = extremal.extremal_coeffs(kind, phi, max(args.order, 4))
-    a = coeffs.a[:args.order]
-    cb = coeffs.bundle()
+    a = extremal.extremal_coeffs(kind, phi, max(args.order, 4))
+    cb = CoeffBundle(*a[1:4])
+    a, b, gamma = a[:args.order], [cb.b2, cb.b3, cb.b4], [cb.g1, cb.g2, cb.g3]
     values = {f.value: toeplitz(f, cb) for f in FunctionalKind}
+    if not all(map(cmath.isfinite, (*a, *b, *gamma, *values.values()))):
+        raise OverflowError("a coefficient or functional of the extremal is not finite")
 
     def text() -> list[str]:
         lines = [f"a{m} = {c:.12g}" for m, c in enumerate(a, start=1)]
         lines.append(f"b2, b3, b4 = {cb.b2:.12g}, {cb.b3:.12g}, {cb.b4:.12g}")
         lines.append(f"Gamma1, Gamma2, Gamma3 = {cb.g1:.12g}, {cb.g2:.12g}, {cb.g3:.12g}")
         return lines + [f"{name} = {v!r}" for name, v in values.items()]
-    report = {"class": kind, "phi": phi, "a": a, "b": [cb.b2, cb.b3, cb.b4],
-              "gamma": [cb.g1, cb.g2, cb.g3], "functionals": values}
+    report = {"class": kind, "phi": phi, "a": a, "b": b, "gamma": gamma, "functionals": values}
     return 0, report, text
 
 
@@ -388,12 +401,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: input outside the floating-point range ({exc})", file=sys.stderr)
         code = 2
     else:
-        try:
-            print("\n".join(lines))
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader is gone; send the interpreter's final flush nowhere
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print_until_closed(["\n".join(lines)])
     if argv is None:
         sys.exit(code)
     return code

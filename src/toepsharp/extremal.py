@@ -9,25 +9,11 @@ integral representation is ever needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec, toeplitz
 
 
-@dataclass(frozen=True)
-class ExtremalCoeffs:
-    class_kind: ClassKind
-    phi: PhiSpec
-    a: tuple[complex, ...]  # a[0] = a_1 = 1
-
-    def bundle(self) -> CoeffBundle:
-        if len(self.a) < 4:
-            raise ValueError("need coefficients through a4")
-        return CoeffBundle(self.a[1], self.a[2], self.a[3])
-
-
-def extremal_coeffs(kind: ClassKind, phi: PhiSpec, n: int) -> ExtremalCoeffs:
-    """Taylor coefficients a_1..a_N of the rotation extremal.
+def extremal_coeffs(kind: ClassKind, phi: PhiSpec, n: int) -> tuple[complex, ...]:
+    """Taylor coefficients (a_1, ..., a_N) of the rotation extremal; a_1 = 1.
 
     Starlike: (m-1) a_m = sum_{k>=1} i^k B_k a_{m-k}.  Convex: the Alexander
     transform of the starlike extremal (h is convex iff z h' is starlike), so
@@ -46,7 +32,7 @@ def extremal_coeffs(kind: ClassKind, phi: PhiSpec, n: int) -> ExtremalCoeffs:
         a.append(sum(rot[k - 1] * a[m - k] for k in range(1, min(m, len(B)) + 1)) / m)
     if kind is ClassKind.CONVEX:
         a = [x / m for m, x in enumerate(a, 1)]
-    return ExtremalCoeffs(kind, phi, tuple(a))
+    return tuple(a)
 
 
 def attainment(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec) -> float:
@@ -55,4 +41,4 @@ def attainment(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec) -> flo
     Equals the closed-form theorem bound whenever that bound's
     hypotheses hold; this is the sharpness certificate.
     """
-    return toeplitz(functional, extremal_coeffs(kind, phi, 4).bundle())
+    return toeplitz(functional, CoeffBundle(*extremal_coeffs(kind, phi, 4)[1:]))

@@ -270,7 +270,7 @@ def test_t21_bounds_are_sums_of_squared_intermediates():
         phi = PhiSpec(_random_fraction(rng, 0, 3), _random_fraction(rng, -4, 4),
                       _random_fraction(rng, -4, 4))
         for kind in ClassKind:
-            cb = extremal_coeffs(kind, phi, 4).bundle()
+            cb = CoeffBundle(*extremal_coeffs(kind, phi, 4)[1:])
             for functional, x, y in ((FunctionalKind.T21_INV, cb.b2, cb.b3),
                                      (FunctionalKind.T21_LOG_INV, cb.g1, cb.g2)):
                 want = abs(x) ** 2 + abs(y) ** 2

@@ -111,13 +111,17 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             phi_coeffs("nephroid")
 
-    @pytest.mark.parametrize("name, params, named", [
-        ("janowski", {"a": F(1)}, "missing b"),
-        ("strongly-starlike", {}, "missing beta"),
-        ("starlike-order", {"alpha": F(0), "beta": F(1)}, "unexpected beta"),
+    @pytest.mark.parametrize("name, params, named, error", [
+        ("janowski", {"a": F(1)}, "missing b", ValueError),
+        ("strongly-starlike", {}, "missing beta", ValueError),
+        ("starlike-order", {"alpha": F(0), "beta": F(1)}, "unexpected beta", ValueError),
+        ("convex-order", {"beta": F(1, 2)}, "missing alpha, unexpected beta$", ValueError),
+        ("strongly-convex", {"alpha": F(1, 2)}, "missing beta, unexpected alpha$", ValueError),
+        # right names, a bad value: the generator's own TypeError, unchanged
+        ("janowski", {"a": "1", "b": F(0)}, "^'<' not supported between", TypeError),
     ])
-    def test_wrong_parameter_names_say_which(self, name, params, named):
-        with pytest.raises(ValueError, match=named):
+    def test_wrong_parameter_names_say_which(self, name, params, named, error):
+        with pytest.raises(error, match=named):
             phi_coeffs(name, **params)
 
     def test_names_cover_both_kinds(self):

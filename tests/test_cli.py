@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import toepsharp
 from toepsharp.bounds import theorem_bound
-from toepsharp.catalog import PHI_NAMES
+from toepsharp.catalog import COROLLARY_CURVES, PHI_NAMES
 from toepsharp.cli import MAX_SWEEP_ROWS, _parse_range, main
 from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec
 
@@ -296,6 +296,16 @@ class TestExtremal:
             assert code == 0
             assert out.splitlines() == four[:n] + four[4:]
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_coefficients_past_the_float_range_exit_2(self, capsys, fmt):
+        # a_n = (1000 i)^(n-1)/(n-1)! passes 1e308 long before n = 1200: no nan
+        # in the text, and no bare NaN or Infinity (not JSON) in the JSON
+        code, out, err = run(capsys, "extremal", "--class", "starlike", "--b1", "1000",
+                             "--b2", "0", "--b3", "0", "--order", "1200", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: input outside the floating-point range")
+
     def test_bad_order_exits_2(self, capsys):
         code, _, _ = run(capsys, "extremal", "--class", "starlike",
                          "--phi", "exp", "--order", "1")
@@ -328,6 +338,7 @@ class TestExtremal:
 
 
 _BOUND = ("bound", "--class", "starlike", "--functional", "t21-inv")
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def _child_env() -> dict:
@@ -395,6 +406,10 @@ def _argv(draw) -> list[str]:
         flags.append(draw(st.sampled_from(sorted(_FLAG_VALUES))))
     # --key=value keeps argparse from reading "-1/2" as an option
     return [sub] + [f"--{key}={draw(_FLAG_VALUES[key])}" for key in flags]
+
+
+def _refuse_constant(name: str):
+    raise AssertionError(f"{name} is not JSON")
 
 
 class TestErrorContract:
@@ -524,25 +539,35 @@ class TestErrorContract:
         assert "Traceback" not in err.getvalue()
         if code == 2:
             assert out.getvalue() == ""
+        formats = [a.split("=", 1)[1] for a in argv if a.startswith("--format=")]
+        if code != 2 and formats and formats[-1] == "json":  # the last --format wins
+            json.loads(out.getvalue(), parse_constant=_refuse_constant)
 
-    def test_closed_stdout_ends_quietly(self):
+    @pytest.mark.parametrize("argv, header, code", [
         # about 600 KB of CSV, more than a pipe holds, so the write after
         # the reader has gone always fails
-        argv = ["sweep", "--param", "alpha", "--range", "0:2/3:1/10000",
-                "--class", "starlike", "--functional", "t21-inv"]
-        with subprocess.Popen([sys.executable, "-m", "toepsharp.cli", *argv], env=_child_env(),
+        (["-m", "toepsharp.cli", "sweep", "--param", "alpha", "--range", "0:2/3:1/10000",
+          "--class", "starlike", "--functional", "t21-inv"],
+         b"param,bound,applicable,attained\n", 0),
+        # about 150 KB of CSV, likewise
+        ([str(SCRIPTS / "sweep_corollaries.py"), "--points", "60"],
+         b"label,functional,param,value,published,theorem,attained,applicable\n", 0),
+        # the header is flushed before the first search, and the next line
+        # waits for that search; the sweep is then cut short, which is no pass
+        ([str(SCRIPTS / "verify_all.py"), "--seeds", "1"], b"class ", 1),
+    ], ids=["cli", "sweep_corollaries", "verify_all"])
+    def test_closed_stdout_ends_quietly(self, argv, header, code):
+        with subprocess.Popen([sys.executable, *argv], env=_child_env(),
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-            assert proc.stdout.readline() == b"param,bound,applicable,attained\n"
+            assert proc.stdout.readline().startswith(header)
             proc.stdout.close()
             err = proc.stderr.read()
-            assert proc.wait(timeout=120) == 0
+            assert proc.wait(timeout=120) == code
         assert err == b""
 
 
 class TestScriptArguments:
     """The scripts refuse counts they cannot run with, as argparse usage errors."""
-
-    SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
     @pytest.mark.parametrize("script, argv", [
         ("sweep_corollaries.py", ["--points", "1"]),  # one point: no grid step
@@ -551,13 +576,27 @@ class TestScriptArguments:
         ("verify_all.py", ["--budget", "0"]),         # maximize refuses it
     ])
     def test_bad_count_exits_2_with_usage(self, script, argv):
-        done = subprocess.run([sys.executable, str(self.SCRIPTS / script), *argv],
+        done = subprocess.run([sys.executable, str(SCRIPTS / script), *argv],
                               env=_child_env(), capture_output=True, text=True,
                               timeout=120, check=False)
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.startswith("usage:") and "Traceback" not in done.stderr
         assert f"{argv[0]} needs N >= " in done.stderr
+
+    def test_corollary_grid_ends_at_the_interval_end(self):
+        # at 7 points lo + (hi - lo) * 6/6 rounds past beta = 1, so the grid
+        # must end at hi itself
+        done = subprocess.run([sys.executable, str(SCRIPTS / "sweep_corollaries.py"),
+                               "--points", "7"], env=_child_env(), capture_output=True,
+                              text=True, timeout=120, check=False)
+        assert done.returncode == 0 and done.stderr == ""
+        # rsplit: a label such as S*[A,-1] holds a comma
+        rows = [line.rsplit(",", 7) for line in done.stdout.splitlines()[1:]]
+        assert len(rows) == 7 * len(COROLLARY_CURVES)
+        for k, c in enumerate(COROLLARY_CURVES):
+            xs = [float(r[3]) for r in rows[7 * k:7 * k + 7]]
+            assert (xs[0], xs[-1]) == (c.lo, c.hi), c.label
 
 
 def _fresh_python(code: str) -> subprocess.CompletedProcess:

@@ -26,7 +26,8 @@ def _rows(points: int):
             phi = c.phi_of(x)
             rep = theorem_bound(c.functional, c.class_kind, phi)
             att = attainment(c.functional, c.class_kind, phi)
-            yield (f"{c.label},{c.functional.value},{c.param},{x!r},"
+            label = f'"{c.label}"' if "," in c.label else c.label  # S*[A,-1] holds a comma
+            yield (f"{label},{c.functional.value},{c.param},{x!r},"
                    f"{float(c.expected(x))!r},{float(rep.bound)!r},{att!r},"
                    f"{str(rep.applicable).lower()}")
 

@@ -111,21 +111,20 @@ def _fmt_value(x: Real) -> str:
 # selector parsing
 
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)")
+_MAX_EXPONENT = 4300  # CPython's default int_max_str_digits, fixed whatever it is set to
 
 
 def _fraction(text: str) -> Fraction:
     """Fraction(text), so '1/4', '0.25' or '3' stay exact, or ArgumentTypeError.
 
     Fraction expands a decimal exponent into an exact integer, at a cost
-    that grows with it, so an exponent above sys.get_int_max_str_digits()
-    (the interpreter's own limit; 0 or absent: none) is refused first.
+    that grows with it, so an exponent above _MAX_EXPONENT is refused first.
     """
     m = _EXPONENT.search(text)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if m and limit:
+    if m:
         digits = m.group(1).replace("_", "").lstrip("0")
-        if len(digits) > len(str(limit)) or int(digits or 0) > limit:
-            raise argparse.ArgumentTypeError(f"exponent of {text!r} exceeds {limit}")
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+            raise argparse.ArgumentTypeError(f"exponent of {text!r} exceeds {_MAX_EXPONENT}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -12,6 +12,7 @@ Toeplitz functionals.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -47,8 +48,8 @@ class PhiSpec:
     """Taylor data of the class generator: phi(z) = 1 + B1 z + B2 z^2 + B3 z^3 + ...
 
     B1, B2, B3 are real and finite; B1 >= 0 for every generator of interest
-    (B1 = 0 only for the lemniscate generator sqrt(1+z^2)).  Fields may be
-    exact Fractions, in which case all downstream bound arithmetic stays
+    (B1 = 0 only for the lemniscate generator sqrt(1+z^2)).  Fractions and
+    integers (stored as Fractions) keep all downstream bound arithmetic
     exact.
     """
 
@@ -57,7 +58,10 @@ class PhiSpec:
     b3: Real
 
     def __post_init__(self):
-        for v in (self.b1, self.b2, self.b3):
+        for name in ("b1", "b2", "b3"):
+            v = getattr(self, name)
+            if isinstance(v, numbers.Integral):
+                object.__setattr__(self, name, Fraction(int(v)))
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"B1, B2, B3 must be finite, got {v!r}")
         if self.b1 < 0:

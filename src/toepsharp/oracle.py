@@ -16,11 +16,11 @@ merged into a running top-k that equals a stable sort of the whole sample
 (ties and NaN included: earlier rows first, NaN last), so the refinement
 sees the same starts as a screen that held every row.
 
-The objectives take the three complex parameters, not box coordinates.
-The compass search keeps each start's unit phases exp(1j t): a radius
-probe reuses them and an angle probe recomputes only the one it moved.
-Every parameter is still the same product r * exp(1j t) of the same two
-floats, so the results are bit-identical to recomputing all phases.
+The objectives take (c1, c2, c3); ``_maximize_objective`` maps box rows
+to them.  The compass search keeps each start's unit phases exp(1j t): a
+radius probe reuses them and an angle probe recomputes only the one it
+moved.  Every parameter is still the same product r * exp(1j t) of the
+same two floats, so the results are bit-identical to recomputing all phases.
 
 Everything is deterministic given (inputs, seed, budget): the refinement
 itself uses no randomness at all, which also makes the per-start work
@@ -185,16 +185,19 @@ def _compass_search(obj, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return x, f, iters
 
 
-def _maximize_objective(obj, budget: int, seed: int):
-    starts = np.vstack([_SEED_POINTS, _screen(obj, budget, seed)])
-    xr, fr, iters = _compass_search(obj, starts)
+def _maximize_objective(obj, budget: int, seed: int) -> tuple[SchurParams, float, int]:
+    """The one search driver: (argmax, max, compass iterations) of obj(c1, c2, c3)."""
+    budget = operator.index(budget)
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+
+    def f(g: np.ndarray) -> np.ndarray:
+        return obj(*schur_map(g[..., 0], g[..., 1], g[..., 2]))
+
+    starts = np.vstack([_SEED_POINTS, _screen(f, budget, seed)])
+    xr, fr, iters = _compass_search(f, starts)
     k = int(np.argmax(fr))
-    return xr[k], float(fr[k]), iters
-
-
-def _params_of(x: np.ndarray) -> SchurParams:
-    g0, g1, g2 = _gammas(x)
-    return SchurParams(complex(g0), complex(g1), complex(g2))
+    return SchurParams(*map(complex, _gammas(xr[k]))), float(fr[k]), iters
 
 
 def _verdict(bound: float, emp: float) -> Verdict:
@@ -222,29 +225,22 @@ def maximize(
     formula value is judged as if it were a bound, flagged unproven via
     ``applicable=False``.
     """
-    budget = operator.index(budget)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     report = bounds.theorem_bound(functional, kind, phi)
     # A Fraction bound past the float range raises in float(); a float one
     # has overflowed to inf.  Either way it fails here, before the search.
     bound = float(report.bound)
     if not math.isfinite(bound):
         raise OverflowError(f"bound {bound} overflows a float")
-
-    def obj(g: np.ndarray) -> np.ndarray:
-        c = schur_map(g[..., 0], g[..., 1], g[..., 2])
-        return toeplitz(functional, coeff_map(kind, phi, *c))
-
-    x, emp, iters = _maximize_objective(obj, budget, seed)
+    argmax, emp, iters = _maximize_objective(
+        lambda *c: toeplitz(functional, coeff_map(kind, phi, *c)), budget, seed)
     return VerificationReport(
         functional=functional,
         class_kind=kind,
         phi=phi,
         bound=bound,
         empirical_max=emp,
-        argmax=_params_of(x),
-        samples_used=budget,
+        argmax=argmax,
+        samples_used=int(budget),  # a valid budget: the search checked it
         refinement_iters=iters,
         seed=seed,
         verdict=_verdict(bound, emp),
@@ -269,18 +265,11 @@ def lemma1_scan(
     else SharpConfirmed iff it is within SHARPNESS_TOL * s of |mu|.  A NaN or
     infinite sigma or mu raises ValueError before the search.
     """
-    budget = operator.index(budget)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     sigma, mu = float(sigma), float(mu)
     if not (math.isfinite(sigma) and math.isfinite(mu)):
         raise ValueError(f"sigma and mu must be finite, got ({sigma!r}, {mu!r})")
-
-    def obj(g: np.ndarray) -> np.ndarray:
-        c1, c2, c3 = schur_map(g[..., 0], g[..., 1], g[..., 2])
-        return np.abs(c3 + sigma * c1 * c2 + mu * c1 ** 3)
-
-    _, emp, _ = _maximize_objective(obj, budget, seed)
+    _, emp, _ = _maximize_objective(
+        lambda c1, c2, c3: np.abs(c3 + sigma * c1 * c2 + mu * c1 ** 3), budget, seed)
     membership = bounds.omega_region(sigma, mu)
     if membership.region is bounds.Region.NONE:
         return emp, None, Verdict.VALID_NOT_ATTAINED

@@ -17,6 +17,7 @@ from toepsharp.bounds import (
     omega_region,
     theorem_bound,
 )
+from toepsharp.catalog import phi_coeffs
 from toepsharp.coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec, coeff_map, toeplitz
 from toepsharp.extremal import attainment, extremal_coeffs
 
@@ -317,6 +318,18 @@ class TestTheoremBound:
         assert not rep.applicable
         assert rep.sigma_mu.region is Region.NONE
         assert (rep.sigma_mu.sigma, rep.sigma_mu.mu) == (-2.5, 0.5)
+
+    @pytest.mark.parametrize("phi", [PhiSpec(2, 2, 2), phi_coeffs("starlike-order", alpha=0)],
+                             ids=["int-data", "int-alpha"])
+    def test_integer_generator_data_stays_exact(self, phi):
+        assert (phi.b1, phi.b2, phi.b3) == (2, 2, 2)
+        assert all(type(b) is F for b in (phi.b1, phi.b2, phi.b3))
+        for kind in ClassKind:
+            for functional in FunctionalKind:
+                rep = theorem_bound(functional, kind, phi)
+                assert type(rep.bound) is F
+                assert rep.bound == theorem_bound(functional, kind, HALF_PLANE).bound
+        assert theorem_bound(FunctionalKind.T22_INV, ClassKind.STARLIKE, phi).bound == 221
 
     def test_vanishing_linear_coefficient_yields_inapplicable_report(self):
         phi = PhiSpec(F(0), F(1, 2), F(0))

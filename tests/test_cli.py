@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, formats, and serialization contracts."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -497,6 +498,16 @@ class TestErrorContract:
         assert out == ""
         assert err.startswith("error:") and "exponent" in err
 
+    @pytest.mark.parametrize("value", ["1e99999999", "1e4301"])
+    def test_exponent_cap_ignores_the_interpreter_setting(self, value):
+        # int_max_str_digits=0 lifts the interpreter's own limit; the cap holds
+        done = subprocess.run([sys.executable, "-X", "int_max_str_digits=0", "-m",
+                               "toepsharp.cli", *_BOUND, "--b1", value, "--b2", "0", "--b3", "0"],
+                              env=_child_env(), capture_output=True, text=True, timeout=30,
+                              check=False)
+        assert done.returncode == 2 and done.stdout == ""
+        assert f"exponent of '{value}' exceeds 4300" in done.stderr
+
     def test_tiny_exponent_still_parses(self, capsys):
         code, out, _ = run(capsys, *_BOUND, "--b1", "1e-400", "--b2", "0", "--b3", "0")
         assert code in (0, 3)
@@ -591,9 +602,10 @@ class TestScriptArguments:
                                "--points", "7"], env=_child_env(), capture_output=True,
                               text=True, timeout=120, check=False)
         assert done.returncode == 0 and done.stderr == ""
-        # rsplit: a label such as S*[A,-1] holds a comma
-        rows = [line.rsplit(",", 7) for line in done.stdout.splitlines()[1:]]
+        header, *rows = csv.reader(io.StringIO(done.stdout))
         assert len(rows) == 7 * len(COROLLARY_CURVES)
+        assert all(len(r) == len(header) == 8 for r in rows)  # S*[A,-1] is quoted
+        assert [r[0] for r in rows[::7]] == [c.label for c in COROLLARY_CURVES]
         for k, c in enumerate(COROLLARY_CURVES):
             xs = [float(r[3]) for r in rows[7 * k:7 * k + 7]]
             assert (xs[0], xs[-1]) == (c.lo, c.hi), c.label

@@ -76,14 +76,20 @@ class TestMaximize:
         assert rep.verdict is Verdict.VIOLATION
         assert rep.empirical_max > rep.bound
 
+    @pytest.mark.parametrize("budget", [10, 0])  # 0: the bound is checked first
     @pytest.mark.parametrize("functional", list(FunctionalKind))
-    def test_float_bound_overflow_raises_before_the_search(self, functional):
+    def test_float_bound_overflow_raises_before_the_search(self, functional, budget,
+                                                           monkeypatch):
         # B1 = 1e80 squares to 1e160 and then to inf inside the bound
+        def no_search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(oracle, "_maximize_objective", no_search)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError):
                 maximize(functional, ClassKind.STARLIKE, PhiSpec(1e80, 0.0, 0.0),
-                         budget=10)
+                         budget=budget)
 
     @pytest.mark.parametrize("kind", list(ClassKind))
     def test_float_cube_overflow_raises_before_the_search(self, kind):
@@ -115,6 +121,8 @@ class TestMaximize:
         assert rep == maximize(FunctionalKind.T21_INV, ClassKind.STARLIKE,
                                HALF_PLANE, budget=100, seed=2)
         assert type(rep.samples_used) is int
+        assert lemma1_scan(3, 2, budget=np.int64(100), seed=2) == lemma1_scan(
+            3, 2, budget=100, seed=2)
 
     def test_screen_memory_does_not_grow_with_budget(self):
         """The screen streams fixed-size blocks: no budget-sized arrays."""

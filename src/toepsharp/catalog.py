@@ -41,7 +41,8 @@ def _order(alpha: Real) -> PhiSpec:
 def _strongly(beta: Real) -> PhiSpec:
     if not 0 < beta <= 1:
         raise ValueError("strong parameter needs 0 < beta <= 1")
-    return PhiSpec(2 * beta, 2 * beta * beta, 2 * beta * (1 + 2 * beta * beta) / 3)
+    # / F(3) keeps an integer beta exact; for a float beta it is the same x / 3.0
+    return PhiSpec(2 * beta, 2 * beta * beta, 2 * beta * (1 + 2 * beta * beta) / F(3))
 
 
 _FIXED_PHIS: dict[str, PhiSpec] = {

@@ -1,22 +1,26 @@
 """Independent numerical maximization over the Schwarz coefficient body.
 
-Each functional is a smooth function of six real parameters (modulus and
-argument of the three free unit-disk parameters), so a seeded random
-multistart plus a derivative-free compass search on the box is enough to
-hit the global maximum reliably.  The known extremal point omega(z) = iz
-and its real rotations are always injected as starts, so the empirical
-maximum can never fall below the attainment value, whatever the budget.
+The body is the image under ``schur_map`` of the box of three unit-disk
+parameters gamma_j = r_j exp(i t_j).  By the maximum-modulus principle
+``maximize`` searches only the face where its functional peaks: T21 reads only
+c1 = gamma0 and c2 = (1 - |gamma0|^2) gamma1, a polynomial in gamma1 for fixed
+gamma0, so it peaks on |gamma1| = 1 with gamma2 unused; T22 is a polynomial in
+c3, which is affine in gamma2, so it peaks on |gamma2| = 1.  ``lemma1_scan``
+searches the whole box.  A seeded random multistart plus a derivative-free
+compass search finds the global maximum reliably.  The extremal omega(z) = iz
+and its real rotations are always injected as starts, so the empirical maximum
+can never fall below the attainment value, whatever the budget.
 
 The screen streams the sample through blocks of ``_BLOCK`` rows, so its
 memory is O(block) whatever the budget.  Each block is drawn from the one
 generator seeded for the run; the generator fills row-major, so the
-blocks concatenate to exactly the single (budget, 7) draw and the sample
+blocks concatenate to exactly the single whole draw and the sample
 stream stays prefix-stable in the budget.  The best rows of each block are
 merged into a running top-k that equals a stable sort of the whole sample
 (ties and NaN included: earlier rows first, NaN last), so the refinement
 sees the same starts as a screen that held every row.
 
-The objectives take (c1, c2, c3); ``_maximize_objective`` maps box rows
+The objectives take (c1, c2, c3); ``_maximize_objective`` maps face points
 to them.  The compass search keeps each start's unit phases exp(1j t): a
 radius probe reuses them and an angle probe recomputes only the one it
 moved.  Every parameter is still the same product r * exp(1j t) of the
@@ -73,13 +77,34 @@ class VerificationReport:
     applicable: bool        # False = bound is a formula value only, unproven
 
 
-def _gammas(x: np.ndarray) -> np.ndarray:
-    """Box coordinates (r0,t0,r1,t1,r2,t2) -> the three complex parameters."""
-    return x[..., 0::2] * np.exp(1j * x[..., 1::2])
+class _Face:
+    """The box coordinates (r0, t0, ..., t2) a face leaves free, in box order: gamma_j
+    is in the closed disk ("disk": r_j, t_j), on the unit circle ("circle": t_j) or 0
+    ("zero").  gamma0 is always a disk; zeros come last, so gamma_j's phase is column j."""
+
+    def __init__(self, *kinds: str):
+        self.box = np.array([2 * j + k for j, kind in enumerate(kinds)
+                             for k in {"disk": (0, 1), "circle": (1,), "zero": ()}[kind]])
+        self.angle = np.flatnonzero(self.box % 2 == 1)
+        self.parts = [(kind, np.searchsorted(self.box, 2 * j)) for j, kind in enumerate(kinds)]
 
 
-# starts that are always injected: the extremal omega(z) = i z, its real
-# rotations, and the pure-c3 corner (reaches |c3| = 1 when gamma0 = gamma1 = 0)
+_FULL = _Face("disk", "disk", "disk")
+_T21_FACE, _T22_FACE = _Face("disk", "circle", "zero"), _Face("disk", "disk", "circle")
+_FACES = {FunctionalKind.T21_INV: _T21_FACE, FunctionalKind.T21_LOG_INV: _T21_FACE,
+          FunctionalKind.T22_INV: _T22_FACE, FunctionalKind.T22_LOG_INV: _T22_FACE}
+
+
+def _gammas(face: _Face, x: np.ndarray, phase: np.ndarray | None = None) -> list:
+    """(gamma0, gamma1, gamma2) at face coordinates x; phase is exp(1j t) of its angles."""
+    if phase is None:
+        phase = np.exp(1j * x[..., face.angle])
+    return [0j if kind == "zero" else phase[..., j] if kind == "circle"
+            else x[..., r] * phase[..., j] for j, (kind, r) in enumerate(face.parts)]
+
+
+# starts always injected, in box coordinates (a face keeps its own): the extremal omega(z) = i z,
+# its real rotations, and the pure-c3 corner (gamma1 = 1 on the T21 face)
 _SEED_POINTS = np.array([
     [1.0, np.pi / 2, 0.0, 0.0, 0.0, 0.0],   # gamma0 = i
     [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],          # gamma0 = 1
@@ -89,14 +114,14 @@ _SEED_POINTS = np.array([
 ])
 
 
-def _sample_block(rng: np.random.Generator, m: int) -> np.ndarray:
-    """The next m rows of the sample: half uniform-polar, half boundary-biased."""
-    u = rng.random((m, 7))
-    x = np.empty((m, 6))
-    x[:, 0::2] = u[:, 0:5:2]
-    x[:, 1::2] = 2.0 * np.pi * u[:, 1:6:2]
+def _sample_block(rng: np.random.Generator, m: int, face: _Face) -> np.ndarray:
+    """The next m rows of the sample: half uniform-polar, half boundary-biased in r0."""
+    n = len(face.box)
+    u = rng.random((m, n + 1))
+    x = u[:, :n].copy()
+    x[:, face.angle] *= 2.0 * np.pi
     r0 = u[:, 0]
-    x[:, 0] = np.where(u[:, 6] < 0.5, 1.0 - 0.1 * r0 ** 2, r0)
+    x[:, 0] = np.where(u[:, n] < 0.5, 1.0 - 0.1 * r0 ** 2, r0)
     return x
 
 
@@ -115,7 +140,7 @@ def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
     return pos[np.argsort(keys[pos], kind="stable")[:k]]
 
 
-def _screen(obj, budget: int, seed: int) -> np.ndarray:
+def _screen(obj, face: _Face, budget: int, seed: int) -> np.ndarray:
     """The min(_N_STARTS, budget) best sample rows, best first.
 
     Streams the sample in blocks and keeps a running top-k of the
@@ -126,55 +151,46 @@ def _screen(obj, budget: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     n_top = min(_N_STARTS, budget)
     top_keys = np.empty(0)
-    top_x = np.empty((0, 6))
+    top_x = np.empty((0, len(face.box)))
     for done in range(0, budget, _BLOCK):
-        x = _sample_block(rng, min(_BLOCK, budget - done))
-        keys = np.concatenate([top_keys, -obj(_gammas(x))])
+        x = _sample_block(rng, min(_BLOCK, budget - done), face)
+        keys = np.concatenate([top_keys, -obj(*_gammas(face, x))])
         top = _top_k(keys, n_top)
         top_keys, top_x = keys[top], np.concatenate([top_x, x])[top]
     return top_x
 
 
-def _project(x: np.ndarray) -> np.ndarray:
-    x[..., 0::2] = np.clip(x[..., 0::2], 0.0, 1.0)
-    x[..., 1::2] = np.mod(x[..., 1::2], 2.0 * np.pi)
-    return x
-
-
-# the probes that move an angle (2 d and 2 d + 1 for d = 1, 3, 5), the
-# coordinate each moves, and the parameter whose phase that changes
-_ANGLE_PROBES = np.array([2, 3, 6, 7, 10, 11])
-_ANGLE_COORDS = _ANGLE_PROBES // 2
-_ANGLE_PARAMS = _ANGLE_COORDS // 2
-
-
-def _compass_search(obj, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Vectorized compass (pattern) search on the box, one row per start.
+def _compass_search(obj, face: _Face, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Vectorized compass (pattern) search on the face, one row per start.
 
     Probes +-step along each coordinate, moves to the best improving
-    probe, halves the step when nothing improves.  Deterministic.  Each
-    start's phases exp(1j t) are kept alongside its coordinates, so only
-    the angle probes evaluate exp, each for its one moved angle.  Start
-    angles lie in [0, 2 pi), where the projection is the identity, so a
-    kept phase is always that of the projected angle a probe would use.
+    probe, halves the step when nothing improves.  Deterministic.  Probes
+    2 d and 2 d + 1 move coordinate d, and only it is projected back into
+    the box: the others are in the box already, where the projection is
+    the identity.  Each start's phases exp(1j t) are kept alongside its
+    coordinates, so only the angle probes evaluate exp, each for its one
+    moved angle; a kept phase is always that of the projected angle.
     """
     x = x0.copy()
-    phase = np.exp(1j * x[:, 1::2])
-    f = obj(x[:, 0::2] * phase)
+    coord = np.repeat(np.arange(x.shape[1]), 2)  # the coordinate each probe moves
+    sign = np.tile([1.0, -1.0], x.shape[1])[:, None]
+    is_angle = np.isin(coord, face.angle)[:, None]
+    angle_probes = np.flatnonzero(is_angle)
+    columns = np.searchsorted(face.angle, coord[angle_probes])  # their phase columns
+    phase = np.exp(1j * x[:, face.angle])
+    f = obj(*_gammas(face, x, phase))
     step = np.full(len(x), _STEP_INIT)
     rows = np.arange(len(x))
     iters = 0
     while np.any(step >= _STEP_MIN) and iters < _MAX_ITERS:
         iters += 1
-        cand = np.repeat(x[None, :, :], 12, axis=0)  # (12, S, 6)
-        for d in range(6):
-            cand[2 * d, :, d] += step
-            cand[2 * d + 1, :, d] -= step
-        _project(cand)
-        cphase = np.repeat(phase[None, :, :], 12, axis=0)  # (12, S, 3)
-        cphase[_ANGLE_PROBES, :, _ANGLE_PARAMS] = np.exp(
-            1j * cand[_ANGLE_PROBES, :, _ANGLE_COORDS])
-        fc = obj(cand[..., 0::2] * cphase)  # (12, S)
+        moved = x[:, coord].T + sign * step  # (probes, S)
+        moved = np.where(is_angle, np.mod(moved, 2.0 * np.pi), np.clip(moved, 0.0, 1.0))
+        cand = np.repeat(x[None, :, :], len(coord), axis=0)  # (probes, S, n)
+        cand[np.arange(len(coord)), :, coord] = moved
+        cphase = np.repeat(phase[None, :, :], len(coord), axis=0)  # (probes, S, angles)
+        cphase[angle_probes, :, columns] = np.exp(1j * moved[angle_probes])
+        fc = obj(*_gammas(face, cand, cphase))  # (probes, S)
         best = np.argmax(fc, axis=0)  # first max wins: deterministic
         fbest = fc[best, rows]
         improved = fbest > f
@@ -185,19 +201,20 @@ def _compass_search(obj, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return x, f, iters
 
 
-def _maximize_objective(obj, budget: int, seed: int) -> tuple[SchurParams, float, int]:
-    """The one search driver: (argmax, max, compass iterations) of obj(c1, c2, c3)."""
+def _maximize_objective(obj, face: _Face, budget: int,
+                        seed: int) -> tuple[SchurParams, float, int]:
+    """The one search driver: (argmax, max, compass iterations) of obj(c1, c2, c3) on a face."""
     budget = operator.index(budget)
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
-    def f(g: np.ndarray) -> np.ndarray:
-        return obj(*schur_map(g[..., 0], g[..., 1], g[..., 2]))
+    def f(*g):
+        return obj(*schur_map(*g))
 
-    starts = np.vstack([_SEED_POINTS, _screen(f, budget, seed)])
-    xr, fr, iters = _compass_search(f, starts)
+    starts = np.vstack([_SEED_POINTS[:, face.box], _screen(f, face, budget, seed)])
+    xr, fr, iters = _compass_search(f, face, starts)
     k = int(np.argmax(fr))
-    return SchurParams(*map(complex, _gammas(xr[k]))), float(fr[k]), iters
+    return SchurParams(*map(complex, _gammas(face, xr[k]))), float(fr[k]), iters
 
 
 def _verdict(bound: float, emp: float) -> Verdict:
@@ -232,7 +249,8 @@ def maximize(
     if not math.isfinite(bound):
         raise OverflowError(f"bound {bound} overflows a float")
     argmax, emp, iters = _maximize_objective(
-        lambda *c: toeplitz(functional, coeff_map(kind, phi, *c)), budget, seed)
+        lambda *c: toeplitz(functional, coeff_map(kind, phi, *c)), _FACES[functional],
+        budget, seed)
     return VerificationReport(
         functional=functional,
         class_kind=kind,
@@ -269,7 +287,7 @@ def lemma1_scan(
     if not (math.isfinite(sigma) and math.isfinite(mu)):
         raise ValueError(f"sigma and mu must be finite, got ({sigma!r}, {mu!r})")
     _, emp, _ = _maximize_objective(
-        lambda c1, c2, c3: np.abs(c3 + sigma * c1 * c2 + mu * c1 ** 3), budget, seed)
+        lambda c1, c2, c3: np.abs(c3 + sigma * c1 * c2 + mu * c1 ** 3), _FULL, budget, seed)
     membership = bounds.omega_region(sigma, mu)
     if membership.region is bounds.Region.NONE:
         return emp, None, Verdict.VALID_NOT_ATTAINED

@@ -1,0 +1,106 @@
+"""scripts/bench_pairs.py: the schedule and the summary of paired runs, on synthetic records.
+
+Its usage errors for bad pair counts are in ``test_cli.TestScriptArguments``.
+"""
+
+import copy
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BETTER = {"ops_per_s": "higher", "op_ms_p50": "lower"}
+
+
+def _side(ops, p50, digest="d0"):
+    return {"metrics": {"ops_per_s": ops, "op_ms_p50": p50, "ok_ratio": 1.0}, "digest": digest}
+
+
+def _pair(workload, seed, parent, change):
+    return {"workload": workload, "seed": seed, "parent": parent, "change": change}
+
+
+# five oracle-sweep pairs: the change wins ops_per_s four times and ties
+# once, wins op_ms_p50 three times and loses twice; every digest differs.
+# two lemma-scan pairs with equal digests.
+RUNS = [
+    _pair("oracle-sweep", 7, _side(10.0, 50.0, "p7"), _side(12.0, 45.0, "c7")),
+    _pair("oracle-sweep", 8, _side(11.0, 52.0, "p8"), _side(13.0, 55.0, "c8")),
+    _pair("oracle-sweep", 9, _side(12.0, 49.0, "p9"), _side(12.0, 44.0, "c9")),
+    _pair("oracle-sweep", 10, _side(13.0, 51.0, "p10"), _side(15.0, 53.0, "c10")),
+    _pair("oracle-sweep", 11, _side(14.0, 48.0, "p11"), _side(16.0, 40.0, "c11")),
+    _pair("lemma-scan", 7, _side(100.0, 5.0, "x"), _side(90.0, 5.0, "x")),
+    _pair("lemma-scan", 8, _side(104.0, 6.0, "y"), _side(96.0, 6.0, "y")),
+]
+
+
+class TestSummarize:
+    def test_pairs_seeds_and_workload_order(self):
+        s = bench_pairs.summarize(RUNS, BETTER)
+        assert list(s) == ["oracle-sweep", "lemma-scan"]
+        assert s["oracle-sweep"]["pairs"] == 5
+        assert s["oracle-sweep"]["seeds"] == [7, 8, 9, 10, 11]
+        assert s["lemma-scan"]["seeds"] == [7, 8]
+
+    def test_medians_and_quartiles(self):
+        ops = bench_pairs.summarize(RUNS, BETTER)["oracle-sweep"]["metrics"]["ops_per_s"]
+        # inclusive quartiles of 10..14 and of 12, 12, 13, 15, 16
+        assert ops["parent"] == {"q1": 11.0, "median": 12.0, "q3": 13.0}
+        assert ops["change"] == {"q1": 12.0, "median": 13.0, "q3": 15.0}
+
+    def test_wins_follow_the_better_direction_and_ties_count_for_neither(self):
+        m = bench_pairs.summarize(RUNS, BETTER)["oracle-sweep"]["metrics"]
+        assert (m["ops_per_s"]["wins"], m["ops_per_s"]["losses"], m["ops_per_s"]["ties"]) == (4, 0, 1)
+        assert (m["op_ms_p50"]["wins"], m["op_ms_p50"]["losses"], m["op_ms_p50"]["ties"]) == (3, 2, 0)
+        lemma = bench_pairs.summarize(RUNS, BETTER)["lemma-scan"]["metrics"]
+        assert (lemma["ops_per_s"]["wins"], lemma["ops_per_s"]["losses"]) == (0, 2)
+        assert lemma["op_ms_p50"]["ties"] == 2
+
+    def test_only_the_named_metrics_are_summarized(self):
+        s = bench_pairs.summarize(RUNS, BETTER)
+        assert all(set(w["metrics"]) == set(BETTER) for w in s.values())
+        assert s["oracle-sweep"]["metrics"]["op_ms_p50"]["better"] == "lower"
+
+    def test_digest_agreement_per_workload(self):
+        s = bench_pairs.summarize(RUNS, BETTER)
+        assert s["oracle-sweep"]["digests_equal"] is False
+        assert s["lemma-scan"]["digests_equal"] is True
+
+    def test_one_pair_has_collapsed_quartiles(self):
+        s = bench_pairs.summarize(RUNS[:1], BETTER)["oracle-sweep"]["metrics"]["ops_per_s"]
+        assert s["parent"] == {"q1": 10.0, "median": 10.0, "q3": 10.0}
+        assert s["wins"] == 1
+
+    def test_pure(self):
+        before = copy.deepcopy(RUNS)
+        first = bench_pairs.summarize(RUNS, BETTER)
+        assert RUNS == before
+        assert bench_pairs.summarize(RUNS, BETTER) == first
+
+
+def test_schedule_alternates_the_side_that_runs_first():
+    assert bench_pairs.schedule({"oracle-sweep": 3, "cli-cold": 2}, 40) == [
+        ("oracle-sweep", 40, ("parent", "change")),
+        ("oracle-sweep", 41, ("change", "parent")),
+        ("oracle-sweep", 42, ("parent", "change")),
+        ("cli-cold", 40, ("parent", "change")),
+        ("cli-cold", 41, ("change", "parent")),
+    ]
+
+
+@pytest.mark.parametrize("spec", ["nosuch=2", "oracle-sweep", "oracle-sweep=two",
+                                  "oracle-sweep=--3", "oracle-sweep=\u00b2"])
+def test_malformed_pairs_spec_is_a_usage_error(spec):
+    done = subprocess.run([sys.executable, str(SCRIPT), "HEAD", "HEAD", "--out", "unused.json",
+                           "--pairs", spec], capture_output=True, text=True, timeout=60,
+                          check=False)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("usage:") and "expected WORKLOAD=N" in done.stderr

@@ -83,6 +83,20 @@ class TestGeneratorTaylorData:
         assert phi_coeffs("strongly-convex", beta=F(1, 2)) == phi_coeffs(
             "strongly-starlike", beta=F(1, 2))
 
+    @pytest.mark.parametrize("name", ["strongly-starlike", "strongly-convex"])
+    def test_strongly_integer_beta_stays_exact(self, name):
+        # beta = 1 is the half-plane: all three fields exact, and so the bound
+        phi = phi_coeffs(name, beta=1)
+        assert all(type(b) is F for b in (phi.b1, phi.b2, phi.b3))
+        assert phi == PhiSpec(F(2), F(2), F(2))
+        bound = theorem_bound(FunctionalKind.T22_INV, ClassKind.STARLIKE, phi).bound
+        assert type(bound) is F and bound == 221
+
+    def test_strongly_float_beta_keeps_its_bytes(self):
+        for beta in (0.7, 1 / 3, 0.123456789, 1.0):
+            assert phi_coeffs("strongly-starlike", beta=beta).b3 == (
+                2 * beta * (1 + 2 * beta * beta) / 3)
+
 
 class TestParameterValidation:
     def test_janowski_range(self):

@@ -585,6 +585,9 @@ class TestScriptArguments:
         ("sweep_corollaries.py", ["--points", "0"]),  # no rows, only the header
         ("verify_all.py", ["--seeds", "0"]),          # min() of no runs
         ("verify_all.py", ["--budget", "0"]),         # maximize refuses it
+        # no pairs to summarize; refused before any checkout or run
+        ("bench_pairs.py", ["--pairs", "oracle-sweep=0", "HEAD", "HEAD", "--out", "unused.json"]),
+        ("bench_pairs.py", ["--pairs", "lemma-scan=-3", "HEAD", "HEAD", "--out", "unused.json"]),
     ])
     def test_bad_count_exits_2_with_usage(self, script, argv):
         done = subprocess.run([sys.executable, str(SCRIPTS / script), *argv],

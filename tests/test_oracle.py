@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 from toepsharp import oracle
 from toepsharp.bounds import theorem_bound
 from toepsharp.catalog import certificate_entries
-from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec
+from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec, coeff_map, toeplitz
 from toepsharp.extremal import attainment
 from toepsharp.oracle import Verdict, lemma1_scan, maximize
+from toepsharp.schwarz import schur_map
 
 HALF_PLANE = PhiSpec(F(2), F(2), F(2))
 CARDIOID = PhiSpec(F(1), F(1), F(1, 2))
@@ -137,6 +138,78 @@ class TestMaximize:
             tracemalloc.stop()
         assert peak < 4 * 10 ** 6, f"peak traced allocation {peak} bytes"
 
+    def test_argmax_lies_on_the_functional_face(self):
+        for functional in FunctionalKind:
+            g = maximize(functional, ClassKind.STARLIKE, HALF_PLANE, budget=500, seed=1).argmax
+            if functional in (FunctionalKind.T21_INV, FunctionalKind.T21_LOG_INV):
+                assert abs(abs(g.gamma1) - 1) <= 1e-15 and g.gamma2 == 0j
+            else:
+                assert abs(abs(g.gamma2) - 1) <= 1e-15
+
+
+# The maximum-modulus facts behind the faces ``maximize`` searches: a T21
+# objective does not read gamma2, and for fixed other parameters the
+# objective is subharmonic in gamma1 (T21) and in gamma2 (T22), so it lies
+# below its Poisson integral over the unit circle and peaks on that circle.
+CATALOG_PHIS = list(dict.fromkeys(phi for _, _, phi in certificate_entries()))
+T21S = (FunctionalKind.T21_INV, FunctionalKind.T21_LOG_INV)
+T22S = (FunctionalKind.T22_INV, FunctionalKind.T22_LOG_INV)
+POISSON_NODES = 256     # trapezoid nodes; its error is O(|z|^256), below 1e-24 at |z| <= 0.8
+POISSON_TOL = 1e-12     # in units of max(1, objective)
+
+
+def _objective(functional, kind, phi, g0, g1, g2):
+    return toeplitz(functional, coeff_map(kind, phi, *schur_map(g0, g1, g2)))
+
+
+def _disk(rng, n, rmax):
+    return rmax * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+
+
+def _seeded_points(seed, n=40):
+    """n interior (gamma0, gamma1, gamma2), each modulus at most 0.95, 0.8, 0.8."""
+    rng = np.random.default_rng(seed)
+    return [_disk(rng, n, 0.95), _disk(rng, n, 0.8), _disk(rng, n, 0.8)]
+
+
+def _poisson_excess(functional, kind, phi, g, j):
+    """Objective minus its trapezoid Poisson integral over |gamma_j| = 1, in units
+    of max(1, objective), at each point; the other parameters stay fixed."""
+    t = 2 * np.pi * np.arange(POISSON_NODES) / POISSON_NODES
+    circle = np.exp(1j * t)[:, None]
+    z = g[j]
+    on_circle = list(np.broadcast_arrays(*g[:j], circle, *g[j + 1:]))
+    kernel = (1 - abs(z) ** 2) / abs(circle - z) ** 2
+    mean = (kernel * _objective(functional, kind, phi, *on_circle)).mean(axis=0)
+    inside = _objective(functional, kind, phi, *g)
+    return (inside - mean) / np.maximum(1.0, inside)
+
+
+class TestMaximumModulus:
+    @pytest.mark.parametrize("kind", list(ClassKind))
+    @pytest.mark.parametrize("functional", T21S)
+    def test_t21_objective_ignores_gamma2(self, functional, kind):
+        g0, g1, g2 = _seeded_points(11)
+        for phi in CATALOG_PHIS:
+            want = _objective(functional, kind, phi, g0, g1, 0j)
+            assert np.array_equal(_objective(functional, kind, phi, g0, g1, g2), want)
+            assert np.array_equal(_objective(functional, kind, phi, g0, g1, 1.0), want)
+
+    @pytest.mark.parametrize("kind", list(ClassKind))
+    @pytest.mark.parametrize("functional, j", [(f, 1) for f in T21S] + [(f, 2) for f in T22S])
+    def test_poisson_inequality_on_the_searched_parameter(self, functional, j, kind):
+        g = _seeded_points(12)
+        for phi in CATALOG_PHIS:
+            assert _poisson_excess(functional, kind, phi, g, j).max() <= POISSON_TOL
+
+    @pytest.mark.parametrize("functional", T22S)
+    def test_negative_control_gamma1_of_t22(self, functional):
+        # c3 holds |gamma1|^2, so a T22 objective need not be subharmonic in
+        # gamma1: the same check must catch it, or it shows nothing
+        g = _seeded_points(12)
+        assert any(_poisson_excess(functional, kind, phi, g, 1).max() > 1e-3
+                   for kind in ClassKind for phi in CATALOG_PHIS)
+
 
 class TestVerdict:
     """The documented verdict line: with s = max(1, |bound|), VIOLATION above
@@ -237,23 +310,26 @@ class TestTopK:
 
 
 def _replaying(fs: np.ndarray):
-    """An objective that returns fs for the rows in sample order."""
+    """An objective of (gamma0, gamma1, gamma2) that returns fs for the rows in sample order."""
     done = 0
 
-    def obj(g):
+    def obj(g0, g1, g2):
         nonlocal done
-        out = fs[done:done + len(g)]
-        done += len(g)
+        out = fs[done:done + len(g0)]
+        done += len(g0)
         return out
 
     return obj
 
 
-def _check_screen(fs: np.ndarray, seed: int):
+FACES = {"full": oracle._FULL, "t21": oracle._T21_FACE, "t22": oracle._T22_FACE}
+
+
+def _check_screen(fs: np.ndarray, seed: int, face=oracle._FULL):
     budget = len(fs)
-    sample = oracle._sample_block(np.random.default_rng(seed), budget)
+    sample = oracle._sample_block(np.random.default_rng(seed), budget, face)
     want = sample[np.argsort(-fs, kind="stable")[:oracle._N_STARTS]]
-    got = oracle._screen(_replaying(fs), budget, seed)
+    got = oracle._screen(_replaying(fs), face, budget, seed)
     assert np.array_equal(got, want)
 
 
@@ -282,6 +358,11 @@ class TestScreenMerge:
         fs = np.zeros(3 * oracle._BLOCK)
         fs[-100:] = 1.0
         _check_screen(fs, 4)
+
+    @pytest.mark.parametrize("face", FACES)
+    def test_distinct_values_on_each_face(self, face):
+        budget = 2 * oracle._BLOCK + 1
+        _check_screen(np.random.default_rng(budget).random(budget), budget, FACES[face])
 
 
 # Golden fixture: the exact bytes of fixed-seed oracle results, recorded so

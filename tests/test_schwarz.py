@@ -54,12 +54,20 @@ class TestAdmissibility:
 
 
 class TestSampler:
-    """The oracle's block sampler, the one sampler of the parameter box."""
+    """The oracle's block sampler, the one sampler of the parameter box.
 
-    @staticmethod
-    def draw(seed, *sizes):
+    Run on the full box here and on each face ``maximize`` searches below.
+    """
+
+    face = oracle._FULL
+
+    def draw(self, seed, *sizes):
         rng = np.random.default_rng(seed)
-        return np.concatenate([oracle._sample_block(rng, m) for m in sizes])
+        return np.concatenate([oracle._sample_block(rng, m, self.face) for m in sizes])
+
+    def gammas(self, x):
+        """(rows, 3) complex parameters; a zero parameter broadcast to a column."""
+        return np.stack(np.broadcast_arrays(*oracle._gammas(self.face, x)), axis=-1)
 
     def test_deterministic(self):
         assert np.array_equal(self.draw(9, 50), self.draw(9, 50))
@@ -73,15 +81,57 @@ class TestSampler:
         assert np.array_equal(self.draw(5, 10), whole[:10])
 
     def test_all_samples_admissible(self):
-        g = oracle._gammas(self.draw(17, 10 ** 4))
-        assert np.all(np.abs(g) <= 1.0)
+        g = self.gammas(self.draw(17, 10 ** 4))
+        # disk parameters; circle ones are checked in test_circle_and_zero_parameters
+        disks = [j for j, (kind, _) in enumerate(self.face.parts) if kind == "disk"]
+        assert np.all(np.abs(g[:, disks]) <= 1.0)
         for row in g[:500]:
             assert is_admissible(SchwarzTriple(*schur_map(*map(complex, row))), tol=1e-12)
 
     def test_boundary_bias_hits_the_face(self):
-        g = oracle._gammas(self.draw(3, 10 ** 4))
+        g = self.gammas(self.draw(3, 10 ** 4))
         frac = np.mean(np.abs(g[:, 0]) >= 0.9)
         assert frac >= 0.40
+
+    def test_circle_and_zero_parameters(self):
+        """A circle parameter is exp(1j t) of its drawn angle, with no radius
+        factor, so its modulus is 1 to within one rounding, 2**-52; a zero
+        parameter is exactly 0."""
+        x = self.draw(8, 10 ** 4)
+        g = self.gammas(x)
+        box = list(self.face.box)
+        for j, (kind, _) in enumerate(self.face.parts):
+            if kind == "zero":
+                assert 2 * j not in box and 2 * j + 1 not in box
+                assert np.all(g[:, j] == 0)
+            elif kind == "circle":
+                assert 2 * j not in box
+                assert np.array_equal(g[:, j], np.exp(1j * x[:, box.index(2 * j + 1)]))
+                assert np.all(np.abs(np.abs(g[:, j]) - 1) <= 2.0 ** -52)
+
+
+class TestSamplerT21Face(TestSampler):
+    face = oracle._T21_FACE
+
+
+class TestSamplerT22Face(TestSampler):
+    face = oracle._T22_FACE
+
+
+@pytest.mark.parametrize("face, free", [(oracle._FULL, [0, 1, 2, 3, 4, 5]),
+                                        (oracle._T21_FACE, [0, 1, 3]),
+                                        (oracle._T22_FACE, [0, 1, 2, 3, 5])])
+def test_draw_layout(face, free):
+    """Per row, one uniform per free coordinate in box order (an angle scaled
+    by 2 pi), then the r0-bias coin: seven on the full box, four on the T21
+    face, six on the T22 one."""
+    n = len(free)
+    assert face.box.tolist() == free
+    u = np.random.default_rng(4).random((300, n + 1))
+    x = oracle._sample_block(np.random.default_rng(4), 300, face)
+    want = np.where(np.array(free) % 2 == 1, 2.0 * np.pi * u[:, :n], u[:, :n])
+    want[:, 0] = np.where(u[:, n] < 0.5, 1.0 - 0.1 * u[:, 0] ** 2, u[:, 0])
+    assert np.array_equal(x, want)
 
 
 def test_parameter_recovery_roundtrip():

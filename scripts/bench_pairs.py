@@ -4,8 +4,8 @@
     python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json
         [--pairs WORKLOAD=N ...] [--seed S]
 
-Without ``--pairs`` every workload runs 2 pairs; with it, only the
-workloads it names run.
+Without ``--pairs`` every workload of this repository's ``BENCHMARK.json``
+runs 2 pairs; with it, only the workloads it names run.
 
 Each ref is checked out into its own ``git worktree`` under a temporary
 directory (``TMPDIR`` chooses where), and that checkout's
@@ -38,7 +38,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("oracle-sweep", "lemma-scan", "exact-bounds", "cli-cold")
+WORKLOADS = tuple(w["name"] for w in
+                  json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"])
 DEFAULT_PAIRS = 2
 RUN_TIMEOUT_S = 900     # run.py stops a timed pass at 60 s; set-up probes and children add to it
 

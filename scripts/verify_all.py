@@ -17,7 +17,7 @@ import time
 
 from toepsharp.bounds import theorem_bound
 from toepsharp.catalog import certificate_entries
-from toepsharp.cli import print_until_closed
+from toepsharp.cli import MAX_BUDGET, print_until_closed
 from toepsharp.coeffs import FunctionalKind
 from toepsharp.oracle import Verdict, maximize
 
@@ -49,10 +49,12 @@ def run(budget: int, seeds: int) -> int:
 
 if __name__ == "__main__":
     p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--budget", type=int, default=10 ** 5, help="samples per run, >= 1")
+    p.add_argument("--budget", type=int, default=10 ** 5,
+                   help=f"samples per run, 1 to {MAX_BUDGET}")
     p.add_argument("--seeds", type=int, default=3, help="runs per pair, >= 1")
     args = p.parse_args()
-    for flag, n in (("--budget", args.budget), ("--seeds", args.seeds)):
-        if n < 1:
-            p.error(f"{flag} needs N >= 1, got {n}")
+    if not 1 <= args.budget <= MAX_BUDGET:
+        p.error(f"--budget needs N >= 1 and N <= {MAX_BUDGET}, got {args.budget}")
+    if args.seeds < 1:
+        p.error(f"--seeds needs N >= 1, got {args.seeds}")
     sys.exit(run(args.budget, args.seeds))

@@ -39,6 +39,8 @@ _REL_TOL = 1e-12
 # step can ask for (0:1:1/10000 is the largest decimal grid on [0, 1]).
 # It caps ``extremal --order`` as well.
 MAX_SWEEP_ROWS = 10_001
+# ``verify --budget`` above this (100 times the default) is refused, not run for hours.
+MAX_BUDGET = 10 ** 7
 
 _FUNCTIONALS = {f.value: f for f in FunctionalKind}
 _CLASSES = {k.value: k for k in ClassKind}
@@ -47,15 +49,13 @@ _CLASSES = {k.value: k for k in ClassKind}
 # ---------------------------------------------------------------------------
 # serialization
 
-def report_dict(x):
-    """The JSON form of a report, walked through dataclasses, lists and dicts.
-
-    A Fraction becomes {"numerator", "denominator"} so exact values
-    survive the round trip, a complex number {"re", "im"}, an enum its
-    value; the ``class_kind`` field is written as ``class``.
-    """
+def _json_default(x):
+    """The JSON form of what ``json`` cannot encode: a dataclass is its fields
+    (``class_kind`` written as ``class``), a Fraction {"numerator",
+    "denominator"} so exact values survive the round trip, a complex number
+    {"re", "im"}, an enum its value."""
     if dataclasses.is_dataclass(x):
-        return {("class" if f.name == "class_kind" else f.name): report_dict(getattr(x, f.name))
+        return {("class" if f.name == "class_kind" else f.name): getattr(x, f.name)
                 for f in dataclasses.fields(x)}
     if isinstance(x, Fraction):
         return {"numerator": x.numerator, "denominator": x.denominator}
@@ -63,15 +63,11 @@ def report_dict(x):
         return {"re": x.real, "im": x.imag}
     if isinstance(x, Enum):
         return x.value
-    if isinstance(x, (list, tuple)):
-        return [report_dict(v) for v in x]
-    if isinstance(x, dict):
-        return {k: report_dict(v) for k, v in x.items()}
-    return x
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
-def _dump_json(d: dict) -> str:
-    return json.dumps(d, indent=2, sort_keys=True)
+def _dump_json(report) -> str:
+    return json.dumps(report, indent=2, sort_keys=True, default=_json_default)
 
 
 def print_until_closed(chunks: Iterable[str]) -> bool:
@@ -85,7 +81,7 @@ def print_until_closed(chunks: Iterable[str]) -> bool:
     return True
 
 
-def _write_run_record(path: str, argv: list[str], report: dict) -> None:
+def _write_run_record(path: str, argv: list[str], report) -> None:
     record = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "command": " ".join(argv),
@@ -251,6 +247,8 @@ def cmd_verify(args) -> _Result:
     from . import oracle
 
     phi = _resolve_phi(args)
+    if args.budget > MAX_BUDGET:
+        raise ValueError(f"--budget needs N <= {MAX_BUDGET}, got {args.budget}")
     report = oracle.maximize(
         _FUNCTIONALS[args.functional], _CLASSES[args.class_kind], phi,
         budget=args.budget, seed=args.seed)
@@ -389,10 +387,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(parsed)
     try:
         code, report, render = args.func(args)
-        d = report_dict(report)
-        lines = [_dump_json(d)] if args.format == "json" else render()
+        lines = [_dump_json(report)] if args.format == "json" else render()
         if args.out:
-            _write_run_record(args.out, parsed, d)
+            _write_run_record(args.out, parsed, report)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2

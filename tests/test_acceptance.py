@@ -15,7 +15,7 @@ from series import Series, log_div_z, revert
 
 from toepsharp.bounds import omega_region, theorem_bound, Region
 from toepsharp.catalog import COROLLARY_CURVES, certificate_entries, phi_coeffs
-from toepsharp.cli import main, report_dict
+from toepsharp.cli import _dump_json, main
 from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec, coeff_map
 from toepsharp.extremal import attainment
 from toepsharp.oracle import Verdict, lemma1_scan, maximize
@@ -171,14 +171,11 @@ def test_criterion_7_algebraic_equivalence_suites():
 
 
 def test_criterion_8_deterministic_reports():
-    import json
-
     reports = [
         maximize(T22, S, phi_coeffs("exp"), budget=10 ** 4, seed=11)
         for _ in range(2)
     ]
     assert reports[0] == reports[1]
-    blobs = [json.dumps(report_dict(r), indent=2, sort_keys=True)
-             for r in reports]
+    blobs = [_dump_json(r) for r in reports]
     assert blobs[0].encode() == blobs[1].encode()
     print("\nACCEPTANCE 8 byte-identical verification reports: PASS")

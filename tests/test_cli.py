@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import toepsharp
 from toepsharp.bounds import theorem_bound
 from toepsharp.catalog import COROLLARY_CURVES, PHI_NAMES
-from toepsharp.cli import MAX_SWEEP_ROWS, _parse_range, main
+from toepsharp.cli import MAX_BUDGET, MAX_SWEEP_ROWS, _parse_range, main
 from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec
 
 
@@ -246,6 +246,19 @@ class TestSweep:
                          "--range", "1/2:1:1/4", "--class", "starlike",
                          "--functional", "t21-inv")
         assert code == 2
+
+    def test_negative_range_start_needs_the_equals_form(self, capsys):
+        # argparse reads a separate "-1:..." as an option, so README documents --range=-1:...
+        argv = ("sweep", "--param", "janowski-b", "--class", "starlike",
+                "--functional", "t21-inv", "--a", "1/2")
+        code, out, _ = run(capsys, *argv, "--range=-1:-1/2:1/4")
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [-1.0, -0.75, -0.5]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--range", "-1:-1/2:1/4"])
+        assert exc.value.code == 2
+        assert "argument --range: expected one argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("param, fixed, unused", [
         ("alpha", (), "--a=1/2"),
@@ -526,6 +539,35 @@ class TestErrorContract:
         assert out == ""
         assert err.startswith("error:") and "floating-point" in err
 
+    _VERIFY = ("verify", "--class", "starlike", "--phi", "exp", "--functional", "t21-inv")
+
+    @pytest.mark.parametrize("budget", [str(MAX_BUDGET + 1), "99999999999"])
+    def test_budget_above_the_cap_fails_before_the_search(self, capsys, monkeypatch, budget):
+        from toepsharp import oracle
+
+        def search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(oracle, "_maximize_objective", search)
+        code, out, err = run(capsys, *self._VERIFY, "--budget", budget)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --budget needs N <= {MAX_BUDGET}, got {budget}\n"
+
+    def test_budget_at_the_cap_reaches_the_search(self, capsys, monkeypatch):
+        from toepsharp import oracle
+
+        budgets = []
+
+        def search(obj, face, budget, seed):
+            budgets.append(budget)
+            return oracle.SchurParams(1j, 0j, 0j), 0.0, 0
+
+        monkeypatch.setattr(oracle, "_maximize_objective", search)
+        code, out, _ = run(capsys, *self._VERIFY, "--budget", str(MAX_BUDGET))
+        assert budgets == [MAX_BUDGET] == [10 ** 7]
+        assert code == 4 and "samples = 10000000" in out
+
     @pytest.mark.parametrize("argv", [
         _BOUND + ("--phi", "exp"),
         ("table",),
@@ -588,6 +630,7 @@ class TestScriptArguments:
         # no pairs to summarize; refused before any checkout or run
         ("bench_pairs.py", ["--pairs", "oracle-sweep=0", "HEAD", "HEAD", "--out", "unused.json"]),
         ("bench_pairs.py", ["--pairs", "lemma-scan=-3", "HEAD", "HEAD", "--out", "unused.json"]),
+        ("verify_all.py", ["--budget", "10000001"]),  # above cli.MAX_BUDGET: hours of search
     ])
     def test_bad_count_exits_2_with_usage(self, script, argv):
         done = subprocess.run([sys.executable, str(SCRIPTS / script), *argv],

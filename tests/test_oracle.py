@@ -365,6 +365,67 @@ class TestScreenMerge:
         _check_screen(np.random.default_rng(budget).random(budget), budget, FACES[face])
 
 
+def _reference_compass(obj, face, x0):
+    """``oracle._compass_search`` without its phase cache: every iteration
+    recomputes the phases of all candidates from their angles."""
+    x = x0.copy()
+    coord = np.repeat(np.arange(x.shape[1]), 2)
+    sign = np.tile([1.0, -1.0], x.shape[1])[:, None]
+    is_angle = np.isin(coord, face.angle)[:, None]
+    f = obj(*oracle._gammas(face, x))
+    step = np.full(len(x), oracle._STEP_INIT)
+    rows = np.arange(len(x))
+    iters = 0
+    while np.any(step >= oracle._STEP_MIN) and iters < oracle._MAX_ITERS:
+        iters += 1
+        moved = x[:, coord].T + sign * step
+        moved = np.where(is_angle, np.mod(moved, 2.0 * np.pi), np.clip(moved, 0.0, 1.0))
+        cand = np.repeat(x[None, :, :], len(coord), axis=0)
+        cand[np.arange(len(coord)), :, coord] = moved
+        fc = obj(*oracle._gammas(face, cand))
+        best = np.argmax(fc, axis=0)
+        fbest = fc[best, rows]
+        improved = fbest > f
+        x[improved] = cand[best[improved], rows[improved]]
+        f = np.where(improved, fbest, f)
+        step = np.where(improved, step, step / 2.0)
+    return x, f, iters
+
+
+def _lemma_objective(sigma, mu):
+    def obj(g0, g1, g2):
+        c1, c2, c3 = schur_map(g0, g1, g2)
+        return np.abs(c3 + sigma * c1 * c2 + mu * c1 ** 3)
+    return obj
+
+
+COMPASS_OBJECTIVES = {
+    "t21-inv-starlike-halfplane": lambda *g: _objective(
+        FunctionalKind.T21_INV, ClassKind.STARLIKE, HALF_PLANE, *g),
+    "t22-log-inv-convex-cardioid": lambda *g: _objective(
+        FunctionalKind.T22_LOG_INV, ClassKind.CONVEX, CARDIOID, *g),
+    "lemma-omega3": _lemma_objective(-7.0, 10.0),
+    "lemma-outside": _lemma_objective(1.5, -0.5),
+}
+
+
+class TestCompassPhaseCache:
+    """The cached phases give the bits of recomputing every phase each iteration."""
+
+    @pytest.mark.parametrize("objective", COMPASS_OBJECTIVES)
+    @pytest.mark.parametrize("face", FACES)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_recomputed_phases(self, face, objective, seed):
+        face, obj = FACES[face], COMPASS_OBJECTIVES[objective]
+        starts = np.vstack([oracle._SEED_POINTS[:, face.box],
+                            oracle._sample_block(np.random.default_rng(seed), 27, face)])
+        x, f, iters = oracle._compass_search(obj, face, starts)
+        want_x, want_f, want_iters = _reference_compass(obj, face, starts)
+        assert np.array_equal(x, want_x)
+        assert np.array_equal(f, want_f)
+        assert iters == want_iters
+
+
 # Golden fixture: the exact bytes of fixed-seed oracle results, recorded so
 # that a change to the sampler, screen or refinement that moves any bit of
 # a report fails here rather than only between two runs of the same code.

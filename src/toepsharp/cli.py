@@ -249,6 +249,10 @@ def cmd_verify(args) -> _Result:
     phi = _resolve_phi(args)
     if args.budget > MAX_BUDGET:
         raise ValueError(f"--budget needs N <= {MAX_BUDGET}, got {args.budget}")
+    if args.budget < 1:
+        raise ValueError(f"--budget needs N >= 1, got {args.budget}")
+    if args.seed < 0:
+        raise ValueError(f"--seed needs N >= 0, got {args.seed}")
     report = oracle.maximize(
         _FUNCTIONALS[args.functional], _CLASSES[args.class_kind], phi,
         budget=args.budget, seed=args.seed)

@@ -12,19 +12,20 @@ and its real rotations are always injected as starts, so the empirical maximum
 can never fall below the attainment value, whatever the budget.
 
 The screen streams the sample through blocks of ``_BLOCK`` rows, so its
-memory is O(block) whatever the budget.  Each block is drawn from the one
-generator seeded for the run; the generator fills row-major, so the
-blocks concatenate to exactly the single whole draw and the sample
-stream stays prefix-stable in the budget.  The best rows of each block are
-merged into a running top-k that equals a stable sort of the whole sample
-(ties and NaN included: earlier rows first, NaN last), so the refinement
-sees the same starts as a screen that held every row.
+memory is O(block) whatever the budget.  The blocks come from the run's one
+seeded generator, which fills row-major, so they concatenate to exactly the
+single whole draw: the sample is prefix-stable in the budget.  Its angles
+lie on a lattice, and the screen looks their phases up in a table.  The
+best rows of each block are merged into a running top-k equal to a stable
+sort of the whole sample (ties and NaN included: earlier rows first, NaN
+last), so the refinement sees the same starts as a screen holding every row.
 
 The objectives take (c1, c2, c3); ``_maximize_objective`` maps face points
-to them.  The compass search keeps each start's unit phases exp(1j t): a
-radius probe reuses them and an angle probe recomputes only the one it
-moved.  Every parameter is still the same product r * exp(1j t) of the
-same two floats, so the results are bit-identical to recomputing all phases.
+to them.  The screen's phases come from the lattice; the compass search's
+do not: it keeps each start's exp(1j t) of continuous angles, reused by a
+radius probe and recomputed by an angle probe for the one angle it moved.
+A table entry is exp(1j t) of its angle, so the results are bit-identical
+to recomputing every phase as exp(1j t).
 
 Everything is deterministic given (inputs, seed, budget): the refinement
 itself uses no randomness at all, which also makes the per-start work
@@ -50,6 +51,9 @@ SHARPNESS_TOL = 1e-4
 
 _N_STARTS = 64
 _BLOCK = 4096
+_LATTICE_N = 2 ** 12    # a power of 2, so the sampler's u * N is exact
+_LATTICE_ANGLES = np.arange(_LATTICE_N) * (2.0 * np.pi / _LATTICE_N)
+_LATTICE_PHASES = np.exp(1j * _LATTICE_ANGLES)
 _STEP_INIT = 0.1
 _STEP_MIN = 1e-9
 _MAX_ITERS = 400
@@ -114,15 +118,16 @@ _SEED_POINTS = np.array([
 ])
 
 
-def _sample_block(rng: np.random.Generator, m: int, face: _Face) -> np.ndarray:
-    """The next m rows of the sample: half uniform-polar, half boundary-biased in r0."""
+def _sample_block(rng: np.random.Generator, m: int,
+                  face: _Face) -> tuple[np.ndarray, np.ndarray]:
+    """The next m rows (half uniform-polar, half boundary-biased in r0) and their phases."""
     n = len(face.box)
     u = rng.random((m, n + 1))
     x = u[:, :n].copy()
-    x[:, face.angle] *= 2.0 * np.pi
-    r0 = u[:, 0]
-    x[:, 0] = np.where(u[:, n] < 0.5, 1.0 - 0.1 * r0 ** 2, r0)
-    return x
+    k = (u[:, face.angle] * _LATTICE_N).astype(np.intp)  # floor(u N)
+    x[:, face.angle] = _LATTICE_ANGLES[k]
+    x[:, 0] = np.where(u[:, n] < 0.5, 1.0 - 0.1 * x[:, 0] ** 2, x[:, 0])
+    return x, _LATTICE_PHASES[k]
 
 
 def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
@@ -153,8 +158,8 @@ def _screen(obj, face: _Face, budget: int, seed: int) -> np.ndarray:
     top_keys = np.empty(0)
     top_x = np.empty((0, len(face.box)))
     for done in range(0, budget, _BLOCK):
-        x = _sample_block(rng, min(_BLOCK, budget - done), face)
-        keys = np.concatenate([top_keys, -obj(*_gammas(face, x))])
+        x, phase = _sample_block(rng, min(_BLOCK, budget - done), face)
+        keys = np.concatenate([top_keys, -obj(*_gammas(face, x, phase))])
         top = _top_k(keys, n_top)
         top_keys, top_x = keys[top], np.concatenate([top_x, x])[top]
     return top_x

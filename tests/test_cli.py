@@ -554,6 +554,22 @@ class TestErrorContract:
         assert out == ""
         assert err == f"error: --budget needs N <= {MAX_BUDGET}, got {budget}\n"
 
+    @pytest.mark.parametrize("flag, value, need", [("--budget", "0", "N >= 1"),
+                                                   ("--budget", "-3", "N >= 1"),
+                                                   ("--seed", "-1", "N >= 0")])
+    def test_out_of_range_flag_fails_before_the_search(self, capsys, monkeypatch,
+                                                       flag, value, need):
+        from toepsharp import oracle
+
+        def search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(oracle, "_maximize_objective", search)
+        code, out, err = run(capsys, *self._VERIFY, flag, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} needs {need}, got {value}\n"
+
     def test_budget_at_the_cap_reaches_the_search(self, capsys, monkeypatch):
         from toepsharp import oracle
 

@@ -256,6 +256,15 @@ class TestLemmaScan:
         assert lemma1_scan(3, 2, budget=3000, seed=7) == lemma1_scan(
             3, 2, budget=3000, seed=7)
 
+    @pytest.mark.parametrize("seed", range(50))
+    def test_hard_basin_found_on_every_seed(self, seed):
+        """A point outside every Omega region whose maximum, about 1.0036315,
+        lies in a narrow interior basin; the corner value is 1.  A change to
+        the screen that loses the basin on some seeds fails here."""
+        emp, _, _ = lemma1_scan(-1.3996611189433583, -0.36731607940225697,
+                                budget=10 ** 4, seed=seed)
+        assert emp >= 1.0036
+
     def test_rejects_empty_budget(self):
         with pytest.raises(ValueError):
             lemma1_scan(0, 1, budget=0)
@@ -327,7 +336,7 @@ FACES = {"full": oracle._FULL, "t21": oracle._T21_FACE, "t22": oracle._T22_FACE}
 
 def _check_screen(fs: np.ndarray, seed: int, face=oracle._FULL):
     budget = len(fs)
-    sample = oracle._sample_block(np.random.default_rng(seed), budget, face)
+    sample, _ = oracle._sample_block(np.random.default_rng(seed), budget, face)
     want = sample[np.argsort(-fs, kind="stable")[:oracle._N_STARTS]]
     got = oracle._screen(_replaying(fs), face, budget, seed)
     assert np.array_equal(got, want)
@@ -418,12 +427,45 @@ class TestCompassPhaseCache:
     def test_matches_recomputed_phases(self, face, objective, seed):
         face, obj = FACES[face], COMPASS_OBJECTIVES[objective]
         starts = np.vstack([oracle._SEED_POINTS[:, face.box],
-                            oracle._sample_block(np.random.default_rng(seed), 27, face)])
+                            oracle._sample_block(np.random.default_rng(seed), 27, face)[0]])
         x, f, iters = oracle._compass_search(obj, face, starts)
         want_x, want_f, want_iters = _reference_compass(obj, face, starts)
         assert np.array_equal(x, want_x)
         assert np.array_equal(f, want_f)
         assert iters == want_iters
+
+
+def _recording(obj):
+    """obj, and the list of the arrays it returned, in call order."""
+    values = []
+
+    def rec(*g):
+        values.append(obj(*g))
+        return values[-1]
+
+    return rec, values
+
+
+class TestScreenPhases:
+    """The screen's table phases give the bits of recomputing exp(1j t), so the
+    compass starts from exactly the values the screen ranked them by."""
+
+    @pytest.mark.parametrize("objective", COMPASS_OBJECTIVES)
+    @pytest.mark.parametrize("face", FACES)
+    def test_kept_values_match_recomputed_phases(self, face, objective):
+        face, f = FACES[face], COMPASS_OBJECTIVES[objective]
+        obj, values = _recording(f)
+        budget = oracle._BLOCK + 100
+        kept = oracle._screen(obj, face, budget, 5)
+        fs = np.concatenate(values)
+        sample, _ = oracle._sample_block(np.random.default_rng(5), budget, face)
+        t = sample[:, face.angle]  # every drawn angle is a lattice angle
+        k = np.rint(t / (2 * np.pi / oracle._LATTICE_N)).astype(int)
+        assert np.all((0 <= k) & (k < oracle._LATTICE_N))
+        assert np.array_equal(t, oracle._LATTICE_ANGLES[k])
+        top = np.argsort(-fs, kind="stable")[:oracle._N_STARTS]
+        assert np.array_equal(kept, sample[top])
+        assert np.array_equal(f(*oracle._gammas(face, kept)), fs[top])
 
 
 # Golden fixture: the exact bytes of fixed-seed oracle results, recorded so

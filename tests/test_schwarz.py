@@ -62,26 +62,32 @@ class TestSampler:
     face = oracle._FULL
 
     def draw(self, seed, *sizes):
+        """(rows, phases) of consecutive blocks from one generator."""
         rng = np.random.default_rng(seed)
-        return np.concatenate([oracle._sample_block(rng, m, self.face) for m in sizes])
+        blocks = [oracle._sample_block(rng, m, self.face) for m in sizes]
+        return tuple(np.concatenate(part) for part in zip(*blocks))
 
-    def gammas(self, x):
-        """(rows, 3) complex parameters; a zero parameter broadcast to a column."""
-        return np.stack(np.broadcast_arrays(*oracle._gammas(self.face, x)), axis=-1)
+    def gammas(self, x, phase):
+        """(rows, 3) complex parameters as the screen forms them; a zero parameter
+        broadcast to a column."""
+        return np.stack(np.broadcast_arrays(*oracle._gammas(self.face, x, phase)), axis=-1)
 
     def test_deterministic(self):
-        assert np.array_equal(self.draw(9, 50), self.draw(9, 50))
+        for a, b in zip(self.draw(9, 50), self.draw(9, 50)):
+            assert np.array_equal(a, b)
 
     def test_prefix_stable(self):
         """Blocks drawn from one generator concatenate to one whole draw."""
         block = oracle._BLOCK
         whole = self.draw(5, 2 * block + 5)
-        assert np.array_equal(self.draw(5, block, block, 5), whole)
-        assert np.array_equal(self.draw(5, block - 1, 7, block - 1), whole)
-        assert np.array_equal(self.draw(5, 10), whole[:10])
+        for sizes in [(block, block, 5), (block - 1, 7, block - 1)]:
+            for got, want in zip(self.draw(5, *sizes), whole):
+                assert np.array_equal(got, want)
+        for got, want in zip(self.draw(5, 10), whole):
+            assert np.array_equal(got, want[:10])
 
     def test_all_samples_admissible(self):
-        g = self.gammas(self.draw(17, 10 ** 4))
+        g = self.gammas(*self.draw(17, 10 ** 4))
         # disk parameters; circle ones are checked in test_circle_and_zero_parameters
         disks = [j for j, (kind, _) in enumerate(self.face.parts) if kind == "disk"]
         assert np.all(np.abs(g[:, disks]) <= 1.0)
@@ -89,16 +95,17 @@ class TestSampler:
             assert is_admissible(SchwarzTriple(*schur_map(*map(complex, row))), tol=1e-12)
 
     def test_boundary_bias_hits_the_face(self):
-        g = self.gammas(self.draw(3, 10 ** 4))
+        g = self.gammas(*self.draw(3, 10 ** 4))
         frac = np.mean(np.abs(g[:, 0]) >= 0.9)
         assert frac >= 0.40
 
     def test_circle_and_zero_parameters(self):
-        """A circle parameter is exp(1j t) of its drawn angle, with no radius
-        factor, so its modulus is 1 to within one rounding, 2**-52; a zero
-        parameter is exactly 0."""
-        x = self.draw(8, 10 ** 4)
-        g = self.gammas(x)
+        """A circle parameter is the table entry of its drawn lattice angle,
+        which is exp(1j t) of that angle, with no radius factor, so its
+        modulus is 1 to within one rounding, 2**-52; a zero parameter is
+        exactly 0."""
+        x, phase = self.draw(8, 10 ** 4)
+        g = self.gammas(x, phase)
         box = list(self.face.box)
         for j, (kind, _) in enumerate(self.face.parts):
             if kind == "zero":
@@ -106,7 +113,11 @@ class TestSampler:
                 assert np.all(g[:, j] == 0)
             elif kind == "circle":
                 assert 2 * j not in box
-                assert np.array_equal(g[:, j], np.exp(1j * x[:, box.index(2 * j + 1)]))
+                t = x[:, box.index(2 * j + 1)]
+                k = np.rint(t / (2 * np.pi / oracle._LATTICE_N)).astype(int)
+                assert np.array_equal(t, oracle._LATTICE_ANGLES[k])
+                assert np.array_equal(g[:, j], oracle._LATTICE_PHASES[k])
+                assert np.array_equal(g[:, j], np.exp(1j * t))
                 assert np.all(np.abs(np.abs(g[:, j]) - 1) <= 2.0 ** -52)
 
 
@@ -122,16 +133,20 @@ class TestSamplerT22Face(TestSampler):
                                         (oracle._T21_FACE, [0, 1, 3]),
                                         (oracle._T22_FACE, [0, 1, 2, 3, 5])])
 def test_draw_layout(face, free):
-    """Per row, one uniform per free coordinate in box order (an angle scaled
-    by 2 pi), then the r0-bias coin: seven on the full box, four on the T21
-    face, six on the T22 one."""
+    """Per row, one uniform per free coordinate in box order (an angle u becomes
+    the lattice angle k 2 pi / N, k = floor(u N), with phase exp(2 pi i k / N)
+    from the table), then the r0-bias coin: seven on the full box, four on the
+    T21 face, six on the T22 one."""
     n = len(free)
     assert face.box.tolist() == free
     u = np.random.default_rng(4).random((300, n + 1))
-    x = oracle._sample_block(np.random.default_rng(4), 300, face)
-    want = np.where(np.array(free) % 2 == 1, 2.0 * np.pi * u[:, :n], u[:, :n])
+    x, phase = oracle._sample_block(np.random.default_rng(4), 300, face)
+    k = np.floor(u[:, :n] * oracle._LATTICE_N).astype(int)
+    is_angle = np.array(free) % 2 == 1
+    want = np.where(is_angle, oracle._LATTICE_ANGLES[k], u[:, :n])
     want[:, 0] = np.where(u[:, n] < 0.5, 1.0 - 0.1 * u[:, 0] ** 2, u[:, 0])
     assert np.array_equal(x, want)
+    assert np.array_equal(phase, oracle._LATTICE_PHASES[k[:, is_angle]])
 
 
 def test_parameter_recovery_roundtrip():

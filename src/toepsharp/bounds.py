@@ -1,23 +1,24 @@
 """Closed-form sharp bounds with full hypothesis checking.
 
-Each of the four functionals |x_n^2 - x_{n+1}^2| has one bound per class,
-|x_n|^2 + |x_{n+1}|^2 over the coefficient pair that coeffs.PAIRS names.
-One row table, _ROWS, bounds each coefficient by one of three lemma forms:
+Each of the four functionals |x_n^2 - x_{n+1}^2| pairs two coefficients
+(coeffs.PAIRS), and coeffs.table gives each as a polynomial in the Schwarz
+coefficients: x = k c1 (b2, Gamma1), x = u c1^2 + v c2 (b3, Gamma2) or
+x = q1 c1^3 + q2 c1 c2 + q3 c3 (b4, Gamma3).  The paper bounds them by
 
-    b2, Gamma1  first coefficient: |a2| <= B1 |c1|
-    b3, Gamma2  Fekete-Szego: |a3 - lambda a2^2| <= |p|/d if |p| >= B1
-    b4, Gamma3  third coefficient: a4 - lambda a2 a3 - nu a2^3 =
-                k (c3 + sigma c1 c2 + mu c1^3), and |c3 + ...| <= |mu|
-                if (sigma, mu) lies in the regions the row allows:
+    first coefficient: |k c1| <= |k|
+    Fekete-Szego (Ma & Minda, 1992): |u c1^2 + v c2| <= |u| if |u| >= |v|
+    third coefficient: |c3 + sigma c1 c2 + mu c1^3| <= |mu| for
+        (sigma, mu) = (q2, q1)/q3 in the regions the field allows:
 
     Omega1: |sigma| <= 2 and mu >= 1
     Omega2: 2 <= |sigma| <= 4 and mu >= (sigma^2 + 8)/12
     Omega3: |sigma| >= 4 and mu >= (2/3)(|sigma| - 1)
 
-All arithmetic is polymorphic over float and Fraction: exact generator
-data yields exact bounds, which is what the corollary fixtures assert.
-Formula values are reported even when a hypothesis fails, flagged as
-not applicable, so parameter sweeps see the whole curve.
+so the bound is k^2 + u^2 (T21) or u^2 + q1^2 (T22).  The table is exact:
+an exact generator yields an exact bound, which is what the corollary
+fixtures assert, and a float generator's report rounds each value once,
+from the exact one.  Formula values are reported even when a hypothesis
+fails, flagged as not applicable, so parameter sweeps see the whole curve.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .coeffs import PAIRS, ClassKind, FunctionalKind, PhiSpec, Real
+from .coeffs import _TABLE, PAIRS, ClassKind, FunctionalKind, PhiSpec, Real, table
 
 HYP_TOL = 1e-12
 
@@ -93,97 +94,55 @@ def omega_region(sigma: float, mu: float) -> RegionMembership:
     return RegionMembership(Region.NONE, sigma, mu)
 
 
-def _fekete_szego(star: bool, b1: Real, b2: Real, m: Real) -> tuple[Real, int]:
-    """(p, d) with the sharp |a3 - lambda a2^2| <= max(|p|, B1)/d, m = 2 lambda - 1.
+def _saturated(x: Real) -> float:
+    """float(x), or +-inf where x lies past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
-    The Fekete-Szego lemma for Ma-Minda classes (Ma & Minda, 1992); |p| >= B1
-    is exactly "not the middle branch B1/d".  The convex row is the starlike
-    one at m' = (3m - 1)/4, divided by 3: h is convex iff z h' is starlike
-    (Alexander), and a_n(h) = a_n(z h')/n.  With an integer m, a float p
-    rounds exactly as the paper's closed forms (3 B1^2 - B2, ...) do.
-    """
-    if star:
-        return m * b1 * b1 - b2, 2
-    return (3 * m - 1) * b1 * b1 / 4 - b2, 6
+
+def _exact(phi: PhiSpec) -> bool:
+    """Whether phi holds no float: a report is exact, or rounded once from the exact one."""
+    return not any(isinstance(b, float) for b in (phi.b1, phi.b2, phi.b3))
 
 
 def fekete_szego_bound(kind: ClassKind, phi: PhiSpec, lam: Real) -> Real:
-    """Sharp bound on |a3 - lambda a2^2| for real lambda."""
-    p, d = _fekete_szego(kind is ClassKind.STARLIKE, phi.b1, phi.b2, 2 * lam - 1)
-    return max(abs(p), phi.b1) / d
+    """Sharp bound max(|beta1 - lambda alpha^2|, |beta2|) on |a3 - lambda a2^2| for
+    real lambda, a2 = alpha c1 and a3 = beta1 c1^2 + beta2 c2 (Ma & Minda, 1992)."""
+    (alpha,), (beta1, beta2) = table(kind, phi, "a2", "a3")
+    value = max(abs(beta1 - lam * alpha * alpha), abs(beta2))
+    return value if _exact(phi) else _saturated(value)
 
 
-def _third(star: bool, phi: PhiSpec, l3: int, n6: int) -> tuple[Real, int, Real, Real]:
-    """(q, d, s, den): a4 - lambda a2 a3 - nu a2^3 = k (c3 + sigma c1 c2 + mu c1^3)
-    with |k mu| = |q|/d and (sigma, mu) = (s, q)/den; l3 = 3 lambda, n6 = 6 nu.
-
-    Starlike: 6 (a4 - ...) = 2 B1 c3 + (C B1^2 + 4 B2) c1 c2 + (A B1^3 + C B1 B2
-    + 2 B3) c1^3, A = 1 - 3 lambda - 6 nu, C = 3 - 3 lambda.  Convex: the
-    starlike row at (2 lambda/3, nu/2), over 4 (Alexander, as in _fekete_szego).
-    Lowest-term multipliers make a float q round as the paper's closed forms
-    (8 B1^3 - 6 B1 B2 + B3, ...) do; a float B1^3 past the float range is inf.
-    """
-    if star:
-        a, c, e, d = 1 - l3 - n6, 3 - l3, 2, 6
-    else:  # 6 times the starlike (a, c, e, 4 d) at (2 l3/3, n6/2)
-        a, c, e, d = 6 - 4 * l3 - 3 * n6, 18 - 4 * l3, 12, 144
-    g = math.gcd(a, c, e, d)
-    a, c, e, d = a // g, c // g, e // g, d // g
-    b1 = phi.b1
-    try:
-        cube = b1 ** 3
-    except OverflowError:
-        cube = math.inf
-    return a * cube + c * b1 * phi.b2 + e * phi.b3, d, c * b1 * b1 + 2 * e * phi.b2, e * b1
-
-
-# CoeffBundle field -> (lemma, its parameter, divisor scale, hypothesis for
-# (starlike, convex): printed for Fekete-Szego, the allowed Omega regions
-# for _third).  b3 = 2 a2^2 - a3 and 2 Gamma2 = (3/2) a2^2 - a3 are at m = 3
-# and 2; b4 = 5 a2 a3 - 5 a2^3 - a4 and 2 Gamma3 = 4 a2 a3 - (10/3) a2^3 - a4
-# at (3 lambda, 6 nu) = (15, -30) and (12, -20).  None: |a2| <= B1 |c1|.
-_ROWS = {
-    "b2": (None, None, 1, None),
-    "g1": (None, None, 2, None),
-    "b3": (_fekete_szego, 3, 1, ("B1 <= |3 B1^2 - B2|", "B1 <= |2 B1^2 - B2|")),
-    "g2": (_fekete_szego, 2, 2, ("|B2 - 2 B1^2| >= B1", "|B2 - (5/4) B1^2| >= B1")),
-    "b4": (_third, (15, -30), 1, ((2, 3), (1, 2, 3))),
-    "g3": (_third, (12, -20), 2, ((1, 2, 3), (2, 3))),
+# The paper's hypothesis on each field past the first, for (starlike, convex):
+# |u| >= |v| as the paper prints it, or the Omega regions (sigma, mu) may lie in.
+_HYPOTHESES = {
+    "b3": ("B1 <= |3 B1^2 - B2|", "B1 <= |2 B1^2 - B2|"),
+    "g2": ("|B2 - 2 B1^2| >= B1", "|B2 - (5/4) B1^2| >= B1"),
+    "b4": ((2, 3), (1, 2, 3)),
+    "g3": ((1, 2, 3), (2, 3)),
 }
 
 
-def _ineq(name: str, margin) -> Hypothesis:
-    return Hypothesis(name, margin >= -HYP_TOL, float(margin))
-
-
-def _coefficient(kind: ClassKind, phi: PhiSpec, coef: str):
-    """(q, d, hypothesis, region): |x| <= |q|/d for x the CoeffBundle field
-    ``coef`` under ``hypothesis``; ``region`` is where (sigma, mu) lies, for a
-    third-coefficient row with B1 > 0.
-    """
-    lemma, param, scale, checks = _ROWS[coef]
-    star = kind is ClassKind.STARLIKE
-    if lemma is None:
-        return phi.b1, (scale if star else 2 * scale), None, None
-    check = checks[0] if star else checks[1]
-    if lemma is _fekete_szego:
-        p, d = _fekete_szego(star, phi.b1, phi.b2, param)
-        return p, scale * d, _ineq(check, abs(p) - phi.b1), None
-    q, d, s, den = _third(star, phi, *param)
-    if den == 0:
-        return q, scale * d, Hypothesis("B1 > 0 ((sigma, mu) defined)", False, 0.0), None
-    sigma, mu = float(s / den), float(q / den)
+def _hypothesis(kind: ClassKind, name: str, rows: tuple, real):
+    """(hypothesis, region) of the field ``name`` with table values ``rows``;
+    ``region`` is where (sigma, mu) lies, for a third-coefficient field with B1 > 0."""
+    if len(rows) == 1:
+        return None, None
+    check = _HYPOTHESES[name][kind is ClassKind.CONVEX]
+    if len(rows) == 2:
+        u, v = rows  # v = -B1/d, so d (|u| - |v|) is the printed |...| - B1
+        margin = _TABLE[kind][name][1][1] * (abs(u) - abs(v))
+        return Hypothesis(check, margin >= -HYP_TOL, real(margin)), None
+    q1, q2, q3 = rows  # q3 = -B1/d
+    if not q3:
+        return Hypothesis("B1 > 0 ((sigma, mu) defined)", False, 0.0), None
+    sigma, mu = real(q2 / q3), real(q1 / q3)
     slack = max(_in_region(sigma, mu, i) for i in check)
     names = " | ".join(f"Omega{i}" for i in check)
-    return q, scale * d, _ineq(f"(sigma, mu) in {names}", slack), omega_region(sigma, mu)
-
-
-def _square(q: Real, d: int) -> Real:
-    """(q/d)^2 rounded as q*q/(d*d), or as (q/d)*(q/d) where a float q*q overflows."""
-    sq = q * q / (d * d)
-    if type(sq) is float and sq == math.inf:
-        return (q / d) * (q / d)
-    return sq
+    return (Hypothesis(f"(sigma, mu) in {names}", slack >= -HYP_TOL, slack),
+            omega_region(sigma, mu))
 
 
 def _witness(kind: ClassKind) -> str:
@@ -202,14 +161,18 @@ def theorem_bound(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec) -> 
     if functional not in PAIRS:
         raise ValueError(f"unknown functional {functional}")
     first, second = PAIRS[functional]
-    q, d, hq, _ = _coefficient(kind, phi, first)
-    n, e, hn, region = _coefficient(kind, phi, second)
-    hyps = tuple(h for h in (hq, hn) if h is not None)
+    x, y = table(kind, phi, first, second)
+    exact = _exact(phi)
+    real = float if exact else _saturated
+    hx, _ = _hypothesis(kind, first, x, real)
+    hy, region = _hypothesis(kind, second, y, real)
+    hyps = tuple(h for h in (hx, hy) if h is not None)
+    bound = x[0] * x[0] + y[0] * y[0]  # the pure-c1 rows: k^2 + u^2 or u^2 + q1^2
     return BoundReport(
         functional=functional,
         class_kind=kind,
         phi=phi,
-        bound=_square(q, d) + _square(n, e),
+        bound=bound if exact else real(bound),
         hypotheses=hyps,
         sigma_mu=region,
         applicable=all(h.satisfied for h in hyps),

@@ -1,12 +1,12 @@
-"""Coefficient maps and functionals for the two subordination classes.
+"""Coefficient table and functionals for the two subordination classes.
 
 A member of the starlike class satisfies z f'/f = phi(omega(z)) and a
 member of the convex class 1 + z f''/f' = phi(omega(z)) for some Schwarz
-function omega.  Matching powers of z expresses (a2, a3, a4) of f as
-polynomials in (c1, c2, c3) and the Taylor data (B1, B2, B3) of phi.
-From those everything else is derived: the inverse coefficients, the
-logarithmic coefficients of the inverse, and the four second-order
-Toeplitz functionals.
+function omega.  Matching powers of z makes each coefficient a polynomial
+in (c1, c2, c3) and the Taylor data (B1, B2, B3) of phi; ``_TABLE`` holds
+them and ``table`` evaluates them exactly, for the bounds and the oracle.
+``CoeffBundle`` derives the inverse and logarithmic coefficients from
+(a2, a3, a4), and ``toeplitz`` the four second-order Toeplitz functionals.
 """
 
 from __future__ import annotations
@@ -106,22 +106,43 @@ class CoeffBundle:
         return -(self.a4 - 4 * self.a2 * self.a3 + (10 / 3) * self.a2 ** 3) / 2
 
 
-def coeff_map(kind: ClassKind, phi: PhiSpec, c1, c2, c3) -> CoeffBundle:
-    """(a2, a3, a4) of the class member whose Schwarz function starts c1, c2, c3.
+# A field of weight w (a_{w+1}, b_{w+1}, Gamma_w) has one row per c-monomial: c1;
+# c1^2, c2; or c1^3, c1 c2, c3.  A row is (integer numerators, denominator) over the
+# B-monomials of the c-monomial's degree: B1; B1^2, B2; or B1^3, B1 B2, B3.
+_TABLE = {
+    ClassKind.STARLIKE: {
+        "a2": (((1,), 1),),
+        "a3": (((1, 1), 2), ((1,), 2)),
+        "b2": (((-1,), 1),),
+        "b3": (((3, -1), 2), ((-1,), 2)),
+        "b4": (((-8, 6, -1), 3), ((6, -2), 3), ((-1,), 3)),
+        "g1": (((-1,), 2),),
+        "g2": (((2, -1), 4), ((-1,), 4)),
+        "g3": (((-9, 9, -2), 12), ((9, -4), 12), ((-1,), 6)),
+    },
+    ClassKind.CONVEX: {
+        "a2": (((1,), 2),),
+        "a3": (((1, 1), 6), ((1,), 6)),
+        "b2": (((-1,), 2),),
+        "b3": (((2, -1), 6), ((-1,), 6)),
+        "b4": (((-6, 7, -2), 24), ((7, -4), 24), ((-1,), 12)),
+        "g1": (((-1,), 4),),
+        "g2": (((5, -4), 48), ((-1,), 12)),
+        "g3": (((-3, 5, -2), 48), ((5, -4), 48), ((-1,), 24)),
+    },
+}
 
-    The closed forms come from matching powers of z in the defining
-    subordination; they are cross-checked against a term-by-term series
-    solve in the test suite.  Unchecked, and elementwise: the c's may be
-    complex scalars or numpy arrays (the oracle's objective).
-    """
-    B1, B2, B3 = phi.as_floats()
-    a2 = B1 * c1
-    a3 = ((B1 * B1 + B2) * c1 ** 2 + B1 * c2) / 2
-    a4 = ((B1 ** 3 + 3 * B1 * B2 + 2 * B3) * c1 ** 3
-          + (3 * B1 * B1 + 4 * B2) * c1 * c2 + 2 * B1 * c3) / 6
-    if kind is ClassKind.CONVEX:
-        a2, a3, a4 = a2 / 2, a3 / 3, a4 / 4
-    return CoeffBundle(a2, a3, a4)
+
+def table(kind: ClassKind, phi: PhiSpec, *names: str) -> tuple[tuple[Fraction, ...], ...]:
+    """Each named ``_TABLE`` field's row values at phi, exactly (a float B_j converts
+    exactly).  With B_j = n_j / d, a row of degree m is an integer over den d^m."""
+    bs = [b if type(b) is Fraction else Fraction(b) for b in (phi.b1, phi.b2, phi.b3)]
+    d = math.lcm(*(b.denominator for b in bs))
+    n1, n2, n3 = (b.numerator * (d // b.denominator) for b in bs)
+    monomials = (None, (n1,), (n1 * n1, n2 * d), (n1 * n1 * n1, n1 * n2 * d, n3 * d * d))
+    return tuple(tuple(Fraction(sum(t * m for t, m in zip(nums, monomials[len(nums)])),
+                                den * d ** len(nums))
+                       for nums, den in _TABLE[kind][name]) for name in names)
 
 
 def toeplitz(kind: FunctionalKind, cb: CoeffBundle) -> float:

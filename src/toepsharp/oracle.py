@@ -20,11 +20,12 @@ best rows of each block are merged into a running top-k equal to a stable
 sort of the whole sample (ties and NaN included: earlier rows first, NaN
 last), so the refinement sees the same starts as a screen holding every row.
 
-The objectives take (c1, c2, c3); ``_maximize_objective`` maps face points
-to them.  The screen's phases come from the lattice; the compass search's
-do not: it keeps each start's exp(1j t) of continuous angles, reused by a
-radius probe and recomputed by an angle probe for the one angle it moved.
-A table entry is exp(1j t) of its angle, so the results are bit-identical
+The objectives take (c1, c2, c3), ``maximize``'s from the rows of
+``coeffs.table``; ``_maximize_objective`` maps face points to them.  The
+screen's phases come from the lattice; the compass search's do not: it
+keeps each start's exp(1j t) of continuous angles, reused by a radius
+probe and recomputed by an angle probe for the one angle it moved.  A
+lattice phase is exp(1j t) of its angle, so the results are bit-identical
 to recomputing every phase as exp(1j t).
 
 Everything is deterministic given (inputs, seed, budget): the refinement
@@ -42,7 +43,7 @@ from enum import Enum
 import numpy as np
 
 from . import bounds
-from .coeffs import ClassKind, FunctionalKind, PhiSpec, coeff_map, toeplitz
+from .coeffs import PAIRS, ClassKind, FunctionalKind, PhiSpec, table
 from .schwarz import SchurParams, schur_map
 
 # verdict tolerances, in units of max(1, |bound|)
@@ -222,6 +223,20 @@ def _maximize_objective(obj, face: _Face, budget: int,
     return SchurParams(*map(complex, _gammas(face, xr[k]))), float(fr[k]), iters
 
 
+def _objective(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec):
+    """|x_n^2 - x_{n+1}^2| of (c1, c2, c3), elementwise, from the pair's table rows
+    in floats, in Horner order: (t0 c1^2 + t1 c2) c1 + t2 c3."""
+    x, y = ([float(v) for v in rows] for rows in table(kind, phi, *PAIRS[functional]))
+    if len(x) == 1:  # T21: (k c1, u c1^2 + v c2)
+        return lambda c1, c2, c3: abs((x[0] * c1) ** 2 - (y[0] * c1 ** 2 + y[1] * c2) ** 2)
+
+    def obj(c1, c2, c3):  # T22: (u c1^2 + v c2, (q1 c1^2 + q2 c2) c1 + q3 c3)
+        c1sq = c1 ** 2
+        return abs((x[0] * c1sq + x[1] * c2) ** 2
+                   - ((y[0] * c1sq + y[1] * c2) * c1 + y[2] * c3) ** 2)
+    return obj
+
+
 def _verdict(bound: float, emp: float) -> Verdict:
     s = max(1.0, abs(bound))
     if emp > bound + VIOLATION_TOL * s:
@@ -254,8 +269,7 @@ def maximize(
     if not math.isfinite(bound):
         raise OverflowError(f"bound {bound} overflows a float")
     argmax, emp, iters = _maximize_objective(
-        lambda *c: toeplitz(functional, coeff_map(kind, phi, *c)), _FACES[functional],
-        budget, seed)
+        _objective(functional, kind, phi), _FACES[functional], budget, seed)
     return VerificationReport(
         functional=functional,
         class_kind=kind,

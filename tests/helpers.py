@@ -6,7 +6,8 @@ forms of the third-coefficient bounds.
 The solvers here derive (a2, a3, a4) directly from the defining
 differential relations using only the series engine, term by term.  They
 share no formulas with toepsharp.coeffs, so agreement between the two is
-a genuine cross-check.
+a genuine cross-check.  ``table_value`` evaluates a field of the library's
+coefficient table at a Schwarz triple, for comparison with them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from toepsharp.coeffs import ClassKind, PhiSpec
+from toepsharp.coeffs import ClassKind, PhiSpec, table
 from toepsharp.schwarz import SchurParams, schur_map
 from series import Series, compose
 
@@ -76,6 +77,18 @@ def solve_convex(phi: PhiSpec, t: SchwarzTriple) -> tuple[complex, complex, comp
         d.append(sum(p[k] * d[m - k] for k in range(1, m + 1)) / m)
     # f' coefficient of z^{m} is (m+1) a_{m+1}
     return d[1] / 2, d[2] / 3, d[3] / 4
+
+
+def solve(kind: ClassKind, phi: PhiSpec, t: SchwarzTriple) -> tuple[complex, complex, complex]:
+    """(a2, a3, a4) of the class member of ``kind`` by the series solve."""
+    return (solve_starlike if kind is ClassKind.STARLIKE else solve_convex)(phi, t)
+
+
+def table_value(kind: ClassKind, phi: PhiSpec, name: str, t: SchwarzTriple) -> complex:
+    """The table field ``name`` at (c1, c2, c3), each row value rounded to a float."""
+    (rows,) = table(kind, phi, name)
+    monomials = {1: (t.c1,), 2: (t.c1 ** 2, t.c2), 3: (t.c1 ** 3, t.c1 * t.c2, t.c3)}
+    return sum(float(v) * m for v, m in zip(rows, monomials[len(rows)]))
 
 
 def coeffs_to_schur(t: SchwarzTriple) -> SchurParams:

@@ -10,13 +10,13 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from helpers import random_triples, solve_convex, solve_starlike
+from helpers import random_triples, solve_convex, solve_starlike, table_value
 from series import Series, log_div_z, revert
 
 from toepsharp.bounds import omega_region, theorem_bound, Region
 from toepsharp.catalog import COROLLARY_CURVES, certificate_entries, phi_coeffs
 from toepsharp.cli import _dump_json, main
-from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec, coeff_map
+from toepsharp.coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec
 from toepsharp.extremal import attainment
 from toepsharp.oracle import Verdict, lemma1_scan, maximize
 
@@ -157,16 +157,14 @@ def test_criterion_7_algebraic_equivalence_suites():
         assert abs(lg[2] / 2 + (a3 - 1.5 * a2 ** 2) / 2) <= 1e-12 * scale
         assert abs(lg[3] / 2
                    + (a4 - 4 * a2 * a3 + (10 / 3) * a2 ** 3) / 2) <= 1e-12 * scale
-    # (c) composition path vs the closed-form coefficient maps
+    # (c) composition path vs the coefficient table
     triples = random_triples(100, 100)
     for t in triples:
         phi = PhiSpec(rng.uniform(0, 3), rng.uniform(-3, 3), rng.uniform(-3, 3))
         for kind, solver in ((S, solve_starlike), (C, solve_convex)):
-            cb = coeff_map(kind, phi, *t)
-            a2, a3, a4 = solver(phi, t)
-            assert abs(cb.a2 - a2) <= 1e-12
-            assert abs(cb.a3 - a3) <= 1e-12
-            assert abs(cb.a4 - a4) <= 1e-12
+            cb = CoeffBundle(*solver(phi, t))
+            for name in ("a2", "a3", "b2", "b3", "b4", "g1", "g2", "g3"):
+                assert abs(table_value(kind, phi, name, t) - getattr(cb, name)) <= 1e-12
     print("\nACCEPTANCE 7 algebraic equivalences (3 x 100 inputs): PASS")
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fekete_szego_reference, random_triples, third_coefficient_reference
+from helpers import fekete_szego_reference, third_coefficient_reference
 from toepsharp import bounds
 from toepsharp.bounds import (
     Region,
@@ -18,7 +18,7 @@ from toepsharp.bounds import (
     theorem_bound,
 )
 from toepsharp.catalog import phi_coeffs
-from toepsharp.coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec, coeff_map, toeplitz
+from toepsharp.coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec, table, toeplitz
 from toepsharp.extremal import attainment, extremal_coeffs
 
 HALF_PLANE = PhiSpec(F(2), F(2), F(2))
@@ -220,47 +220,67 @@ def _seeded_phis(seed: int, n: int) -> list[PhiSpec]:
     return out
 
 
-class TestCoefficientRows:
-    """Each row of the coefficient table against what it claims to bound."""
+def _exact_phi(phi: PhiSpec) -> PhiSpec:
+    return PhiSpec(F(phi.b1), F(phi.b2), F(phi.b3))
 
-    def test_rows_are_identities_for_the_coefficients(self):
-        # x = -(B1 c1)/D, -(B1 c2 - p c1^2)/D or -(den c3 + s c1 c2 + q c1^3)/D,
-        # D the row's full divisor, for any Schwarz function: the lemma forms
-        # are exact rewritings of CoeffBundle, not only at the extremal point.
-        triples = random_triples(31, 12)
-        for phi in _seeded_phis(29, 40):
-            for kind in ClassKind:
-                star = kind is ClassKind.STARLIKE
-                for t in triples:
-                    cb = coeff_map(kind, phi, t.c1, t.c2, t.c3)
-                    for coef, (lemma, param, _, _) in bounds._ROWS.items():
-                        q, big_d, _, _ = bounds._coefficient(kind, phi, coef)
-                        if lemma is None:
-                            num = phi.b1 * t.c1
-                        elif lemma is bounds._fekete_szego:
-                            num = phi.b1 * t.c2 - q * t.c1 ** 2
-                        else:
-                            _, _, s, den = bounds._third(star, phi, *param)
-                            num = den * t.c3 + s * t.c1 * t.c2 + q * t.c1 ** 3
-                        want = getattr(cb, coef)
-                        assert abs(-num / big_d - want) <= 1e-13 * max(1.0, abs(want)), \
-                            (coef, kind, phi, t)
 
-    def test_third_coefficient_rows_match_the_closed_forms_bitwise(self):
-        # Float q, D, sigma and mu as the paper's closed forms round them; the
-        # last generator's doubled q (multipliers not in lowest terms) would
-        # square to inf in the bound.  (sigma, mu) needs B1 > 0.
-        phis = [phi for phi in _seeded_phis(37, 100) if phi.b1] + [
-            PhiSpec(1.0479749333039448e+51, -1.0373300468362366e+51, 5.331473784156751e+50)]
-        for phi in phis:
+class TestTableRows:
+    """The table's rows against the paper's closed forms, and the float route."""
+
+    def test_rows_match_the_closed_form_references_exactly(self):
+        # b3 = -(a3 - 2 a2^2) and Gamma2 = -(a3 - (3/2) a2^2)/2 are u c1^2 + v c2,
+        # whose sharp bound is max(|u|, |v|); b4 and Gamma3 are
+        # q1 c1^3 + q2 c1 c2 + q3 c3 with |q1| = |q|/D and (sigma, mu) = (q2, q1)/q3
+        for phi in _seeded_phis(29, 150)[:150]:  # the Fraction ones
             for kind in ClassKind:
+                (u, v), (w, x) = table(kind, phi, "b3", "g2")
+                assert max(abs(u), abs(v)) == fekete_szego_reference(kind, phi, 2)
+                assert max(abs(w), abs(x)) == fekete_szego_reference(kind, phi, F(3, 2)) / 2
                 for coef in ("b4", "g3"):
-                    q, big_d, _, _ = bounds._coefficient(kind, phi, coef)
-                    _, param, _, _ = bounds._ROWS[coef]
-                    _, _, s, den = bounds._third(kind is ClassKind.STARLIKE, phi, *param)
-                    got = (q, big_d, s / den, q / den)
-                    want = third_coefficient_reference(kind, phi, coef)
-                    assert list(map(repr, got)) == list(map(repr, want)), (coef, kind, phi)
+                    (q1, q2, q3), = table(kind, phi, coef)
+                    if not phi.b1:  # (sigma, mu) undefined
+                        assert q3 == 0
+                        continue
+                    q, big_d, sigma, mu = third_coefficient_reference(kind, phi, coef)
+                    assert abs(q1) == abs(q) / big_d
+                    assert (q2 / q3, q1 / q3) == (sigma, mu)
+
+    def test_a_float_bound_is_correctly_rounded(self):
+        # one rounding, from the exact report of the same (exactly converted) data
+        for phi in _seeded_phis(37, 100)[100:]:  # the float ones
+            for kind in ClassKind:
+                for functional in FunctionalKind:
+                    got = theorem_bound(functional, kind, phi)
+                    exact = theorem_bound(functional, kind, _exact_phi(phi))
+                    assert type(got.bound) is float
+                    assert got.bound == float(exact.bound), (functional, kind, phi)
+                    assert got.hypotheses == exact.hypotheses
+                    assert got.sigma_mu == exact.sigma_mu
+
+    def test_float_generators_up_to_1e300_give_no_nan(self):
+        # the route is exact, so no inf - inf: an overflow saturates instead
+        rng = random.Random(41)
+        for _ in range(300):
+            phi = PhiSpec(10 ** rng.uniform(-300, 300),
+                          *(rng.choice((-1, 1)) * 10 ** rng.uniform(-300, 300) for _ in range(2)))
+            for kind in ClassKind:
+                for functional in FunctionalKind:
+                    rep = theorem_bound(functional, kind, phi)
+                    assert not math.isnan(rep.bound), (functional, kind, phi)
+                    if rep.sigma_mu is not None:
+                        assert not math.isnan(rep.sigma_mu.sigma), (functional, kind, phi)
+                        assert not math.isnan(rep.sigma_mu.mu), (functional, kind, phi)
+
+    @pytest.mark.parametrize("kind", list(ClassKind))
+    @pytest.mark.parametrize("functional", list(FunctionalKind))
+    def test_float_overflow_saturates_and_exact_overflow_raises(self, functional, kind):
+        rep = theorem_bound(functional, kind, PhiSpec(1e200, 0.0, 0.0))
+        assert rep.bound == math.inf
+        assert rep.hypotheses[0].margin == math.inf
+        if rep.sigma_mu is not None:  # mu = 8 B1^2 (and so on) is past the float range
+            assert rep.sigma_mu.mu == math.inf
+        with pytest.raises(OverflowError):
+            theorem_bound(functional, kind, PhiSpec(F(10 ** 200), F(0), F(0)))
 
 
 def test_t21_bounds_are_sums_of_squared_intermediates():
@@ -339,7 +359,8 @@ class TestTheoremBound:
         assert rep.bound == F(1, 16)  # formula value only
 
     def test_nan_mu_fails_the_region_hypothesis(self):
-        # 8 B1^3 and 6 B1 B2 both overflow to inf, so mu = (inf - inf)/B1 is NaN
+        # mu = 8 B1^2 - 6 B2 = -6e300 lies in no region (in floats 8 B1^3 and
+        # 6 B1 B2 would both overflow, and inf - inf is NaN)
         rep = theorem_bound(FunctionalKind.T22_INV, ClassKind.STARLIKE,
                             PhiSpec(3e102, 1e300, 0.0))
         assert rep.sigma_mu.region is Region.NONE
@@ -356,7 +377,8 @@ class TestTheoremBound:
 
     def test_square_past_the_float_range_is_formed_from_the_ratio(self):
         # convex Gamma3 has |q|/D = |3 B1^3 - 5 B1 B2 + 2 B3|/48; q = 1.4e154
-        # squares past the float range, (q/48)^2 = 8.5e304 does not
+        # squares past the float range, (q/48)^2 = 8.5e304 does not, and the
+        # bound is rounded once from its exact value
         exact = theorem_bound(FunctionalKind.T22_LOG_INV, ClassKind.CONVEX,
                               PhiSpec(F(1), F(0), F(7e153))).bound
         got = theorem_bound(FunctionalKind.T22_LOG_INV, ClassKind.CONVEX,

@@ -1,20 +1,22 @@
-"""Coefficient maps and functionals: examples and cross-module equivalences."""
+"""Coefficient table and functionals: examples and cross-module equivalences."""
 
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from helpers import SchwarzTriple, random_triples, solve_convex, solve_starlike
+from helpers import SchwarzTriple, random_triples, solve, table_value
 from series import Series, log_div_z, revert
 
 from toepsharp.bounds import fekete_szego_bound
 from toepsharp.coeffs import (
+    _TABLE,
     ClassKind,
     CoeffBundle,
     FunctionalKind,
     PhiSpec,
-    coeff_map,
+    table,
     toeplitz,
 )
 
@@ -22,28 +24,51 @@ TOL = 1e-12
 
 HALF_PLANE = PhiSpec(2, 2, 2)
 ROT = SchwarzTriple(1, 0, 0)  # omega(z) = z
+FIELDS = ("a2", "a3", "b2", "b3", "b4", "g1", "g2", "g3")
+
+
+def _c1_rows(kind, phi, *names):
+    """Each field's pure-c1 row: the field at omega(z) = z, exactly."""
+    return tuple(rows[0] for rows in table(kind, phi, *names))
 
 
 class TestCoeffsFromSchwarz:
     def test_koebe(self):
-        cb = coeff_map(ClassKind.STARLIKE, HALF_PLANE, *ROT)
-        assert (cb.a2, cb.a3, cb.a4) == (2, 3, 4)
-        assert (cb.b2, cb.b3, cb.b4) == (-2, 5, -14)
-        assert cb.g1 == -1
-        assert cb.g2 == 1.5
-        assert abs(cb.g3 - (-10 / 3)) < TOL
+        got = _c1_rows(ClassKind.STARLIKE, HALF_PLANE, *FIELDS)
+        assert got == (2, 3, -2, 5, -14, -1, F(3, 2), F(-10, 3))
+        a2, a3, a4 = solve(ClassKind.STARLIKE, HALF_PLANE, ROT)
+        assert (a2, a3, a4) == (2, 3, 4)
 
     def test_halfplane_map(self):
-        cb = coeff_map(ClassKind.CONVEX, HALF_PLANE, *ROT)
-        assert (cb.a2, cb.a3, cb.a4) == (1, 1, 1)
+        assert _c1_rows(ClassKind.CONVEX, HALF_PLANE, "a2", "a3") == (1, 1)
+        assert solve(ClassKind.CONVEX, HALF_PLANE, ROT) == (1, 1, 1)
 
     def test_zero_schwarz_function(self):
-        cb = coeff_map(ClassKind.STARLIKE, PhiSpec(1, 0.5, 1 / 6), 0, 0, 0)
-        assert (cb.a2, cb.a3, cb.a4) == (0, 0, 0)
+        for kind in ClassKind:
+            for name in FIELDS:
+                assert table_value(kind, PhiSpec(1, 0.5, 1 / 6), name,
+                                   SchwarzTriple(0, 0, 0)) == 0
 
     def test_coeff_map_is_unchecked(self):
-        cb = coeff_map(ClassKind.STARLIKE, HALF_PLANE, 0.5, 0.75, 0.0)
-        assert cb.a2 == 1.0
+        # the table is a polynomial identity: it evaluates at any (c1, c2, c3),
+        # here one outside the coefficient body (|c2| > 1 - |c1|^2)
+        t = SchwarzTriple(0.5, 0.75, 0.0)
+        assert table_value(ClassKind.STARLIKE, HALF_PLANE, "a2", t) == 1.0
+        assert table_value(ClassKind.STARLIKE, HALF_PLANE, "a3", t) == 1.5
+
+    def test_rows_of_the_paper_closed_forms(self):
+        # starlike b4 = -(8 B1^3 - 6 B1 B2 + B3)/3 c1^3 + (6 B1^2 - 2 B2)/3 c1 c2
+        # - B1/3 c3, convex Gamma2 = (5 B1^2 - 4 B2)/48 c1^2 - B1/12 c2
+        assert _TABLE[ClassKind.STARLIKE]["b4"] == (((-8, 6, -1), 3), ((6, -2), 3), ((-1,), 3))
+        assert _TABLE[ClassKind.CONVEX]["g2"] == (((5, -4), 48), ((-1,), 12))
+
+    def test_a_float_generator_is_read_exactly(self):
+        phi = PhiSpec(0.1, -0.3, 1e-300)
+        exact = PhiSpec(F(0.1), F(-0.3), F(1e-300))
+        for kind in ClassKind:
+            got = table(kind, phi, *FIELDS)
+            assert got == table(kind, exact, *FIELDS)
+            assert all(type(v) is F for rows in got for v in rows)
 
 
 class TestToeplitz:
@@ -69,13 +94,13 @@ class TestFeketeSzego:
     """|a3 - lambda a2^2| against the Fekete-Szego bound."""
 
     def test_koebe_lambda_zero(self):
-        cb = coeff_map(ClassKind.STARLIKE, HALF_PLANE, *ROT)
-        assert abs(cb.a3) == 3
+        a2, a3, _ = solve(ClassKind.STARLIKE, HALF_PLANE, ROT)
+        assert abs(a3) == 3
         assert fekete_szego_bound(ClassKind.STARLIKE, HALF_PLANE, 0) == 3
 
     def test_koebe_lambda_three_halves(self):
-        cb = coeff_map(ClassKind.STARLIKE, HALF_PLANE, *ROT)
-        assert abs(cb.a3 - 1.5 * cb.a2 ** 2) == 3
+        a2, a3, _ = solve(ClassKind.STARLIKE, HALF_PLANE, ROT)
+        assert abs(a3 - 1.5 * a2 ** 2) == 3
         assert fekete_szego_bound(ClassKind.STARLIKE, HALF_PLANE, 1.5) == 3
 
     def test_zero_bundle(self):
@@ -94,43 +119,52 @@ def _random_phis(seed: int, n: int) -> list[PhiSpec]:
     return out
 
 
+def _fraction_phis(seed: int, n: int) -> list[PhiSpec]:
+    """n Fraction generators in the ranges of _random_phis."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        den = int(rng.integers(1, 13))
+        b1, b2, b3 = rng.integers(0, 3 * den + 1), *rng.integers(-3 * den, 3 * den + 1, 2)
+        out.append(PhiSpec(F(int(b1), den), F(int(b2), den), F(int(b3), den)))
+    return out
+
+
 def test_pipeline_equivalence_with_series_solver():
-    """Closed-form (a2,a3,a4) match a term-by-term solve of the defining relations."""
-    phis = _random_phis(1, 120)
+    """The table's a2, a3 match a term-by-term solve of the defining relations."""
+    phis = _random_phis(1, 60) + _fraction_phis(9, 60)
     triples = random_triples(2, 120)
     for phi, t in zip(phis, triples):
-        for kind, solver in ((ClassKind.STARLIKE, solve_starlike),
-                             (ClassKind.CONVEX, solve_convex)):
-            cb = coeff_map(kind, phi, *t)
-            a2, a3, a4 = solver(phi, t)
-            assert abs(cb.a2 - a2) < 1e-12
-            assert abs(cb.a3 - a3) < 1e-12
-            assert abs(cb.a4 - a4) < 1e-12
+        for kind in ClassKind:
+            a2, a3, _ = solve(kind, phi, t)
+            assert abs(table_value(kind, phi, "a2", t) - a2) < 1e-12
+            assert abs(table_value(kind, phi, "a3", t) - a3) < 1e-12
 
 
 def test_inverse_coefficients_match_series_reversion():
-    phis = _random_phis(3, 60)
+    phis = _random_phis(3, 30) + _fraction_phis(10, 30)
     triples = random_triples(4, 60)
     for phi, t in zip(phis, triples):
         for kind in ClassKind:
-            cb = coeff_map(kind, phi, *t)
-            g = revert(Series((0, 1, cb.a2, cb.a3, cb.a4)))
-            assert abs(cb.b2 - g[2]) < 1e-12
-            assert abs(cb.b3 - g[3]) < 1e-12
-            assert abs(cb.b4 - g[4]) < 1e-12
+            a2, a3, a4 = solve(kind, phi, t)
+            cb = CoeffBundle(a2, a3, a4)
+            g = revert(Series((0, 1, a2, a3, a4)))
+            for n, name in ((2, "b2"), (3, "b3"), (4, "b4")):
+                assert abs(getattr(cb, name) - g[n]) < 1e-12
+                assert abs(table_value(kind, phi, name, t) - g[n]) < 1e-12
 
 
 def test_log_coefficients_match_series_log_of_inverse():
-    phis = _random_phis(5, 60)
+    phis = _random_phis(5, 30) + _fraction_phis(11, 30)
     triples = random_triples(6, 60)
     for phi, t in zip(phis, triples):
         for kind in ClassKind:
-            cb = coeff_map(kind, phi, *t)
-            inv = revert(Series((0, 1, cb.a2, cb.a3, cb.a4)))
-            lg = log_div_z(inv)
-            assert abs(cb.g1 - lg[1] / 2) < 1e-12
-            assert abs(cb.g2 - lg[2] / 2) < 1e-12
-            assert abs(cb.g3 - lg[3] / 2) < 1e-12
+            a2, a3, a4 = solve(kind, phi, t)
+            cb = CoeffBundle(a2, a3, a4)
+            lg = log_div_z(revert(Series((0, 1, a2, a3, a4))))
+            for n, name in ((1, "g1"), (2, "g2"), (3, "g3")):
+                assert abs(getattr(cb, name) - lg[n] / 2) < 1e-12
+                assert abs(table_value(kind, phi, name, t) - lg[n] / 2) < 1e-12
 
 
 def test_conjugation_invariance_of_functionals():
@@ -139,8 +173,8 @@ def test_conjugation_invariance_of_functionals():
     for phi, t in zip(phis, triples):
         tc = SchwarzTriple(t.c1.conjugate(), t.c2.conjugate(), t.c3.conjugate())
         for kind in ClassKind:
-            cb = coeff_map(kind, phi, *t)
-            cc = coeff_map(kind, phi, *tc)
+            cb = CoeffBundle(*solve(kind, phi, t))
+            cc = CoeffBundle(*solve(kind, phi, tc))
             assert abs(cc.a2 - cb.a2.conjugate()) < 1e-13
             assert abs(cc.a3 - cb.a3.conjugate()) < 1e-13
             assert abs(cc.a4 - cb.a4.conjugate()) < 1e-13

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from helpers import SchwarzTriple, solve
 from toepsharp.bounds import theorem_bound
-from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec, coeff_map
+from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec
 from toepsharp.extremal import attainment, extremal_coeffs
 
 TOL = 1e-12
@@ -50,11 +51,11 @@ class TestExtremalCoeffs:
     def test_matches_schwarz_pipeline_at_the_rotation(self):
         for phi in (HALF_PLANE, EXP, PhiSpec(1.3, 0.4, -0.2)):
             for kind in ClassKind:
-                cb = coeff_map(kind, phi, 1j, 0, 0)  # omega(z) = i z
+                a2, a3, a4 = solve(kind, phi, SchwarzTriple(1j, 0, 0))  # omega(z) = i z
                 ext = extremal_coeffs(kind, phi, 4)
-                assert abs(ext[1] - cb.a2) < TOL
-                assert abs(ext[2] - cb.a3) < TOL
-                assert abs(ext[3] - cb.a4) < TOL
+                assert abs(ext[1] - a2) < TOL
+                assert abs(ext[2] - a3) < TOL
+                assert abs(ext[3] - a4) < TOL
 
     def test_requires_degree_two(self):
         with pytest.raises(ValueError):

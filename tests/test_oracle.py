@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_triples, solve
 from toepsharp import oracle
 from toepsharp.bounds import theorem_bound
 from toepsharp.catalog import certificate_entries
-from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec, coeff_map, toeplitz
+from toepsharp.coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec, toeplitz
 from toepsharp.extremal import attainment
 from toepsharp.oracle import Verdict, lemma1_scan, maximize
 from toepsharp.schwarz import schur_map
@@ -159,7 +160,24 @@ POISSON_TOL = 1e-12     # in units of max(1, objective)
 
 
 def _objective(functional, kind, phi, g0, g1, g2):
-    return toeplitz(functional, coeff_map(kind, phi, *schur_map(g0, g1, g2)))
+    return oracle._objective(functional, kind, phi)(*schur_map(g0, g1, g2))
+
+
+class TestObjective:
+    def test_matches_toeplitz_of_the_series_solve(self):
+        # the fused objective (float table rows, Horner order) against the
+        # functional of the independently solved coefficients
+        rng = np.random.default_rng(13)
+        phis = CATALOG_PHIS + [PhiSpec(*rng.uniform((0, -3, -3), (3, 3, 3))) for _ in range(20)]
+        triples = random_triples(14, 20)
+        for phi in phis:
+            for kind in ClassKind:
+                for functional in FunctionalKind:
+                    obj = oracle._objective(functional, kind, phi)
+                    for t in triples:
+                        want = toeplitz(functional, CoeffBundle(*solve(kind, phi, t)))
+                        got = obj(*t)
+                        assert abs(got - want) <= 1e-13 * want, (functional, kind, phi, t)
 
 
 def _disk(rng, n, rmax):

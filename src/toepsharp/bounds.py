@@ -14,22 +14,29 @@ x = q1 c1^3 + q2 c1 c2 + q3 c3 (b4, Gamma3).  The paper bounds them by
     Omega2: 2 <= |sigma| <= 4 and mu >= (sigma^2 + 8)/12
     Omega3: |sigma| >= 4 and mu >= (2/3)(|sigma| - 1)
 
-so the bound is k^2 + u^2 (T21) or u^2 + q1^2 (T22).  The table is exact:
-an exact generator yields an exact bound, which is what the corollary
-fixtures assert, and a float generator's report rounds each value once,
-from the exact one.  Formula values are reported even when a hypothesis
-fails, flagged as not applicable, so parameter sweeps see the whole curve.
+so the bound is k^2 + u^2 (T21) or u^2 + q1^2 (T22).  The table's rows
+are integer ratios, and the bound and the Fekete-Szego hypothesis are
+decided on them: an exact generator yields an exact bound, which is what
+the corollary fixtures assert, and a float generator's report rounds each
+value once, from the exact one.  The regions are decided on the rounded
+(sigma, mu), or exactly where those lie past the float range.  Formula
+values are reported even when a hypothesis fails, flagged as not
+applicable, so parameter sweeps see the whole curve.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from .coeffs import _TABLE, PAIRS, ClassKind, FunctionalKind, PhiSpec, Real, table
 
 HYP_TOL = 1e-12
+_TOL_N, _TOL_D = HYP_TOL.as_integer_ratio()
+_TWO_THIRDS = {float: 2.0 / 3.0, Fraction: Fraction(2, 3)}
 
 
 class Region(Enum):
@@ -67,8 +74,9 @@ class BoundReport:
     witness: str
 
 
-def _in_region(sigma: float, mu: float, i: int) -> float:
-    """Smallest slack of region Omega_i's conditions (negative = outside).
+def _in_region(sigma: Real, mu: Real, i: int) -> Real:
+    """Smallest slack of region Omega_i's conditions (negative = outside), in
+    floats, or exactly for Fraction (sigma, mu).
 
     NaN data lies in no region (min() would silently drop a NaN slack).
     """
@@ -76,10 +84,30 @@ def _in_region(sigma: float, mu: float, i: int) -> float:
         return -math.inf
     s = abs(sigma)
     if i == 1:
-        return min(2.0 - s, mu - 1.0)
+        return min(2 - s, mu - 1)
     if i == 2:
-        return min(s - 2.0, 4.0 - s, mu - (sigma * sigma + 8.0) / 12.0)
-    return min(s - 4.0, mu - (2.0 / 3.0) * (s - 1.0))
+        return min(s - 2, 4 - s, mu - (sigma * sigma + 8) / 12)
+    return min(s - 4, mu - _TWO_THIRDS[type(s)] * (s - 1))
+
+
+def _holds(n: int, d: int) -> bool:
+    """Whether n / d >= -HYP_TOL, for d > 0, decided in integers."""
+    return n * _TOL_D >= -_TOL_N * d
+
+
+def _within(slack: Real) -> bool:
+    """Whether slack >= -HYP_TOL; a Fraction slack is decided exactly."""
+    if type(slack) is float:
+        return slack >= -HYP_TOL
+    return _holds(slack.numerator, slack.denominator)
+
+
+def _region(sigma: Real, mu: Real) -> Region:
+    """Lowest-index region containing (sigma, mu) within HYP_TOL, or NONE."""
+    for i, tag in ((1, Region.OMEGA1), (2, Region.OMEGA2), (3, Region.OMEGA3)):
+        if _within(_in_region(sigma, mu, i)):
+            return tag
+    return Region.NONE
 
 
 def omega_region(sigma: float, mu: float) -> RegionMembership:
@@ -88,31 +116,31 @@ def omega_region(sigma: float, mu: float) -> RegionMembership:
     Overlaps (|sigma| exactly 2 or 4) report the lower index.
     """
     sigma, mu = float(sigma), float(mu)
-    for i, tag in ((1, Region.OMEGA1), (2, Region.OMEGA2), (3, Region.OMEGA3)):
-        if _in_region(sigma, mu, i) >= -HYP_TOL:
-            return RegionMembership(tag, sigma, mu)
-    return RegionMembership(Region.NONE, sigma, mu)
+    return RegionMembership(_region(sigma, mu), sigma, mu)
 
 
-def _saturated(x: Real) -> float:
-    """float(x), or +-inf where x lies past the float range."""
+def _saturated(n: int, d: int) -> float:
+    """n / d for d > 0, or +-inf where it lies past the float range."""
     try:
-        return float(x)
+        return n / d
     except OverflowError:
-        return math.inf if x > 0 else -math.inf
+        return math.inf if n > 0 else -math.inf
 
 
-def _exact(phi: PhiSpec) -> bool:
-    """Whether phi holds no float: a report is exact, or rounded once from the exact one."""
-    return not any(isinstance(b, float) for b in (phi.b1, phi.b2, phi.b3))
+def _exact(*values: Real) -> bool:
+    """Whether no value is a float: a result is exact, or rounded once from the exact one."""
+    return not any(isinstance(v, float) for v in values)
 
 
 def fekete_szego_bound(kind: ClassKind, phi: PhiSpec, lam: Real) -> Real:
     """Sharp bound max(|beta1 - lambda alpha^2|, |beta2|) on |a3 - lambda a2^2| for
     real lambda, a2 = alpha c1 and a3 = beta1 c1^2 + beta2 c2 (Ma & Minda, 1992)."""
-    (alpha,), (beta1, beta2) = table(kind, phi, "a2", "a3")
-    value = max(abs(beta1 - lam * alpha * alpha), abs(beta2))
-    return value if _exact(phi) else _saturated(value)
+    ((an, ad),), ((un, ud), (vn, vd)) = table(kind, phi, "a2", "a3")
+    ln, ld = lam.as_integer_ratio()
+    n, d = abs(un * ld * ad * ad - ln * an * an * ud), ud * ld * ad * ad
+    if n * vd < abs(vn) * d:
+        n, d = abs(vn), vd
+    return Fraction(n, d) if _exact(phi.b1, phi.b2, phi.b3, lam) else _saturated(n, d)
 
 
 # The paper's hypothesis on each field past the first, for (starlike, convex):
@@ -126,23 +154,31 @@ _HYPOTHESES = {
 
 
 def _hypothesis(kind: ClassKind, name: str, rows: tuple, real):
-    """(hypothesis, region) of the field ``name`` with table values ``rows``;
-    ``region`` is where (sigma, mu) lies, for a third-coefficient field with B1 > 0."""
+    """(hypothesis, region) of the field ``name`` with table rows ``rows``; ``region``
+    is where (sigma, mu) lies, for a third-coefficient field with B1 > 0.  ``real``
+    rounds an integer ratio to a reported float."""
     if len(rows) == 1:
         return None, None
     check = _HYPOTHESES[name][kind is ClassKind.CONVEX]
     if len(rows) == 2:
-        u, v = rows  # v = -B1/d, so d (|u| - |v|) is the printed |...| - B1
-        margin = _TABLE[kind][name][1][1] * (abs(u) - abs(v))
-        return Hypothesis(check, margin >= -HYP_TOL, real(margin)), None
-    q1, q2, q3 = rows  # q3 = -B1/d
-    if not q3:
+        (un, ud), (vn, vd) = rows  # v = -B1/d, so d (|u| - |v|) is the printed |...| - B1
+        n, d = _TABLE[kind][name][1][1] * (abs(un) * vd - abs(vn) * ud), ud * vd
+        return Hypothesis(check, _holds(n, d), real(n, d)), None
+    (n1, d1), (n2, d2), (n3, d3) = rows  # q3 = -B1/D, so n3 < 0 where B1 > 0
+    if not n3:
         return Hypothesis("B1 > 0 ((sigma, mu) defined)", False, 0.0), None
-    sigma, mu = real(q2 / q3), real(q1 / q3)
-    slack = max(_in_region(sigma, mu, i) for i in check)
+    # (sigma, mu) = (q2, q1)/q3 with the sign on the numerator, so a zero is +0.0
+    sn, sd, mn, md = -n2 * d3, -d2 * n3, -n1 * d3, -d1 * n3
+    sigma, mu = real(sn, sd), real(mn, md)
+    if math.isfinite(sigma) and math.isfinite(mu):
+        at = sigma, mu
+    else:  # past the float range a slack could be inf - inf: decide on the exact values
+        at = Fraction(sn, sd), Fraction(mn, md)
+    slack = max(_in_region(*at, i) for i in check)
     names = " | ".join(f"Omega{i}" for i in check)
-    return (Hypothesis(f"(sigma, mu) in {names}", slack >= -HYP_TOL, slack),
-            omega_region(sigma, mu))
+    margin = slack if type(slack) is float else real(slack.numerator, slack.denominator)
+    return (Hypothesis(f"(sigma, mu) in {names}", _within(slack), margin),
+            RegionMembership(_region(*at), sigma, mu))
 
 
 def _witness(kind: ClassKind) -> str:
@@ -162,17 +198,18 @@ def theorem_bound(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec) -> 
         raise ValueError(f"unknown functional {functional}")
     first, second = PAIRS[functional]
     x, y = table(kind, phi, first, second)
-    exact = _exact(phi)
-    real = float if exact else _saturated
+    exact = _exact(phi.b1, phi.b2, phi.b3)
+    real = operator.truediv if exact else _saturated
     hx, _ = _hypothesis(kind, first, x, real)
     hy, region = _hypothesis(kind, second, y, real)
     hyps = tuple(h for h in (hx, hy) if h is not None)
-    bound = x[0] * x[0] + y[0] * y[0]  # the pure-c1 rows: k^2 + u^2 or u^2 + q1^2
+    (kn, kd), (un, ud) = x[0], y[0]  # the pure-c1 rows: k^2 + u^2 or u^2 + q1^2
+    n, d = kn * kn * ud * ud + un * un * kd * kd, kd * kd * ud * ud
     return BoundReport(
         functional=functional,
         class_kind=kind,
         phi=phi,
-        bound=bound if exact else real(bound),
+        bound=Fraction(n, d) if exact else real(n, d),
         hypotheses=hyps,
         sigma_mu=region,
         applicable=all(h.satisfied for h in hyps),

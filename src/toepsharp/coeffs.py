@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -133,16 +134,21 @@ _TABLE = {
 }
 
 
-def table(kind: ClassKind, phi: PhiSpec, *names: str) -> tuple[tuple[Fraction, ...], ...]:
-    """Each named ``_TABLE`` field's row values at phi, exactly (a float B_j converts
-    exactly).  With B_j = n_j / d, a row of degree m is an integer over den d^m."""
-    bs = [b if type(b) is Fraction else Fraction(b) for b in (phi.b1, phi.b2, phi.b3)]
-    d = math.lcm(*(b.denominator for b in bs))
-    n1, n2, n3 = (b.numerator * (d // b.denominator) for b in bs)
-    monomials = (None, (n1,), (n1 * n1, n2 * d), (n1 * n1 * n1, n1 * n2 * d, n3 * d * d))
-    return tuple(tuple(Fraction(sum(t * m for t, m in zip(nums, monomials[len(nums)])),
-                                den * d ** len(nums))
-                       for nums, den in _TABLE[kind][name]) for name in names)
+def table(kind: ClassKind, phi: PhiSpec, *names: str) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each named ``_TABLE`` field's row values at phi, exactly, as integer pairs
+    (numerator, denominator) with a positive denominator, not reduced (a float B_j
+    reads exactly).  With B_j = n_j / d, a row of degree m is an integer over den d^m."""
+    (n1, d1), (n2, d2), (n3, d3) = (phi.b1.as_integer_ratio(), phi.b2.as_integer_ratio(),
+                                    phi.b3.as_integer_ratio())
+    d = math.lcm(d1, d2, d3)
+    n1, n2, n3 = n1 * (d // d1), n2 * (d // d2), n3 * (d // d3)
+    dd = d * d
+    by_degree = (None, ((n1,), d), ((n1 * n1, n2 * d), dd),
+                 ((n1 * n1 * n1, n1 * n2 * d, n3 * dd), dd * d))  # (B-monomials, d^m)
+    fields = _TABLE[kind]
+    return tuple(tuple((sum(map(operator.mul, nums, by_degree[len(nums)][0])),
+                        den * by_degree[len(nums)][1])
+                       for nums, den in fields[name]) for name in names)
 
 
 def toeplitz(kind: FunctionalKind, cb: CoeffBundle) -> float:

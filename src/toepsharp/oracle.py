@@ -29,8 +29,11 @@ lattice phase is exp(1j t) of its angle, so the results are bit-identical
 to recomputing every phase as exp(1j t).
 
 Everything is deterministic given (inputs, seed, budget): the refinement
-itself uses no randomness at all, which also makes the per-start work
-embarrassingly parallel with identical results in any execution order.
+itself uses no randomness at all.  Its starts are not independent,
+though: the compass search runs until every start's step is below
+``_STEP_MIN`` (or ``_MAX_ITERS``), and a start whose step is already below
+it keeps being probed, at ever smaller steps, until then.  So a start's
+result depends on the batch of starts it runs with.
 """
 
 from __future__ import annotations
@@ -226,7 +229,7 @@ def _maximize_objective(obj, face: _Face, budget: int,
 def _objective(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec):
     """|x_n^2 - x_{n+1}^2| of (c1, c2, c3), elementwise, from the pair's table rows
     in floats, in Horner order: (t0 c1^2 + t1 c2) c1 + t2 c3."""
-    x, y = ([float(v) for v in rows] for rows in table(kind, phi, *PAIRS[functional]))
+    x, y = ([n / d for n, d in rows] for rows in table(kind, phi, *PAIRS[functional]))
     if len(x) == 1:  # T21: (k c1, u c1^2 + v c2)
         return lambda c1, c2, c3: abs((x[0] * c1) ** 2 - (y[0] * c1 ** 2 + y[1] * c2) ** 2)
 

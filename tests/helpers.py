@@ -88,7 +88,7 @@ def table_value(kind: ClassKind, phi: PhiSpec, name: str, t: SchwarzTriple) -> c
     """The table field ``name`` at (c1, c2, c3), each row value rounded to a float."""
     (rows,) = table(kind, phi, name)
     monomials = {1: (t.c1,), 2: (t.c1 ** 2, t.c2), 3: (t.c1 ** 3, t.c1 * t.c2, t.c3)}
-    return sum(float(v) * m for v, m in zip(rows, monomials[len(rows)]))
+    return sum(n / d * m for (n, d), m in zip(rows, monomials[len(rows)]))
 
 
 def coeffs_to_schur(t: SchwarzTriple) -> SchurParams:

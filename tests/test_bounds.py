@@ -220,6 +220,30 @@ def _seeded_phis(seed: int, n: int) -> list[PhiSpec]:
     return out
 
 
+def _fractions(fields):
+    """coeffs.table's (numerator, denominator) rows as Fractions."""
+    return [[F(n, d) for n, d in rows] for rows in fields]
+
+
+_LOG_FUNCTIONALS = (FunctionalKind.T21_LOG_INV, FunctionalKind.T22_LOG_INV)
+
+
+def _printed_margin(kind: ClassKind, field: str, phi: PhiSpec) -> F:
+    """|p| - B1 of the Fekete-Szego hypothesis on b3 or Gamma2, as the paper prints it."""
+    b1, b2 = phi.b1, phi.b2
+    p = {(ClassKind.STARLIKE, "b3"): 3 * b1 * b1 - b2, (ClassKind.CONVEX, "b3"): 2 * b1 * b1 - b2,
+         (ClassKind.STARLIKE, "g2"): b2 - 2 * b1 * b1,
+         (ClassKind.CONVEX, "g2"): b2 - F(5, 4) * b1 * b1}[kind, field]
+    return abs(p) - b1
+
+
+def _same_float(got: float, exact: F) -> None:
+    """got is float(exact), with the sign of a zero."""
+    want = float(exact)
+    assert type(got) is float and got == want, (got, exact)
+    assert math.copysign(1.0, got) == math.copysign(1.0, want), (got, exact)
+
+
 def _exact_phi(phi: PhiSpec) -> PhiSpec:
     return PhiSpec(F(phi.b1), F(phi.b2), F(phi.b3))
 
@@ -233,11 +257,11 @@ class TestTableRows:
         # q1 c1^3 + q2 c1 c2 + q3 c3 with |q1| = |q|/D and (sigma, mu) = (q2, q1)/q3
         for phi in _seeded_phis(29, 150)[:150]:  # the Fraction ones
             for kind in ClassKind:
-                (u, v), (w, x) = table(kind, phi, "b3", "g2")
+                (u, v), (w, x) = _fractions(table(kind, phi, "b3", "g2"))
                 assert max(abs(u), abs(v)) == fekete_szego_reference(kind, phi, 2)
                 assert max(abs(w), abs(x)) == fekete_szego_reference(kind, phi, F(3, 2)) / 2
                 for coef in ("b4", "g3"):
-                    (q1, q2, q3), = table(kind, phi, coef)
+                    (q1, q2, q3), = _fractions(table(kind, phi, coef))
                     if not phi.b1:  # (sigma, mu) undefined
                         assert q3 == 0
                         continue
@@ -281,6 +305,31 @@ class TestTableRows:
             assert rep.sigma_mu.mu == math.inf
         with pytest.raises(OverflowError):
             theorem_bound(functional, kind, PhiSpec(F(10 ** 200), F(0), F(0)))
+
+    def test_float_fields_are_the_exact_values_rounded_once(self):
+        # the Fekete-Szego margin as the paper prints it and (sigma, mu) as it
+        # writes them, exactly; a report's float is float() of each, and a zero
+        # is +0.0 (the two named generators have sigma = 0 exactly)
+        cases = [(phi, kind) for phi in _seeded_phis(47, 150)[:150] for kind in ClassKind]
+        cases += [(PhiSpec(2, 12, -30), ClassKind.STARLIKE),
+                  (PhiSpec(1, F(7, 4), F(-7, 9)), ClassKind.CONVEX)]
+        zeros = 0
+        for phi, kind in cases:
+            for functional in FunctionalKind:
+                rep = theorem_bound(functional, kind, phi)
+                field, coef = (("g2", "g3") if functional in _LOG_FUNCTIONALS
+                               else ("b3", "b4"))
+                _same_float(rep.hypotheses[0].margin, _printed_margin(kind, field, phi))
+                if rep.sigma_mu is None:
+                    continue
+                _, _, sigma, mu = third_coefficient_reference(kind, phi, coef)
+                _same_float(rep.sigma_mu.sigma, sigma)
+                _same_float(rep.sigma_mu.mu, mu)
+                zeros += sigma == 0
+        assert zeros >= 2
+        for phi, kind in cases[-2:]:  # also from the float generator
+            sm = theorem_bound(FunctionalKind.T22_INV, kind, PhiSpec(*phi.as_floats())).sigma_mu
+            _same_float(sm.sigma, F(0))
 
 
 def test_t21_bounds_are_sums_of_squared_intermediates():
@@ -366,6 +415,19 @@ class TestTheoremBound:
         assert rep.sigma_mu.region is Region.NONE
         assert not rep.hypotheses[1].satisfied
         assert not rep.applicable
+
+    def test_sigma_mu_past_the_float_range_decide_the_region_exactly(self):
+        # sigma = (2 B2 - 6 B1^2)/B1 ~ 2e310 and mu = 8 B1^2 - 6 B2 + B3/B1 both
+        # round to inf; at B3 = 1e300 mu ~ 1e310 lies below (2/3)(|sigma| - 1)
+        # ~ 1.33e310, outside Omega3, and at B3 = 1.5e300 (mu ~ 1.5e310) inside
+        for b3, region, inside in ((1e300, Region.NONE, False), (1.5e300, Region.OMEGA3, True)):
+            rep = theorem_bound(FunctionalKind.T22_INV, ClassKind.STARLIKE,
+                                PhiSpec(1e-10, 1e300, b3))
+            sm = rep.sigma_mu
+            assert (sm.sigma, sm.mu, sm.region) == (math.inf, math.inf, region)
+            hyp = rep.hypotheses[1]
+            assert hyp.satisfied is inside and rep.applicable is inside
+            assert hyp.margin == (math.inf if inside else -math.inf)
 
     @pytest.mark.parametrize("kind", list(ClassKind))
     def test_cube_past_the_float_range_gives_an_infinite_bound(self, kind):

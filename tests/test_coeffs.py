@@ -29,7 +29,7 @@ FIELDS = ("a2", "a3", "b2", "b3", "b4", "g1", "g2", "g3")
 
 def _c1_rows(kind, phi, *names):
     """Each field's pure-c1 row: the field at omega(z) = z, exactly."""
-    return tuple(rows[0] for rows in table(kind, phi, *names))
+    return tuple(F(*rows[0]) for rows in table(kind, phi, *names))
 
 
 class TestCoeffsFromSchwarz:
@@ -68,7 +68,8 @@ class TestCoeffsFromSchwarz:
         for kind in ClassKind:
             got = table(kind, phi, *FIELDS)
             assert got == table(kind, exact, *FIELDS)
-            assert all(type(v) is F for rows in got for v in rows)
+            assert all(type(n) is int and type(d) is int and d > 0
+                       for rows in got for n, d in rows)
 
 
 class TestToeplitz:

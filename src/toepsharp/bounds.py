@@ -134,7 +134,10 @@ def _exact(*values: Real) -> bool:
 
 def fekete_szego_bound(kind: ClassKind, phi: PhiSpec, lam: Real) -> Real:
     """Sharp bound max(|beta1 - lambda alpha^2|, |beta2|) on |a3 - lambda a2^2| for
-    real lambda, a2 = alpha c1 and a3 = beta1 c1^2 + beta2 c2 (Ma & Minda, 1992)."""
+    real lambda, a2 = alpha c1 and a3 = beta1 c1^2 + beta2 c2 (Ma & Minda, 1992).
+
+    Exact when phi and lambda hold no float, else rounded once from the exact
+    value; a NaN or infinite lambda raises ValueError or OverflowError."""
     ((an, ad),), ((un, ud), (vn, vd)) = table(kind, phi, "a2", "a3")
     ln, ld = lam.as_integer_ratio()
     n, d = abs(un * ld * ad * ad - ln * an * an * ud), ud * ld * ad * ad

@@ -109,6 +109,16 @@ class TestFeketeSzego:
     def test_convex_first_branch(self):
         assert fekete_szego_bound(ClassKind.CONVEX, HALF_PLANE, 0) == 1
 
+    def test_float_lambda_is_read_exactly_and_rounded_once(self):
+        lam = 0.1  # not 1/10: the bound is that of the float's exact value
+        got = fekete_szego_bound(ClassKind.STARLIKE, EXP, lam)
+        assert type(got) is float
+        assert got == float(fekete_szego_bound(ClassKind.STARLIKE, EXP, F(lam)))
+        with pytest.raises(ValueError):
+            fekete_szego_bound(ClassKind.STARLIKE, EXP, math.nan)
+        with pytest.raises(OverflowError):
+            fekete_szego_bound(ClassKind.STARLIKE, EXP, math.inf)
+
     def test_continuity_at_branch_boundaries(self):
         for kind in ClassKind:
             for phi in (HALF_PLANE, EXP, CARDIOID):

@@ -15,13 +15,15 @@ x = q1 c1^3 + q2 c1 c2 + q3 c3 (b4, Gamma3).  The paper bounds them by
     Omega3: |sigma| >= 4 and mu >= (2/3)(|sigma| - 1)
 
 so the bound is k^2 + u^2 (T21) or u^2 + q1^2 (T22).  The table's rows
-are integer ratios, and the bound and the Fekete-Szego hypothesis are
-decided on them: an exact generator yields an exact bound, which is what
-the corollary fixtures assert, and a float generator's report rounds each
-value once, from the exact one.  The regions are decided on the rounded
-(sigma, mu), or exactly where those lie past the float range.  Formula
-values are reported even when a hypothesis fails, flagged as not
-applicable, so parameter sweeps see the whole curve.
+are integer ratios and the bound is computed on them: an exact generator
+yields an exact bound, which is what the corollary fixtures assert, and a
+float generator's report rounds each value once, from the exact one.  A
+hypothesis is satisfied iff the margin its report carries is >= -HYP_TOL:
+the Fekete-Szego margin rounded once, or the largest slack of the allowed
+regions, computed on the rounded (sigma, mu), or exactly and rounded once
+where those lie past the float range.  Formula values are reported even
+when a hypothesis fails, flagged as not applicable, so parameter sweeps
+see the whole curve.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from fractions import Fraction
 from .coeffs import _TABLE, PAIRS, ClassKind, FunctionalKind, PhiSpec, Real, table
 
 HYP_TOL = 1e-12
-_TOL_N, _TOL_D = HYP_TOL.as_integer_ratio()
-_TWO_THIRDS = {float: 2.0 / 3.0, Fraction: Fraction(2, 3)}
+_TWO_THIRDS = Fraction(2, 3)  # times a float it is float(2/3), i.e. 2.0 / 3.0
 
 
 class Region(Enum):
@@ -55,11 +56,15 @@ class RegionMembership:
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """One checked condition: satisfied iff margin >= -tolerance."""
+    """One checked condition: satisfied iff margin >= -HYP_TOL (a strict B1 > 0 fails at 0)."""
 
     name: str
     satisfied: bool
     margin: float
+
+
+def _checked(name: str, margin: float) -> Hypothesis:
+    return Hypothesis(name, margin >= -HYP_TOL, margin)
 
 
 @dataclass(frozen=True)
@@ -74,49 +79,32 @@ class BoundReport:
     witness: str
 
 
-def _in_region(sigma: Real, mu: Real, i: int) -> Real:
-    """Smallest slack of region Omega_i's conditions (negative = outside), in
-    floats, or exactly for Fraction (sigma, mu).
-
-    NaN data lies in no region (min() would silently drop a NaN slack).
-    """
-    if sigma != sigma or mu != mu:  # NaN; cheaper than math.isnan on this hot path
-        return -math.inf
+def _slacks(sigma: Real, mu: Real) -> list[Real]:
+    """Smallest slack of each region's conditions (negative = outside), for
+    (sigma, mu) both float, with no inf - inf among them, or both Fraction."""
     s = abs(sigma)
-    if i == 1:
-        return min(2 - s, mu - 1)
-    if i == 2:
-        return min(s - 2, 4 - s, mu - (sigma * sigma + 8) / 12)
-    return min(s - 4, mu - _TWO_THIRDS[type(s)] * (s - 1))
+    return [min(2 - s, mu - 1),
+            min(s - 2, 4 - s, mu - (sigma * sigma + 8) / 12),
+            min(s - 4, mu - _TWO_THIRDS * (s - 1))]
 
 
-def _holds(n: int, d: int) -> bool:
-    """Whether n / d >= -HYP_TOL, for d > 0, decided in integers."""
-    return n * _TOL_D >= -_TOL_N * d
-
-
-def _within(slack: Real) -> bool:
-    """Whether slack >= -HYP_TOL; a Fraction slack is decided exactly."""
-    if type(slack) is float:
-        return slack >= -HYP_TOL
-    return _holds(slack.numerator, slack.denominator)
-
-
-def _region(sigma: Real, mu: Real) -> Region:
-    """Lowest-index region containing (sigma, mu) within HYP_TOL, or NONE."""
-    for i, tag in ((1, Region.OMEGA1), (2, Region.OMEGA2), (3, Region.OMEGA3)):
-        if _within(_in_region(sigma, mu, i)):
-            return tag
+def _region(slacks: list[float]) -> Region:
+    """Lowest-index region whose slack is >= -HYP_TOL, or NONE."""
+    for region, slack in zip((Region.OMEGA1, Region.OMEGA2, Region.OMEGA3), slacks):
+        if slack >= -HYP_TOL:
+            return region
     return Region.NONE
 
 
 def omega_region(sigma: float, mu: float) -> RegionMembership:
     """Lowest-index region containing (sigma, mu) within HYP_TOL, or NONE.
 
-    Overlaps (|sigma| exactly 2 or 4) report the lower index.
+    Overlaps (|sigma| exactly 2 or 4) report the lower index.  NaN data lie in no
+    region, nor does (+-inf, +inf), where Omega3's mu - (2/3)(|sigma| - 1) is NaN.
     """
     sigma, mu = float(sigma), float(mu)
-    return RegionMembership(_region(sigma, mu), sigma, mu)
+    nowhere = math.isnan(mu - abs(sigma))  # a NaN, or |sigma| = mu = inf
+    return RegionMembership(Region.NONE if nowhere else _region(_slacks(sigma, mu)), sigma, mu)
 
 
 def _saturated(n: int, d: int) -> float:
@@ -166,7 +154,7 @@ def _hypothesis(kind: ClassKind, name: str, rows: tuple, real):
     if len(rows) == 2:
         (un, ud), (vn, vd) = rows  # v = -B1/d, so d (|u| - |v|) is the printed |...| - B1
         n, d = _TABLE[kind][name][1][1] * (abs(un) * vd - abs(vn) * ud), ud * vd
-        return Hypothesis(check, _holds(n, d), real(n, d)), None
+        return _checked(check, real(n, d)), None
     (n1, d1), (n2, d2), (n3, d3) = rows  # q3 = -B1/D, so n3 < 0 where B1 > 0
     if not n3:
         return Hypothesis("B1 > 0 ((sigma, mu) defined)", False, 0.0), None
@@ -174,14 +162,12 @@ def _hypothesis(kind: ClassKind, name: str, rows: tuple, real):
     sn, sd, mn, md = -n2 * d3, -d2 * n3, -n1 * d3, -d1 * n3
     sigma, mu = real(sn, sd), real(mn, md)
     if math.isfinite(sigma) and math.isfinite(mu):
-        at = sigma, mu
-    else:  # past the float range a slack could be inf - inf: decide on the exact values
-        at = Fraction(sn, sd), Fraction(mn, md)
-    slack = max(_in_region(*at, i) for i in check)
+        slacks = _slacks(sigma, mu)
+    else:  # past the float range a slack could be inf - inf: the exact ones, rounded once
+        slacks = [real(*x.as_integer_ratio()) for x in _slacks(Fraction(sn, sd), Fraction(mn, md))]
     names = " | ".join(f"Omega{i}" for i in check)
-    margin = slack if type(slack) is float else real(slack.numerator, slack.denominator)
-    return (Hypothesis(f"(sigma, mu) in {names}", _within(slack), margin),
-            RegionMembership(_region(*at), sigma, mu))
+    return (_checked(f"(sigma, mu) in {names}", max(slacks[i - 1] for i in check)),
+            RegionMembership(_region(slacks), sigma, mu))
 
 
 def _witness(kind: ClassKind) -> str:
@@ -197,9 +183,9 @@ def theorem_bound(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec) -> 
     every hypothesis holds (within HYP_TOL, so boundary generators
     count as satisfied).
     """
-    if functional not in PAIRS:
+    if (pair := PAIRS.get(functional)) is None:
         raise ValueError(f"unknown functional {functional}")
-    first, second = PAIRS[functional]
+    first, second = pair
     x, y = table(kind, phi, first, second)
     exact = _exact(phi.b1, phi.b2, phi.b3)
     real = operator.truediv if exact else _saturated

@@ -156,7 +156,7 @@ def toeplitz(kind: FunctionalKind, cb: CoeffBundle) -> float:
 
     Elementwise when the bundle holds numpy arrays.
     """
-    if kind not in PAIRS:
+    if (pair := PAIRS.get(kind)) is None:
         raise ValueError(f"unknown functional {kind}")
-    first, second = PAIRS[kind]
+    first, second = pair
     return abs(getattr(cb, first) ** 2 - getattr(cb, second) ** 2)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import fekete_szego_reference, third_coefficient_reference
 from toepsharp import bounds
 from toepsharp.bounds import (
+    HYP_TOL,
     Region,
     fekete_szego_bound,
     omega_region,
@@ -55,8 +56,11 @@ class TestOmegaRegion:
 
     def test_nan_lies_in_no_region(self):
         nan = float("nan")
-        for s, m in ((0.0, nan), (nan, 1.0), (3.0, nan), (-7.0, nan), (nan, nan)):
+        for s, m in ((0.0, nan), (nan, 1.0), (3.0, nan), (-7.0, nan), (nan, nan),
+                     (math.inf, math.inf), (-math.inf, math.inf)):  # inf - inf in Omega3
             assert omega_region(s, m).region is Region.NONE
+        assert omega_region(1.0, math.inf).region is Region.OMEGA1
+        assert omega_region(math.inf, 5.0).region is Region.NONE
 
 
 @given(sigma=st.floats(-10, 10), mu=st.floats(-5, 20),
@@ -320,24 +324,37 @@ class TestTableRows:
         # the Fekete-Szego margin as the paper prints it and (sigma, mu) as it
         # writes them, exactly; a report's float is float() of each, and a zero
         # is +0.0 (the two named generators have sigma = 0 exactly)
+        # and every hypothesis is satisfied iff its printed margin is >= -HYP_TOL
         cases = [(phi, kind) for phi in _seeded_phis(47, 150)[:150] for kind in ClassKind]
-        cases += [(PhiSpec(2, 12, -30), ClassKind.STARLIKE),
-                  (PhiSpec(1, F(7, 4), F(-7, 9)), ClassKind.CONVEX)]
+        named = [(PhiSpec(2, 12, -30), ClassKind.STARLIKE),
+                 (PhiSpec(1, F(7, 4), F(-7, 9)), ClassKind.CONVEX)]
+        # |3 B1^2 - B2| - B1 lies within half an ulp below -HYP_TOL, so it prints as -HYP_TOL
+        edge = PhiSpec(1.0000000000000002e-12, 2.9998485387061986e-24, 0.0)
+        cases += named + [(edge, ClassKind.STARLIKE), (_exact_phi(edge), ClassKind.STARLIKE)]
         zeros = 0
         for phi, kind in cases:
+            exact = _exact_phi(phi)
             for functional in FunctionalKind:
                 rep = theorem_bound(functional, kind, phi)
+                for h in rep.hypotheses:
+                    if h.name == "B1 > 0 ((sigma, mu) defined)":  # strict, so it fails at 0
+                        assert (h.satisfied, h.margin, phi.b1) == (False, 0.0, 0)
+                    else:
+                        assert h.satisfied == (h.margin >= -HYP_TOL), (functional, kind, phi, h)
                 field, coef = (("g2", "g3") if functional in _LOG_FUNCTIONALS
                                else ("b3", "b4"))
-                _same_float(rep.hypotheses[0].margin, _printed_margin(kind, field, phi))
+                _same_float(rep.hypotheses[0].margin, _printed_margin(kind, field, exact))
                 if rep.sigma_mu is None:
                     continue
-                _, _, sigma, mu = third_coefficient_reference(kind, phi, coef)
+                _, _, sigma, mu = third_coefficient_reference(kind, exact, coef)
                 _same_float(rep.sigma_mu.sigma, sigma)
                 _same_float(rep.sigma_mu.mu, mu)
                 zeros += sigma == 0
         assert zeros >= 2
-        for phi, kind in cases[-2:]:  # also from the float generator
+        for phi in (edge, _exact_phi(edge)):
+            rep = theorem_bound(FunctionalKind.T21_INV, ClassKind.STARLIKE, phi)
+            assert rep.hypotheses[0].margin == -HYP_TOL and rep.applicable
+        for phi, kind in named:  # also from the float generator
             sm = theorem_bound(FunctionalKind.T22_INV, kind, PhiSpec(*phi.as_floats())).sigma_mu
             _same_float(sm.sigma, F(0))
 

@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .coeffs import _TABLE, PAIRS, ClassKind, FunctionalKind, PhiSpec, Real, table
+from .coeffs import _TABLE, PAIRS, ClassKind, FunctionalKind, PhiSpec, Real, record, table
 
 HYP_TOL = 1e-12
 _TWO_THIRDS = Fraction(2, 3)  # times a float it is float(2/3), i.e. 2.0 / 3.0
@@ -47,14 +46,14 @@ class Region(Enum):
     OMEGA3 = "omega3"
 
 
-@dataclass(frozen=True)
+@record
 class RegionMembership:
     region: Region
     sigma: float
     mu: float
 
 
-@dataclass(frozen=True)
+@record
 class Hypothesis:
     """One checked condition: satisfied iff margin >= -HYP_TOL (a strict B1 > 0 fails at 0)."""
 
@@ -67,7 +66,7 @@ def _checked(name: str, margin: float) -> Hypothesis:
     return Hypothesis(name, margin >= -HYP_TOL, margin)
 
 
-@dataclass(frozen=True)
+@record
 class BoundReport:
     functional: FunctionalKind
     class_kind: ClassKind

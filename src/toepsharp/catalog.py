@@ -14,11 +14,10 @@ with that Taylor data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
-from .coeffs import ClassKind, FunctionalKind, PhiSpec, Real
+from .coeffs import ClassKind, FunctionalKind, PhiSpec, Real, record
 
 F = Fraction
 
@@ -120,7 +119,7 @@ _FIXTURES: dict[tuple[str, ClassKind], tuple[str, tuple[tuple[FunctionalKind, Re
 }
 
 
-@dataclass(frozen=True)
+@record
 class CatalogEntry:
     name: str
     label: str
@@ -156,7 +155,7 @@ def certificate_entries() -> tuple[tuple[str, ClassKind, PhiSpec], ...]:
     return fixed + parametric
 
 
-@dataclass(frozen=True)
+@record
 class CorollaryCurve:
     """A published parametric sharp-bound formula and its stated interval.
 

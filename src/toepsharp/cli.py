@@ -13,16 +13,15 @@ not applicable, 4 valid but not attained, 5 violation or table mismatch.
 Output is rendered in full before anything is printed, so a command that
 exits 2 prints nothing on stdout.
 
-Only ``verify`` imports the numerical oracle, and with it numpy.
+Only ``verify`` imports the numerical oracle, and with it numpy.  ``json``
+loads only for ``--format json`` or ``--out``, and ``datetime`` only for
+``--out``, so a text report starts on the exact modules alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import dataclasses
-import datetime
-import json
 import os
 import re
 import sys
@@ -50,13 +49,12 @@ _CLASSES = {k.value: k for k in ClassKind}
 # serialization
 
 def _json_default(x):
-    """The JSON form of what ``json`` cannot encode: a dataclass is its fields
-    (``class_kind`` written as ``class``), a Fraction {"numerator",
-    "denominator"} so exact values survive the round trip, a complex number
-    {"re", "im"}, an enum its value."""
-    if dataclasses.is_dataclass(x):
-        return {("class" if f.name == "class_kind" else f.name): getattr(x, f.name)
-                for f in dataclasses.fields(x)}
+    """The JSON form of what ``json`` cannot encode: a record or dataclass is
+    its fields, the ``__match_args__`` both define (``class_kind`` written as
+    ``class``), a Fraction {"numerator", "denominator"} so exact values
+    survive the round trip, a complex number {"re", "im"}, an enum its value."""
+    if (names := getattr(type(x), "__match_args__", None)) is not None:
+        return {("class" if n == "class_kind" else n): getattr(x, n) for n in names}
     if isinstance(x, Fraction):
         return {"numerator": x.numerator, "denominator": x.denominator}
     if isinstance(x, complex):
@@ -67,6 +65,8 @@ def _json_default(x):
 
 
 def _dump_json(report) -> str:
+    import json
+
     return json.dumps(report, indent=2, sort_keys=True, default=_json_default)
 
 
@@ -82,6 +82,8 @@ def print_until_closed(chunks: Iterable[str]) -> bool:
 
 
 def _write_run_record(path: str, argv: list[str], report) -> None:
+    import datetime
+
     record = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "command": " ".join(argv),

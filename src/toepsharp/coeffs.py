@@ -7,6 +7,7 @@ in (c1, c2, c3) and the Taylor data (B1, B2, B3) of phi; ``_TABLE`` holds
 them and ``table`` evaluates them exactly, for the bounds and the oracle.
 ``CoeffBundle`` derives the inverse and logarithmic coefficients from
 (a2, a3, a4), and ``toeplitz`` the four second-order Toeplitz functionals.
+``record`` makes the frozen value types of the exact paths.
 """
 
 from __future__ import annotations
@@ -14,11 +15,44 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 Real = float | Fraction
+
+
+def record(cls):
+    """Make ``cls`` a frozen value type over its annotated fields, as
+    ``dataclass(frozen=True)`` would, without importing ``dataclasses``: an
+    ``__init__`` taking the fields by position or keyword (a class attribute is
+    a default) and calling ``__post_init__`` if defined, ``__eq__`` and
+    ``__hash__`` over the fields within one class, the dataclass repr,
+    ``__match_args__``, and assignment or deletion raising AttributeError."""
+    names = tuple(cls.__annotations__)
+    params = ", ".join(f"{n}=_cls.{n}" if n in vars(cls) else n for n in names)
+    body = "".join(f"\n _set(self, {n!r}, {n})" for n in names)
+    post = "\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    scope = {"_cls": cls, "_set": object.__setattr__}
+    exec(f"def __init__(self, {params}):{body}{post}", scope)
+    key = operator.attrgetter(*names)
+
+    def __eq__(self, other):
+        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a {cls.__name__}")
+
+    cls.__init__, cls.__eq__, cls.__hash__ = scope["__init__"], __eq__, __hash__
+    cls.__repr__, cls.__match_args__ = __repr__, names
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    return cls
 
 
 class ClassKind(Enum):
@@ -44,7 +78,7 @@ PAIRS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class PhiSpec:
     """Taylor data of the class generator: phi(z) = 1 + B1 z + B2 z^2 + B3 z^3 + ...
 
@@ -72,7 +106,7 @@ class PhiSpec:
         return (float(self.b1), float(self.b2), float(self.b3))
 
 
-@dataclass(frozen=True)
+@record
 class CoeffBundle:
     """(a2, a3, a4) of a class member plus everything derived from them."""
 

@@ -71,6 +71,10 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """A frozen dataclass, unlike the exact paths' ``coeffs.record`` types: only
+    ``verify`` makes one, after importing numpy, which already loads ``inspect``,
+    most of the cost of ``dataclasses``; and callers may ``dataclasses.replace`` it."""
+
     functional: FunctionalKind
     class_kind: ClassKind
     phi: PhiSpec

@@ -15,10 +15,10 @@ and searches: box constraints only, no rejection needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .coeffs import record
 
 
-@dataclass(frozen=True)
+@record
 class SchurParams:
     """Free parameters, each in the closed unit disk."""
 

@@ -698,6 +698,32 @@ class TestImportHygiene:
             "    assert 'numpy' not in sys.modules, argv[0]\n")
         assert done.returncode == 0, done.stderr
 
+    def test_exact_subcommands_load_only_what_they_use(self, tmp_path):
+        """A text report loads none of numpy, dataclasses (and the inspect it
+        loads), json and datetime; --format json loads json, --out datetime.
+        Modules loaded before toepsharp (by a site hook, say) do not count."""
+        done = _fresh_python(
+            "import contextlib, io, sys\n"
+            "before = set(sys.modules)\n"
+            "import toepsharp.cli as cli\n"
+            "def added(*argv):\n"
+            "    if argv:\n"
+            "        with contextlib.redirect_stdout(io.StringIO()):\n"
+            "            assert cli.main(list(argv)) == 0, argv\n"
+            "    return ({'numpy', 'dataclasses', 'inspect', 'json', 'datetime'}\n"
+            "            & (set(sys.modules) - before))\n"
+            "bound = ('bound', '--class', 'starlike', '--phi', 'exp', '--functional', 't22-inv')\n"
+            "assert added() == set(), 'import'\n"
+            "for argv in (bound, ('table',), ('table', '--format', 'csv'),\n"
+            "             ('sweep', '--param', 'beta', '--range', '1/4:1:1/4',\n"
+            "              '--class', 'convex', '--functional', 't21-log-inv'),\n"
+            "             ('extremal', '--class', 'starlike', '--phi', 'halfplane')):\n"
+            "    assert added(*argv) == set(), argv\n"
+            "assert added(*bound, '--format', 'json') == {'json'}\n"
+            f"out = {str(tmp_path / 'run.json')!r}\n"
+            "assert added(*bound, '--out', out) == {'json', 'datetime'}\n")
+        assert done.returncode == 0, done.stderr
+
     def test_verify_imports_numpy(self):
         done = _fresh_python(
             "import contextlib, io, sys\n"

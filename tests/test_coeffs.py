@@ -1,6 +1,8 @@
 """Coefficient table and functionals: examples and cross-module equivalences."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,16 +11,19 @@ import pytest
 from helpers import SchwarzTriple, random_triples, solve, table_value
 from series import Series, log_div_z, revert
 
-from toepsharp.bounds import fekete_szego_bound
+from toepsharp.bounds import Hypothesis, Region, RegionMembership, fekete_szego_bound, theorem_bound
+from toepsharp.catalog import CorollaryCurve, fixture_entries
 from toepsharp.coeffs import (
     _TABLE,
     ClassKind,
     CoeffBundle,
     FunctionalKind,
     PhiSpec,
+    record,
     table,
     toeplitz,
 )
+from toepsharp.schwarz import SchurParams
 
 TOL = 1e-12
 
@@ -187,6 +192,14 @@ def test_conjugation_invariance_of_functionals():
 def test_phi_spec_rejects_negative_b1():
     with pytest.raises(ValueError):
         PhiSpec(-0.5, 0, 0)
+    with pytest.raises(ValueError):
+        PhiSpec(b1=-1, b2=0, b3=0)
+
+
+def test_phi_spec_stores_integers_as_fractions():
+    for phi in (PhiSpec(1, 2, 0.5), PhiSpec(b3=0.5, b2=2, b1=1)):
+        assert phi.as_floats() == (1.0, 2.0, 0.5)
+        assert type(phi.b1) is type(phi.b2) is F and type(phi.b3) is float
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
@@ -196,3 +209,47 @@ def test_phi_spec_rejects_non_finite(bad, field):
     raw[field] = bad
     with pytest.raises(ValueError, match="finite"):
         PhiSpec(*raw)
+    with pytest.raises(ValueError, match="finite"):
+        PhiSpec(**dict(zip(("b1", "b2", "b3"), raw)))
+
+
+# One value of each frozen record type of the exact paths, with the repr a
+# frozen dataclass gave it where that repr holds no object address.
+_CURVE = CorollaryCurve("S*(alpha)", ClassKind.STARLIKE, FunctionalKind.T21_INV, "alpha",
+                        0, 0.5, abs, float)
+RECORDS = [
+    (PhiSpec(1, F(1, 2), 0.25), "PhiSpec(b1=Fraction(1, 1), b2=Fraction(1, 2), b3=0.25)"),
+    (CoeffBundle(1 + 0j, 2j, -3.0), None),
+    (SchurParams(0.5j, 0.25, -0.5), None),
+    (RegionMembership(Region.OMEGA2, -3.0, 2.5), None),
+    (Hypothesis("B1 > 0", True, 0.5), "Hypothesis(name='B1 > 0', satisfied=True, margin=0.5)"),
+    (theorem_bound(FunctionalKind.T22_INV, ClassKind.STARLIKE, HALF_PLANE), None),
+    (fixture_entries()[0], None),
+    (_CURVE, "CorollaryCurve(label='S*(alpha)', class_kind=<ClassKind.STARLIKE: 'starlike'>, "
+             "functional=<FunctionalKind.T21_INV: 't21-inv'>, param='alpha', lo=0, hi=0.5, "
+             "phi_of=<built-in function abs>, expected=<class 'float'>, erratum=None)"),
+]
+
+
+@pytest.mark.parametrize("value, text", RECORDS, ids=[type(v).__name__ for v, _ in RECORDS])
+def test_record_semantics(value, text):
+    """What frozen dataclasses gave these types: construction by position or
+    keyword, equality and hash by class and fields, the repr, immutability,
+    and copy and pickle round trips."""
+    cls, names = type(value), type(value).__match_args__
+    assert names == tuple(cls.__annotations__)
+    fields = {n: getattr(value, n) for n in names}
+    for same in (cls(**fields), cls(*fields.values()), copy.copy(value),
+                 pickle.loads(pickle.dumps(value))):
+        assert same == value and hash(same) == hash(value) and same is not value
+    assert value != cls(**{**fields, names[-1]: object()})
+    twin = record(type(cls.__name__, (), {"__annotations__": dict(cls.__annotations__)}))
+    assert value != twin(**fields)
+    for n in names:
+        with pytest.raises(AttributeError):
+            setattr(value, n, fields[n])
+        with pytest.raises(AttributeError):
+            delattr(value, n)
+    assert {n: getattr(value, n) for n in names} == fields
+    if text is not None:
+        assert repr(value) == text

@@ -2,8 +2,9 @@
 """Dump every parametric corollary curve as plot-ready CSV.
 
 One row per (curve, grid point): the closed-form published value, the
-theorem value, the attainment value, and the applicability flag.  All
-three value columns should agree to ~1e-15 wherever applicable.  A reader
+theorem value, the attainment value, and the applicability flag.  The
+theorem and attainment columns are the same exact value rounded once, and
+the published column agrees with them to ~1e-15 wherever applicable.  A reader
 that stops early (``| head``) ends the dump quietly, with exit 0.
 
     python3 scripts/sweep_corollaries.py [--points N] > curves.csv
@@ -28,7 +29,7 @@ def _rows(points: int):
             att = attainment(c.functional, c.class_kind, phi)
             label = f'"{c.label}"' if "," in c.label else c.label  # S*[A,-1] holds a comma
             yield (f"{label},{c.functional.value},{c.param},{x!r},"
-                   f"{float(c.expected(x))!r},{float(rep.bound)!r},{att!r},"
+                   f"{float(c.expected(x))!r},{float(rep.bound)!r},{float(att)!r},"
                    f"{str(rep.applicable).lower()}")
 
 

@@ -12,7 +12,6 @@ from .coeffs import (  # noqa: F401
     CoeffBundle,
     FunctionalKind,
     PhiSpec,
-    toeplitz,
 )
 from .schwarz import SchurParams  # noqa: F401
 from .bounds import BoundReport, fekete_szego_bound, omega_region, theorem_bound  # noqa: F401

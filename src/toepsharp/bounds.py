@@ -33,7 +33,8 @@ import operator
 from enum import Enum
 from fractions import Fraction
 
-from .coeffs import _TABLE, PAIRS, ClassKind, FunctionalKind, PhiSpec, Real, record, table
+from .coeffs import (_TABLE, PAIRS, ClassKind, FunctionalKind, PhiSpec, Real, _exact, _saturated,
+                     record, table)
 
 HYP_TOL = 1e-12
 _TWO_THIRDS = Fraction(2, 3)  # times a float it is float(2/3), i.e. 2.0 / 3.0
@@ -55,7 +56,8 @@ class RegionMembership:
 
 @record
 class Hypothesis:
-    """One checked condition: satisfied iff margin >= -HYP_TOL (a strict B1 > 0 fails at 0)."""
+    """One checked condition: satisfied iff margin >= -HYP_TOL, with no exception
+    (the strict B1 > 0 has margin -inf where it fails)."""
 
     name: str
     satisfied: bool
@@ -106,19 +108,6 @@ def omega_region(sigma: float, mu: float) -> RegionMembership:
     return RegionMembership(Region.NONE if nowhere else _region(_slacks(sigma, mu)), sigma, mu)
 
 
-def _saturated(n: int, d: int) -> float:
-    """n / d for d > 0, or +-inf where it lies past the float range."""
-    try:
-        return n / d
-    except OverflowError:
-        return math.inf if n > 0 else -math.inf
-
-
-def _exact(*values: Real) -> bool:
-    """Whether no value is a float: a result is exact, or rounded once from the exact one."""
-    return not any(isinstance(v, float) for v in values)
-
-
 def fekete_szego_bound(kind: ClassKind, phi: PhiSpec, lam: Real) -> Real:
     """Sharp bound max(|beta1 - lambda alpha^2|, |beta2|) on |a3 - lambda a2^2| for
     real lambda, a2 = alpha c1 and a3 = beta1 c1^2 + beta2 c2 (Ma & Minda, 1992).
@@ -156,7 +145,7 @@ def _hypothesis(kind: ClassKind, name: str, rows: tuple, real):
         return _checked(check, real(n, d)), None
     (n1, d1), (n2, d2), (n3, d3) = rows  # q3 = -B1/D, so n3 < 0 where B1 > 0
     if not n3:
-        return Hypothesis("B1 > 0 ((sigma, mu) defined)", False, 0.0), None
+        return _checked("B1 > 0 ((sigma, mu) defined)", -math.inf), None
     # (sigma, mu) = (q2, q1)/q3 with the sign on the numerator, so a zero is +0.0
     sn, sd, mn, md = -n2 * d3, -d2 * n3, -n1 * d3, -d1 * n3
     sigma, mu = real(sn, sd), real(mn, md)

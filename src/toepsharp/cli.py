@@ -30,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import __version__, bounds, catalog, extremal
-from .coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec, Real, toeplitz
+from .coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec, Real
 
 _REL_TOL = 1e-12
 
@@ -52,9 +52,10 @@ def _json_default(x):
     """The JSON form of what ``json`` cannot encode: a record or dataclass is
     its fields, the ``__match_args__`` both define (``class_kind`` written as
     ``class``), a Fraction {"numerator", "denominator"} so exact values
-    survive the round trip, a complex number {"re", "im"}, an enum its value."""
+    survive the round trip, a complex number {"re", "im"}, an enum its value.
+    A record's non-finite float field is written as a string (``_finite``)."""
     if (names := getattr(type(x), "__match_args__", None)) is not None:
-        return {("class" if n == "class_kind" else n): getattr(x, n) for n in names}
+        return {("class" if n == "class_kind" else n): _finite(getattr(x, n)) for n in names}
     if isinstance(x, Fraction):
         return {"numerator": x.numerator, "denominator": x.denominator}
     if isinstance(x, complex):
@@ -62,6 +63,12 @@ def _json_default(x):
     if isinstance(x, Enum):
         return x.value
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
+def _finite(v):
+    """A field value for JSON: a non-finite float as its repr ("inf", "-inf" or
+    "nan"), since JSON has no number for it (a B1 = 0 margin is -inf)."""
+    return repr(v) if isinstance(v, float) and not cmath.isfinite(v) else v
 
 
 def _dump_json(report) -> str:
@@ -203,11 +210,12 @@ def _table_rows() -> list[dict]:
             rep = bounds.theorem_bound(functional, entry.class_kind, entry.phi)
             att = extremal.attainment(functional, entry.class_kind, entry.phi)
             if isinstance(expected, Fraction) and isinstance(rep.bound, Fraction):
-                match = rep.bound == expected
-            else:
-                match = abs(float(rep.bound) - float(expected)) <= _REL_TOL * abs(float(expected))
-            match = match and rep.applicable and (
-                abs(att - float(expected)) <= _REL_TOL * max(1.0, abs(float(expected))))
+                match = rep.bound == expected == att
+            else:  # a published float (parabolic)
+                want = float(expected)
+                match = (abs(float(rep.bound) - want) <= _REL_TOL * abs(want)
+                         and abs(float(att) - want) <= _REL_TOL * max(1.0, abs(want)))
+            match = match and rep.applicable
             rows.append({
                 "name": entry.name,
                 "class_label": entry.label,
@@ -215,7 +223,7 @@ def _table_rows() -> list[dict]:
                 "functional": functional.value,
                 "expected": expected,
                 "computed": rep.bound,
-                "attained": att,
+                "attained": float(att),
                 "match": match,
                 "notes": "",
             })
@@ -317,7 +325,7 @@ def cmd_sweep(args) -> _Result:
         rep = bounds.theorem_bound(functional, kind, phi)
         att = extremal.attainment(functional, kind, phi)
         lines.append(f"{float(v)!r},{float(rep.bound)!r},"
-                     f"{str(rep.applicable).lower()},{att!r}")
+                     f"{str(rep.applicable).lower()},{float(att)!r}")
     return 0, None, lambda: lines
 
 
@@ -329,7 +337,7 @@ def cmd_extremal(args) -> _Result:
     a = extremal.extremal_coeffs(kind, phi, max(args.order, 4))
     cb = CoeffBundle(*a[1:4])
     a, b, gamma = a[:args.order], [cb.b2, cb.b3, cb.b4], [cb.g1, cb.g2, cb.g3]
-    values = {f.value: toeplitz(f, cb) for f in FunctionalKind}
+    values = {f.value: float(extremal.attainment(f, kind, phi)) for f in FunctionalKind}
     if not all(map(cmath.isfinite, (*a, *b, *gamma, *values.values()))):
         raise OverflowError("a coefficient or functional of the extremal is not finite")
 

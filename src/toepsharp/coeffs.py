@@ -5,8 +5,9 @@ member of the convex class 1 + z f''/f' = phi(omega(z)) for some Schwarz
 function omega.  Matching powers of z makes each coefficient a polynomial
 in (c1, c2, c3) and the Taylor data (B1, B2, B3) of phi; ``_TABLE`` holds
 them and ``table`` evaluates them exactly, for the bounds and the oracle.
-``CoeffBundle`` derives the inverse and logarithmic coefficients from
-(a2, a3, a4), and ``toeplitz`` the four second-order Toeplitz functionals.
+``INVERSE`` states the inverse and logarithmic coefficients as polynomials
+in (a2, a3, a4), which ``CoeffBundle`` evaluates; ``PAIRS`` names each
+functional's pair of them.
 ``record`` makes the frozen value types of the exact paths.
 """
 
@@ -102,43 +103,44 @@ class PhiSpec:
         if self.b1 < 0:
             raise ValueError("B1 must be nonnegative")
 
-    def as_floats(self) -> tuple[float, float, float]:
-        return (float(self.b1), float(self.b2), float(self.b3))
+
+# Each inverse coefficient b_n (weight n - 1) and logarithmic coefficient g_n =
+# Gamma_n (weight n) of the inverse as (integer coefficients, divisor) over the
+# monomials of (a2, a3, a4) of its weight: a2; a2^2, a3; or a2^3, a2 a3, a4.
+INVERSE = {
+    "b2": ((-1,), 1),
+    "b3": ((2, -1), 1),
+    "b4": ((-5, 5, -1), 1),
+    "g1": ((-1,), 2),
+    "g2": ((3, -2), 4),
+    "g3": ((-10, 12, -3), 6),
+}
+
+
+def _monomials(a2, a3, a4) -> tuple:
+    """The monomials of (a2, a3, a4) indexed by weight."""
+    sq = a2 * a2
+    return None, (a2,), (sq, a3), (sq * a2, a2 * a3, a4)
+
+
+def _inverse(name: str) -> property:
+    nums, div = INVERSE[name]
+    return property(lambda cb: sum(map(operator.mul, nums,
+                                       _monomials(cb.a2, cb.a3, cb.a4)[len(nums)])) / div,
+                    doc=f"{name} of f^(-1), from INVERSE")
 
 
 @record
 class CoeffBundle:
-    """(a2, a3, a4) of a class member plus everything derived from them."""
+    """(a2, a3, a4) of a class member plus the inverse coefficients
+    f^(-1)(w) = w + b2 w^2 + b3 w^3 + b4 w^4 + ... and the logarithmic ones
+    log(f^(-1)(w)/w) = 2 sum g_n w^n derived from them."""
 
     a2: complex
     a3: complex
     a4: complex
 
-    # inverse coefficients: f^{-1}(w) = w + b2 w^2 + b3 w^3 + b4 w^4 + ...
-    @property
-    def b2(self) -> complex:
-        return -self.a2
-
-    @property
-    def b3(self) -> complex:
-        return 2 * self.a2 ** 2 - self.a3
-
-    @property
-    def b4(self) -> complex:
-        return -5 * self.a2 ** 3 + 5 * self.a2 * self.a3 - self.a4
-
-    # logarithmic coefficients of the inverse: log(f^{-1}(w)/w) = 2 sum G_n w^n
-    @property
-    def g1(self) -> complex:
-        return -self.a2 / 2
-
-    @property
-    def g2(self) -> complex:
-        return -(self.a3 - 1.5 * self.a2 ** 2) / 2
-
-    @property
-    def g3(self) -> complex:
-        return -(self.a4 - 4 * self.a2 * self.a3 + (10 / 3) * self.a2 ** 3) / 2
+    b2, b3, b4, g1, g2, g3 = map(_inverse, INVERSE)
 
 
 # A field of weight w (a_{w+1}, b_{w+1}, Gamma_w) has one row per c-monomial: c1;
@@ -168,14 +170,20 @@ _TABLE = {
 }
 
 
+def _common_denominator(phi: PhiSpec) -> tuple[int, int, int, int]:
+    """(n1, n2, n3, d) with B_k = n_k / d and d > 0 the least common denominator;
+    a float B_k reads exactly."""
+    (n1, d1), (n2, d2), (n3, d3) = (phi.b1.as_integer_ratio(), phi.b2.as_integer_ratio(),
+                                    phi.b3.as_integer_ratio())
+    d = math.lcm(d1, d2, d3)
+    return n1 * (d // d1), n2 * (d // d2), n3 * (d // d3), d
+
+
 def table(kind: ClassKind, phi: PhiSpec, *names: str) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Each named ``_TABLE`` field's row values at phi, exactly, as integer pairs
     (numerator, denominator) with a positive denominator, not reduced (a float B_j
     reads exactly).  With B_j = n_j / d, a row of degree m is an integer over den d^m."""
-    (n1, d1), (n2, d2), (n3, d3) = (phi.b1.as_integer_ratio(), phi.b2.as_integer_ratio(),
-                                    phi.b3.as_integer_ratio())
-    d = math.lcm(d1, d2, d3)
-    n1, n2, n3 = n1 * (d // d1), n2 * (d // d2), n3 * (d // d3)
+    n1, n2, n3, d = _common_denominator(phi)
     dd = d * d
     by_degree = (None, ((n1,), d), ((n1 * n1, n2 * d), dd),
                  ((n1 * n1 * n1, n1 * n2 * d, n3 * dd), dd * d))  # (B-monomials, d^m)
@@ -185,12 +193,14 @@ def table(kind: ClassKind, phi: PhiSpec, *names: str) -> tuple[tuple[tuple[int, 
                        for nums, den in fields[name]) for name in names)
 
 
-def toeplitz(kind: FunctionalKind, cb: CoeffBundle) -> float:
-    """|x_n^2 - x_{n+1}^2| for the coefficient pair named by ``kind``.
+def _saturated(n: int, d: int) -> float:
+    """n / d for d > 0, rounded once, or +-inf where it lies past the float range."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
 
-    Elementwise when the bundle holds numpy arrays.
-    """
-    if (pair := PAIRS.get(kind)) is None:
-        raise ValueError(f"unknown functional {kind}")
-    first, second = pair
-    return abs(getattr(cb, first) ** 2 - getattr(cb, second) ** 2)
+
+def _exact(*values: Real) -> bool:
+    """Whether no value is a float: a result is exact, or rounded once from the exact one."""
+    return not any(isinstance(v, float) for v in values)

@@ -1,23 +1,58 @@
 """Extremal functions certifying that the closed-form bounds are attained.
 
 The attaining member in both classes corresponds to omega(z) = i z.  Its
-Taylor coefficients satisfy a linear recursion obtained by matching
-powers of z in the defining equation with phi(i z) on the right, so the
-coefficients come out exact to machine precision; no quadrature of the
-integral representation is ever needed.
+Taylor coefficients are a_m = i^(m-1) r_m with real r_m: matching powers
+of z in z f'/f = phi(i z) gives r_1 = 1 and
+
+    (m - 1) r_m = B1 r_{m-1} + B2 r_{m-2} + B3 r_{m-3},
+
+and the convex member's r_m is the starlike one divided by m (the
+Alexander relation).  The rotation multiplies b_n by i^(n-1) and Gamma_n
+by i^n, so the pair (x_n, x_{n+1}) of every functional is i^j (X, i Y)
+with X, Y the coefficients of the real r_m, and the functional is
+|x_n^2 - x_{n+1}^2| = X^2 + Y^2.  The recursion runs on integers, with
+phi over one common denominator, so that value is exact for an exact phi.
+It reads neither ``coeffs._TABLE`` nor the bound's formulas, which makes
+"attainment == bound" an independent certificate.
 """
 
 from __future__ import annotations
 
-from .coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec, toeplitz
+import operator
+from collections.abc import Iterator
+from fractions import Fraction
+from itertools import islice
+
+from .coeffs import (INVERSE, PAIRS, ClassKind, FunctionalKind, PhiSpec, _common_denominator,
+                     _exact, _monomials, _saturated)
+
+# extremal_coeffs refuses an order whose exact terms would take more bits than this
+# (about (N - 1) log2(N max(d, |n_k|)), with B_k = n_k / d), rather than run for hours.
+MAX_TERM_BITS = 1 << 20
+
+# 6^(m-1) / (m-1)! and 6^(m-1) / m! for m = 2, 3, 4: integers, so r_2, r_3, r_4
+# are these times t_m over (6 d)^(m-1) in either class.
+_SCALE = {ClassKind.STARLIKE: (6, 18, 36), ClassKind.CONVEX: (3, 6, 9)}
+
+
+def _terms(n1: int, n2: int, n3: int, d: int) -> Iterator[int]:
+    """The integers t_1, t_2, ... with r_m = t_m / ((m-1)! d^(m-1)) for the starlike
+    r_m: the recursion times (m-2)! d^(m-1), with B_k = n_k / d."""
+    e2, e3 = n2 * d, n3 * d * d
+    t3, t2, t1 = 0, 0, 1  # t_{m-3}, t_{m-2}, t_{m-1}
+    yield t1
+    m = 2
+    while True:
+        t3, t2, t1 = t2, t1, n1 * t1 + (m - 2) * (e2 * t2 + (m - 3) * e3 * t3)
+        yield t1
+        m += 1
 
 
 def extremal_coeffs(kind: ClassKind, phi: PhiSpec, n: int) -> tuple[complex, ...]:
     """Taylor coefficients (a_1, ..., a_N) of the rotation extremal; a_1 = 1.
 
-    Starlike: (m-1) a_m = sum_{k>=1} i^k B_k a_{m-k}.  Convex: the Alexander
-    transform of the starlike extremal (h is convex iff z h' is starlike), so
-    a_m(h) = a_m(z h')/m.
+    Each a_m = i^(m-1) r_m is the exact r_m rounded once (to +-inf past the
+    float range) and then rotated, for display.
 
     The generator is cut after B3 (B_4 = B_5 = ... = 0).  Only B1..B3
     affect a_2..a_4, and hence every functional; a_5 onward are those of
@@ -25,20 +60,37 @@ def extremal_coeffs(kind: ClassKind, phi: PhiSpec, n: int) -> tuple[complex, ...
     """
     if n < 2:
         raise ValueError("need N >= 2")
-    B = [complex(x) for x in phi.as_floats()]
-    rot = [(1j) ** (k + 1) * B[k] for k in range(len(B))]  # i^k B_k
-    a = [1.0 + 0j]
-    for m in range(1, n):
-        a.append(sum(rot[k - 1] * a[m - k] for k in range(1, min(m, len(B)) + 1)) / m)
-    if kind is ClassKind.CONVEX:
-        a = [x / m for m, x in enumerate(a, 1)]
+    n1, n2, n3, d = _common_denominator(phi)
+    bits = (n - 1) * (max(abs(n1), abs(n2), abs(n3), d).bit_length() + n.bit_length())
+    if bits > MAX_TERM_BITS:
+        raise ValueError(f"a_{n} of this generator needs exact integers of about {bits} bits; "
+                         f"at most {MAX_TERM_BITS} allowed")
+    convex = kind is ClassKind.CONVEX
+    a, den = [], 1  # den = (m-1)! d^(m-1)
+    for m, t in zip(range(1, n + 1), _terms(n1, n2, n3, d)):
+        r = _saturated(t, den * m if convex else den)
+        a.append((complex(r, 0.0), complex(0.0, r), complex(0.0 - r, 0.0),
+                  complex(0.0, 0.0 - r))[(m - 1) % 4])  # 0.0 - r: no -0.0
+        den *= d * m
     return tuple(a)
 
 
-def attainment(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec) -> float:
-    """The functional evaluated at the rotation extremal.
+def attainment(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec) -> Fraction | float:
+    """The functional at the rotation extremal: X^2 + Y^2 as above, exact for an
+    exact phi, else rounded once from the exact value (to inf past the float range).
 
-    Equals the closed-form theorem bound whenever that bound's
-    hypotheses hold; this is the sharpness certificate.
+    It equals the closed-form formula value whether or not that bound's
+    hypotheses hold; where they hold, this is the sharpness certificate.
     """
-    return toeplitz(functional, CoeffBundle(*extremal_coeffs(kind, phi, 4)[1:]))
+    if (pair := PAIRS.get(functional)) is None:
+        raise ValueError(f"unknown functional {functional}")
+    n1, n2, n3, d = _common_denominator(phi)
+    _, t2, t3, t4 = islice(_terms(n1, n2, n3, d), 4)
+    s2, s3, s4 = _SCALE[kind]
+    by_weight = _monomials(t2 * s2, t3 * s3, t4 * s4)  # a_m (6 d)^(m-1) of the real extremal
+    (xs, e), (ys, f) = INVERSE[pair[0]], INVERSE[pair[1]]
+    p = sum(map(operator.mul, xs, by_weight[len(xs)]))  # X = p / (e (6 d)^w)
+    q = sum(map(operator.mul, ys, by_weight[len(ys)]))  # Y = q / (f (6 d)^(w+1))
+    uu = 36 * d * d
+    num, den = (p * f) ** 2 * uu + (q * e) ** 2, (e * f) ** 2 * uu ** len(ys)
+    return Fraction(num, den) if _exact(phi.b1, phi.b2, phi.b3) else _saturated(num, den)

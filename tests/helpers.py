@@ -7,7 +7,8 @@ The solvers here derive (a2, a3, a4) directly from the defining
 differential relations using only the series engine, term by term.  They
 share no formulas with toepsharp.coeffs, so agreement between the two is
 a genuine cross-check.  ``table_value`` evaluates a field of the library's
-coefficient table at a Schwarz triple, for comparison with them.
+coefficient table at a Schwarz triple, for comparison with them, and
+``toeplitz`` a functional on a ``CoeffBundle``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from toepsharp.coeffs import ClassKind, PhiSpec, table
+from toepsharp.coeffs import PAIRS, ClassKind, CoeffBundle, FunctionalKind, PhiSpec, table
 from toepsharp.schwarz import SchurParams, schur_map
 from series import Series, compose
 
@@ -49,9 +50,13 @@ def is_admissible(t: SchwarzTriple, tol: float = 1e-12) -> bool:
     return lhs <= rhs + tol
 
 
+def as_floats(phi: PhiSpec) -> tuple[float, float, float]:
+    """(B1, B2, B3) of phi, each rounded to a float."""
+    return (float(phi.b1), float(phi.b2), float(phi.b3))
+
+
 def phi_series(phi: PhiSpec) -> Series:
-    b1, b2, b3 = phi.as_floats()
-    return Series((1.0, b1, b2, b3))
+    return Series((1.0, *as_floats(phi)))
 
 
 def omega_series(t: SchwarzTriple) -> Series:
@@ -82,6 +87,13 @@ def solve_convex(phi: PhiSpec, t: SchwarzTriple) -> tuple[complex, complex, comp
 def solve(kind: ClassKind, phi: PhiSpec, t: SchwarzTriple) -> tuple[complex, complex, complex]:
     """(a2, a3, a4) of the class member of ``kind`` by the series solve."""
     return (solve_starlike if kind is ClassKind.STARLIKE else solve_convex)(phi, t)
+
+
+def toeplitz(kind: FunctionalKind, cb: CoeffBundle):
+    """|x_n^2 - x_{n+1}^2| for the coefficient pair named by ``kind``, elementwise
+    when the bundle holds numpy arrays."""
+    first, second = PAIRS[kind]
+    return abs(getattr(cb, first) ** 2 - getattr(cb, second) ** 2)
 
 
 def table_value(kind: ClassKind, phi: PhiSpec, name: str, t: SchwarzTriple) -> complex:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fekete_szego_reference, third_coefficient_reference
+from helpers import as_floats, fekete_szego_reference, third_coefficient_reference
 from toepsharp import bounds
 from toepsharp.bounds import (
     HYP_TOL,
@@ -19,7 +19,7 @@ from toepsharp.bounds import (
     theorem_bound,
 )
 from toepsharp.catalog import phi_coeffs
-from toepsharp.coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec, table, toeplitz
+from toepsharp.coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec, table
 from toepsharp.extremal import attainment, extremal_coeffs
 
 HALF_PLANE = PhiSpec(F(2), F(2), F(2))
@@ -337,10 +337,7 @@ class TestTableRows:
             for functional in FunctionalKind:
                 rep = theorem_bound(functional, kind, phi)
                 for h in rep.hypotheses:
-                    if h.name == "B1 > 0 ((sigma, mu) defined)":  # strict, so it fails at 0
-                        assert (h.satisfied, h.margin, phi.b1) == (False, 0.0, 0)
-                    else:
-                        assert h.satisfied == (h.margin >= -HYP_TOL), (functional, kind, phi, h)
+                    assert h.satisfied == (h.margin >= -HYP_TOL), (functional, kind, phi, h)
                 field, coef = (("g2", "g3") if functional in _LOG_FUNCTIONALS
                                else ("b3", "b4"))
                 _same_float(rep.hypotheses[0].margin, _printed_margin(kind, field, exact))
@@ -355,7 +352,7 @@ class TestTableRows:
             rep = theorem_bound(FunctionalKind.T21_INV, ClassKind.STARLIKE, phi)
             assert rep.hypotheses[0].margin == -HYP_TOL and rep.applicable
         for phi, kind in named:  # also from the float generator
-            sm = theorem_bound(FunctionalKind.T22_INV, kind, PhiSpec(*phi.as_floats())).sigma_mu
+            sm = theorem_bound(FunctionalKind.T22_INV, kind, PhiSpec(*as_floats(phi))).sigma_mu
             _same_float(sm.sigma, F(0))
 
 
@@ -381,16 +378,41 @@ def test_formula_value_equals_the_attainment_applicable_or_not():
     # attains the formula value whether or not a hypothesis holds.  maximize
     # always starts there (gamma0 = i): its maximum is never below the
     # formula value, so a formula value above the true maximum cannot occur.
+    # Both are exact for an exact phi, and rounded once from it for a float one.
     inapplicable = 0
     for phi in _seeded_phis(43, 150):
+        exact = _exact_phi(phi)
         for kind in ClassKind:
             for functional in FunctionalKind:
                 rep = theorem_bound(functional, kind, phi)
-                want = float(rep.bound)
                 got = attainment(functional, kind, phi)
-                assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (functional, kind, phi)
+                if type(phi.b1) is type(phi.b2) is type(phi.b3) is F:
+                    assert type(got) is F and got == rep.bound, (functional, kind, phi)
+                else:
+                    want = attainment(functional, kind, exact)
+                    assert type(got) is float and got == float(want) == rep.bound, (
+                        functional, kind, phi)
                 inapplicable += not rep.applicable
     assert inapplicable >= 400
+
+
+def test_every_hypothesis_is_satisfied_iff_its_margin_clears_the_tolerance():
+    # the rule has no exception: the strict B1 > 0 fails with margin -inf
+    rng = random.Random(44)
+    phis = _seeded_phis(44, 100) + [
+        PhiSpec(0, _random_fraction(rng, -4, 4), _random_fraction(rng, -4, 4))
+        for _ in range(50)]
+    phis += [phi_coeffs("lemniscate"), PhiSpec(0.0, 0.5, -1.0)]
+    undefined = 0
+    for phi in phis:
+        for kind in ClassKind:
+            for functional in FunctionalKind:
+                for h in theorem_bound(functional, kind, phi).hypotheses:
+                    assert h.satisfied == (h.margin >= -HYP_TOL), (functional, kind, phi, h)
+                    if h.name == "B1 > 0 ((sigma, mu) defined)":
+                        assert (h.margin, phi.b1) == (-math.inf, 0)
+                        undefined += 1
+    assert undefined == 4 * sum(phi.b1 == 0 for phi in phis) >= 4 * 52  # both T22, both classes
 
 
 class TestTheoremBound:
@@ -498,7 +520,7 @@ class TestTheoremBound:
         with pytest.raises(ValueError, match="unknown functional"):
             theorem_bound("t21-inv", ClassKind.STARLIKE, HALF_PLANE)
         with pytest.raises(ValueError, match="unknown functional"):
-            toeplitz("t21-inv", CoeffBundle(1j, 0j, 0j))
+            attainment("t21-inv", ClassKind.STARLIKE, HALF_PLANE)
 
     def test_witness_mentions_the_rotation(self):
         rep = theorem_bound(FunctionalKind.T21_INV, ClassKind.STARLIKE,

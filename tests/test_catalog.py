@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
+from helpers import as_floats
 from toepsharp.bounds import theorem_bound
 from toepsharp.catalog import (
     COROLLARY_CURVES,
@@ -29,7 +30,7 @@ def mp_taylor(f, n: int = 3) -> list[float]:
 def assert_phi_matches(phi: PhiSpec, f) -> None:
     c = mp_taylor(f)
     assert abs(c[0] - 1) < TOL
-    for got, want in zip(phi.as_floats(), c[1:]):
+    for got, want in zip(as_floats(phi), c[1:]):
         assert abs(got - want) <= TOL * max(1.0, abs(want))
 
 
@@ -55,7 +56,7 @@ class TestGeneratorTaylorData:
         L = [mp.mpf(0), 2, 0, mp.mpf(2) / 3, 0, mp.mpf(2) / 5, 0, mp.mpf(2) / 7]
         sq = [sum(L[i] * L[k - i] for i in range(k + 1)) for k in range(8)]
         phi = phi_coeffs("parabolic")
-        for k, got in enumerate(phi.as_floats(), start=1):
+        for k, got in enumerate(as_floats(phi), start=1):
             want = float(2 / mp.pi ** 2 * sq[2 * k])
             assert abs(got - want) <= TOL * max(1.0, abs(want))
 

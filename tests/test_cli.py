@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 import toepsharp
 from toepsharp.bounds import theorem_bound
-from toepsharp.catalog import COROLLARY_CURVES, PHI_NAMES
+from toepsharp.catalog import COROLLARY_CURVES, PHI_NAMES, fixture_entries
 from toepsharp.cli import MAX_BUDGET, MAX_SWEEP_ROWS, _parse_range, main
 from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec
+from toepsharp.extremal import attainment
 
 
 def run(capsys, *argv):
@@ -56,6 +57,20 @@ class TestBound:
         assert code == 3
         assert "[FAIL] |B2 - 2 B1^2| >= B1" in out
         assert "applicable: False" in out
+
+    def test_undefined_sigma_mu_margin_is_minus_inf(self, capsys):
+        # B1 = 0 fails "B1 > 0" with margin -inf; JSON has no number for it,
+        # so the margin is the string "-inf" and the output stays JSON
+        code, out, _ = run(capsys, "bound", "--class", "starlike",
+                           "--phi", "lemniscate", "--functional", "t22-inv")
+        assert code == 3
+        assert "[FAIL] B1 > 0 ((sigma, mu) defined) (margin -inf)" in out
+        code, out, _ = run(capsys, "bound", "--class", "convex", "--b1", "0", "--b2", "1",
+                           "--b3", "0", "--functional", "t22-log-inv", "--format", "json")
+        assert code == 3
+        (hyp,) = json.loads(out, parse_constant=_refuse_constant)["hypotheses"][1:]
+        assert hyp == {"name": "B1 > 0 ((sigma, mu) defined)", "satisfied": False,
+                       "margin": "-inf"}
 
     def test_raw_coefficients(self, capsys):
         code, out, _ = run(capsys, "bound", "--class", "convex",
@@ -126,6 +141,31 @@ class TestTable:
     def test_unknown_entry_exits_2(self, capsys):
         code, _, _ = run(capsys, "table", "--only", "nephroid")
         assert code == 2
+
+    def test_every_exact_row_is_attained_exactly(self):
+        # the exact rows compare attained == expected, with no tolerance
+        exact = 0
+        for entry in fixture_entries():
+            for functional, expected in entry.fixtures:
+                if isinstance(expected, F):
+                    att = attainment(functional, entry.class_kind, entry.phi)
+                    assert att == expected, (entry.name, entry.class_kind, functional)
+                    exact += 1
+        assert exact >= 20
+
+    def test_exact_rows_refuse_an_attained_value_off_by_one_part_in_1e20(
+            self, capsys, monkeypatch):
+        # far below _REL_TOL: only the float (parabolic) rows still match
+        from toepsharp import extremal
+
+        computed = extremal.attainment
+        monkeypatch.setattr(extremal, "attainment",
+                            lambda f, k, phi: computed(f, k, phi) * (1 + F(1, 10 ** 20)))
+        code, out, _ = run(capsys, "table", "--format", "json")
+        assert code == 5
+        rows = json.loads(out)["rows"]
+        assert {r["name"] for r in rows if r["match"]} == {"parabolic"}
+        assert all(not r["match"] for r in rows if isinstance(r["expected"], dict))
 
     def test_json_round_trips(self, capsys):
         code, out, _ = run(capsys, "table", "--format", "json")
@@ -330,6 +370,14 @@ class TestExtremal:
                            "--phi", "exp", "--order", str(MAX_SWEEP_ROWS))
         assert code == 0
         assert sum(line.startswith("a") for line in out.splitlines()) == MAX_SWEEP_ROWS
+
+    def test_order_whose_exact_terms_are_too_large_exits_2(self, capsys):
+        # B1 = 10^-4300 puts a_N over 10^(4300 (N - 1)): refused before any term
+        code, out, err = run(capsys, "extremal", "--class", "starlike", "--b1", "1e-4300",
+                             "--b2", "0", "--b3", "0", "--order", "1000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: a_1000 of this generator needs exact integers")
 
     @pytest.mark.parametrize("order", [MAX_SWEEP_ROWS + 1, 10 ** 12])
     def test_order_above_the_cap_exits_2_before_the_extremal(self, capsys, monkeypatch,

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from helpers import SchwarzTriple, random_triples, solve, table_value
+from helpers import SchwarzTriple, as_floats, random_triples, solve, table_value, toeplitz
 from series import Series, log_div_z, revert
 
 from toepsharp.bounds import Hypothesis, Region, RegionMembership, fekete_szego_bound, theorem_bound
@@ -21,7 +21,6 @@ from toepsharp.coeffs import (
     PhiSpec,
     record,
     table,
-    toeplitz,
 )
 from toepsharp.schwarz import SchurParams
 
@@ -198,7 +197,7 @@ def test_phi_spec_rejects_negative_b1():
 
 def test_phi_spec_stores_integers_as_fractions():
     for phi in (PhiSpec(1, 2, 0.5), PhiSpec(b3=0.5, b2=2, b1=1)):
-        assert phi.as_floats() == (1.0, 2.0, 0.5)
+        assert as_floats(phi) == (1.0, 2.0, 0.5)
         assert type(phi.b1) is type(phi.b2) is F and type(phi.b3) is float
 
 

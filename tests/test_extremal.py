@@ -1,11 +1,13 @@
 """Extremal function coefficients and attainment certificates."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from helpers import SchwarzTriple, solve
+from toepsharp import bounds, coeffs
 from toepsharp.bounds import theorem_bound
 from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec
 from toepsharp.extremal import attainment, extremal_coeffs
@@ -61,16 +63,47 @@ class TestExtremalCoeffs:
         with pytest.raises(ValueError):
             extremal_coeffs(ClassKind.STARLIKE, HALF_PLANE, 1)
 
+    def test_each_coefficient_is_the_exact_one_rounded_once(self):
+        # exp, starlike: r = 1, 1, 3/4, 17/36, 73/288 (a_m = i^(m-1) r_m), and
+        # the convex r_m is that over m; an integer value is exact, a zero is +0.0
+        r = (F(1), F(1), F(3, 4), F(17, 36), F(73, 288))
+        rot = (1, 1j, -1, -1j)
+        for kind, div in ((ClassKind.STARLIKE, 1), (ClassKind.CONVEX, 0)):
+            got = extremal_coeffs(kind, EXP, 5)
+            want = [rot[m % 4] * float(x / (div or m + 1)) for m, x in enumerate(r)]
+            assert list(got) == want
+        ext = extremal_coeffs(ClassKind.STARLIKE, HALF_PLANE, 6)
+        assert ext == (1, 2j, -3, -4j, 4.5, 4.6j)  # the generator cut after B3
+        assert all(math.copysign(1, x) == 1 for a in ext for x in (a.real, a.imag) if x == 0)
+
+    def test_refuses_an_order_whose_exact_terms_are_too_large(self):
+        # B1 = 2^-1000 puts a_N over 2^(1000 (N - 1)); the refusal comes first
+        phi = PhiSpec(F(1, 2 ** 1000), F(0), F(0))
+        assert extremal_coeffs(ClassKind.STARLIKE, phi, 100)[1] == 2.0 ** -1000 * 1j
+        with pytest.raises(ValueError, match="a_2000 of this generator needs exact integers"):
+            extremal_coeffs(ClassKind.STARLIKE, phi, 2000)
+        assert extremal_coeffs(ClassKind.CONVEX, PhiSpec(0.7, -0.3, 0.1), 2000)[-1] == 0
+
+
+def _seeded_phis(seed: int, n: int) -> list[PhiSpec]:
+    """n Fraction generators: B1 in [0, 3], B2 and B3 in [-4, 4], denominators <= 12."""
+    rng = random.Random(seed)
+
+    def frac(lo, hi):
+        den = rng.randint(1, 12)
+        return F(rng.randint(lo * den, hi * den), den)
+    return [PhiSpec(frac(0, 3), frac(-4, 4), frac(-4, 4)) for _ in range(n)]
+
 
 class TestAttainment:
     def test_halfplane_log_first(self):
         got = attainment(FunctionalKind.T21_LOG_INV, ClassKind.STARLIKE,
                          HALF_PLANE)
-        assert abs(got - 13 / 4) < TOL
+        assert got == F(13, 4)
 
     def test_exp_inverse_second(self):
         got = attainment(FunctionalKind.T22_INV, ClassKind.STARLIKE, EXP)
-        assert abs(got - 5869 / 1296) < TOL
+        assert got == F(5869, 1296)
 
     def test_trivial_generator(self):
         phi = PhiSpec(0, 0, 0)
@@ -83,6 +116,44 @@ class TestAttainment:
             for kind in ClassKind:
                 rep = theorem_bound(f, kind, HALF_PLANE)
                 assert rep.applicable
-                got = attainment(f, kind, HALF_PLANE)
-                want = float(rep.bound)
-                assert abs(got - want) <= TOL * max(1.0, want)
+                assert attainment(f, kind, HALF_PLANE) == rep.bound
+
+    def test_exact_for_exact_phi_applicable_or_not(self):
+        applicable = inapplicable = 0
+        for phi in _seeded_phis(21, 200):
+            for kind in ClassKind:
+                for f in FunctionalKind:
+                    rep = theorem_bound(f, kind, phi)
+                    got = attainment(f, kind, phi)
+                    assert type(got) is F and got == rep.bound, (f, kind, phi)
+                    applicable += rep.applicable
+                    inapplicable += not rep.applicable
+        assert applicable >= 1000 and inapplicable >= 300
+
+    def test_float_phi_is_the_exact_value_rounded_once(self):
+        rng = random.Random(22)
+        for _ in range(200):
+            floats = (rng.uniform(0, 3), rng.uniform(-4, 4), rng.uniform(-4, 4))
+            for kind in ClassKind:
+                for f in FunctionalKind:
+                    got = attainment(f, kind, PhiSpec(*floats))
+                    assert type(got) is float
+                    assert got == float(attainment(f, kind, PhiSpec(*map(F, floats))))
+
+    @pytest.mark.parametrize("kind", list(ClassKind))
+    @pytest.mark.parametrize("functional", list(FunctionalKind))
+    def test_past_the_float_range_saturates(self, functional, kind):
+        assert attainment(functional, kind, PhiSpec(1e200, 0.0, 0.0)) == math.inf
+        assert attainment(functional, kind, PhiSpec(F(10 ** 200), F(0), F(0))) > 10 ** 400
+
+    def test_does_not_read_the_coefficient_table(self, monkeypatch):
+        cases = [(f, kind, phi) for phi in _seeded_phis(23, 20) + [HALF_PLANE, EXP]
+                 for kind in ClassKind for f in FunctionalKind]
+        want = [attainment(*c) for c in cases]
+        garbage = {kind: {name: tuple((tuple(n + 7 for n in nums), den) for nums, den in row)
+                          for name, row in fields.items()}
+                   for kind, fields in coeffs._TABLE.items()}
+        monkeypatch.setattr(coeffs, "_TABLE", garbage)
+        monkeypatch.setattr(bounds, "_TABLE", garbage)
+        assert theorem_bound(*cases[0]).bound != want[0]  # the table did change
+        assert [attainment(*c) for c in cases] == want

@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_triples, solve
+from helpers import random_triples, solve, toeplitz
 from toepsharp import oracle
 from toepsharp.bounds import theorem_bound
 from toepsharp.catalog import certificate_entries
-from toepsharp.coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec, toeplitz
+from toepsharp.coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec
 from toepsharp.extremal import attainment
 from toepsharp.oracle import Verdict, lemma1_scan, maximize
 from toepsharp.schwarz import schur_map

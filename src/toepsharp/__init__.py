@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .coeffs import (  # noqa: F401
     ClassKind,
-    CoeffBundle,
     FunctionalKind,
     PhiSpec,
 )

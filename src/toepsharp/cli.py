@@ -30,9 +30,9 @@ from enum import Enum
 from fractions import Fraction
 
 from . import __version__, bounds, catalog, extremal
-from .coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec, Real
+from .coeffs import INVERSE, ClassKind, FunctionalKind, PhiSpec, Real, _inverse, _monomials
 
-_REL_TOL = 1e-12
+_REL_TOL = 1e-12  # between a computed table value and a published float (parabolic)
 
 # A sweep computes every row before printing; this caps the work a tiny
 # step can ask for (0:1:1/10000 is the largest decimal grid on [0, 1]).
@@ -209,13 +209,11 @@ def _table_rows() -> list[dict]:
         for functional, expected in entry.fixtures:
             rep = bounds.theorem_bound(functional, entry.class_kind, entry.phi)
             att = extremal.attainment(functional, entry.class_kind, entry.phi)
-            if isinstance(expected, Fraction) and isinstance(rep.bound, Fraction):
-                match = rep.bound == expected == att
+            if isinstance(expected, Fraction):
+                match = rep.bound == expected
             else:  # a published float (parabolic)
-                want = float(expected)
-                match = (abs(float(rep.bound) - want) <= _REL_TOL * abs(want)
-                         and abs(float(att) - want) <= _REL_TOL * max(1.0, abs(want)))
-            match = match and rep.applicable
+                match = abs(rep.bound - expected) <= _REL_TOL * abs(expected)
+            match = match and att == rep.bound and rep.applicable
             rows.append({
                 "name": entry.name,
                 "class_label": entry.label,
@@ -335,16 +333,17 @@ def cmd_extremal(args) -> _Result:
     if not 2 <= args.order <= MAX_SWEEP_ROWS:
         raise ValueError(f"--order needs 2 <= N <= {MAX_SWEEP_ROWS}, got {args.order}")
     a = extremal.extremal_coeffs(kind, phi, max(args.order, 4))
-    cb = CoeffBundle(*a[1:4])
-    a, b, gamma = a[:args.order], [cb.b2, cb.b3, cb.b4], [cb.g1, cb.g2, cb.g3]
+    by_weight = _monomials(*a[1:4])
+    inverse = [_inverse(name, by_weight) / div for name, (_, div) in INVERSE.items()]
+    a, b, gamma = a[:args.order], inverse[:3], inverse[3:]  # b2..b4, Gamma1..Gamma3
     values = {f.value: float(extremal.attainment(f, kind, phi)) for f in FunctionalKind}
     if not all(map(cmath.isfinite, (*a, *b, *gamma, *values.values()))):
         raise OverflowError("a coefficient or functional of the extremal is not finite")
 
     def text() -> list[str]:
         lines = [f"a{m} = {c:.12g}" for m, c in enumerate(a, start=1)]
-        lines.append(f"b2, b3, b4 = {cb.b2:.12g}, {cb.b3:.12g}, {cb.b4:.12g}")
-        lines.append(f"Gamma1, Gamma2, Gamma3 = {cb.g1:.12g}, {cb.g2:.12g}, {cb.g3:.12g}")
+        lines.append("b2, b3, b4 = " + ", ".join(f"{x:.12g}" for x in b))
+        lines.append("Gamma1, Gamma2, Gamma3 = " + ", ".join(f"{x:.12g}" for x in gamma))
         return lines + [f"{name} = {v!r}" for name, v in values.items()]
     report = {"class": kind, "phi": phi, "a": a, "b": b, "gamma": gamma, "functionals": values}
     return 0, report, text

@@ -6,7 +6,7 @@ function omega.  Matching powers of z makes each coefficient a polynomial
 in (c1, c2, c3) and the Taylor data (B1, B2, B3) of phi; ``_TABLE`` holds
 them and ``table`` evaluates them exactly, for the bounds and the oracle.
 ``INVERSE`` states the inverse and logarithmic coefficients as polynomials
-in (a2, a3, a4), which ``CoeffBundle`` evaluates; ``PAIRS`` names each
+in (a2, a3, a4), which ``_inverse`` evaluates; ``PAIRS`` names each
 functional's pair of them.
 ``record`` makes the frozen value types of the exact paths.
 """
@@ -70,7 +70,7 @@ class FunctionalKind(Enum):
     T22_LOG_INV = "t22-log-inv"
 
 
-# Each functional's (x_n, x_{n+1}) as CoeffBundle names (g_n is Gamma_n).
+# Each functional's (x_n, x_{n+1}) as INVERSE names (g_n is Gamma_n).
 PAIRS = {
     FunctionalKind.T21_INV: ("b2", "b3"),
     FunctionalKind.T22_INV: ("b3", "b4"),
@@ -83,7 +83,8 @@ PAIRS = {
 class PhiSpec:
     """Taylor data of the class generator: phi(z) = 1 + B1 z + B2 z^2 + B3 z^3 + ...
 
-    B1, B2, B3 are real and finite; B1 >= 0 for every generator of interest
+    B1, B2, B3 are finite integers, Fractions or floats (anything else is a
+    TypeError); B1 >= 0 for every generator of interest
     (B1 = 0 only for the lemniscate generator sqrt(1+z^2)).  Fractions and
     integers (stored as Fractions) keep all downstream bound arithmetic
     exact.
@@ -98,8 +99,11 @@ class PhiSpec:
             v = getattr(self, name)
             if isinstance(v, numbers.Integral):
                 object.__setattr__(self, name, Fraction(int(v)))
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"B1, B2, B3 must be finite, got {v!r}")
+            elif isinstance(v, float):
+                if not math.isfinite(v):
+                    raise ValueError(f"B1, B2, B3 must be finite, got {v!r}")
+            elif not isinstance(v, Fraction):
+                raise TypeError(f"B1, B2, B3 must be integers, Fractions or floats, got {v!r}")
         if self.b1 < 0:
             raise ValueError("B1 must be nonnegative")
 
@@ -117,30 +121,18 @@ INVERSE = {
 }
 
 
-def _monomials(a2, a3, a4) -> tuple:
-    """The monomials of (a2, a3, a4) indexed by weight."""
-    sq = a2 * a2
-    return None, (a2,), (sq, a3), (sq * a2, a2 * a3, a4)
+def _monomials(x1, x2, x3) -> tuple:
+    """The monomials of weight 1, 2, 3 in (x1, x2, x3), x_k of weight k, indexed by
+    weight: x1; x1^2, x2; x1^3, x1 x2, x3.  INVERSE's are those of (a2, a3, a4)."""
+    sq = x1 * x1
+    return None, (x1,), (sq, x2), (sq * x1, x1 * x2, x3)
 
 
-def _inverse(name: str) -> property:
-    nums, div = INVERSE[name]
-    return property(lambda cb: sum(map(operator.mul, nums,
-                                       _monomials(cb.a2, cb.a3, cb.a4)[len(nums)])) / div,
-                    doc=f"{name} of f^(-1), from INVERSE")
-
-
-@record
-class CoeffBundle:
-    """(a2, a3, a4) of a class member plus the inverse coefficients
-    f^(-1)(w) = w + b2 w^2 + b3 w^3 + b4 w^4 + ... and the logarithmic ones
-    log(f^(-1)(w)/w) = 2 sum g_n w^n derived from them."""
-
-    a2: complex
-    a3: complex
-    a4: complex
-
-    b2, b3, b4, g1, g2, g3 = map(_inverse, INVERSE)
+def _inverse(name: str, by_weight: tuple):
+    """The numerator of ``INVERSE[name]`` at the monomials ``by_weight`` of ``_monomials``;
+    over its divisor it is that coefficient of f^(-1)."""
+    nums = INVERSE[name][0]
+    return sum(map(operator.mul, nums, by_weight[len(nums)]))
 
 
 # A field of weight w (a_{w+1}, b_{w+1}, Gamma_w) has one row per c-monomial: c1;
@@ -183,13 +175,13 @@ def table(kind: ClassKind, phi: PhiSpec, *names: str) -> tuple[tuple[tuple[int, 
     """Each named ``_TABLE`` field's row values at phi, exactly, as integer pairs
     (numerator, denominator) with a positive denominator, not reduced (a float B_j
     reads exactly).  With B_j = n_j / d, a row of degree m is an integer over den d^m."""
+    try:
+        fields = _TABLE[kind]
+    except KeyError:
+        raise ValueError(f"unknown class {kind!r}") from None
     n1, n2, n3, d = _common_denominator(phi)
-    dd = d * d
-    by_degree = (None, ((n1,), d), ((n1 * n1, n2 * d), dd),
-                 ((n1 * n1 * n1, n1 * n2 * d, n3 * dd), dd * d))  # (B-monomials, d^m)
-    fields = _TABLE[kind]
-    return tuple(tuple((sum(map(operator.mul, nums, by_degree[len(nums)][0])),
-                        den * by_degree[len(nums)][1])
+    by_degree = _monomials(n1, n2 * d, n3 * d * d)  # the B-monomials of degree m times d^m
+    return tuple(tuple((sum(map(operator.mul, nums, by_degree[len(nums)])), den * d ** len(nums))
                        for nums, den in fields[name]) for name in names)
 
 

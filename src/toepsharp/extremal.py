@@ -18,13 +18,12 @@ It reads neither ``coeffs._TABLE`` nor the bound's formulas, which makes
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import islice
 
 from .coeffs import (INVERSE, PAIRS, ClassKind, FunctionalKind, PhiSpec, _common_denominator,
-                     _exact, _monomials, _saturated)
+                     _exact, _inverse, _monomials, _saturated)
 
 # extremal_coeffs refuses an order whose exact terms would take more bits than this
 # (about (N - 1) log2(N max(d, |n_k|)), with B_k = n_k / d), rather than run for hours.
@@ -58,6 +57,8 @@ def extremal_coeffs(kind: ClassKind, phi: PhiSpec, n: int) -> tuple[complex, ...
     affect a_2..a_4, and hence every functional; a_5 onward are those of
     the cut generator.
     """
+    if kind not in _SCALE:
+        raise ValueError(f"unknown class {kind!r}")
     if n < 2:
         raise ValueError("need N >= 2")
     n1, n2, n3, d = _common_denominator(phi)
@@ -84,13 +85,16 @@ def attainment(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec) -> Fra
     """
     if (pair := PAIRS.get(functional)) is None:
         raise ValueError(f"unknown functional {functional}")
+    try:
+        s2, s3, s4 = _SCALE[kind]
+    except KeyError:
+        raise ValueError(f"unknown class {kind!r}") from None
     n1, n2, n3, d = _common_denominator(phi)
     _, t2, t3, t4 = islice(_terms(n1, n2, n3, d), 4)
-    s2, s3, s4 = _SCALE[kind]
     by_weight = _monomials(t2 * s2, t3 * s3, t4 * s4)  # a_m (6 d)^(m-1) of the real extremal
-    (xs, e), (ys, f) = INVERSE[pair[0]], INVERSE[pair[1]]
-    p = sum(map(operator.mul, xs, by_weight[len(xs)]))  # X = p / (e (6 d)^w)
-    q = sum(map(operator.mul, ys, by_weight[len(ys)]))  # Y = q / (f (6 d)^(w+1))
+    (_, e), (ys, f) = INVERSE[pair[0]], INVERSE[pair[1]]
+    p = _inverse(pair[0], by_weight)  # X = p / (e (6 d)^w)
+    q = _inverse(pair[1], by_weight)  # Y = q / (f (6 d)^(w+1))
     uu = 36 * d * d
     num, den = (p * f) ** 2 * uu + (q * e) ** 2, (e * f) ** 2 * uu ** len(ys)
     return Fraction(num, den) if _exact(phi.b1, phi.b2, phi.b3) else _saturated(num, den)

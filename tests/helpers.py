@@ -7,8 +7,9 @@ The solvers here derive (a2, a3, a4) directly from the defining
 differential relations using only the series engine, term by term.  They
 share no formulas with toepsharp.coeffs, so agreement between the two is
 a genuine cross-check.  ``table_value`` evaluates a field of the library's
-coefficient table at a Schwarz triple, for comparison with them, and
-``toeplitz`` a functional on a ``CoeffBundle``.
+coefficient table at a Schwarz triple, for comparison with them,
+``inverse`` an inverse or logarithmic coefficient at (a2, a3, a4), and
+``toeplitz`` a functional there.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from toepsharp.coeffs import PAIRS, ClassKind, CoeffBundle, FunctionalKind, PhiSpec, table
+from toepsharp.coeffs import (INVERSE, PAIRS, ClassKind, FunctionalKind, PhiSpec, _inverse,
+                              _monomials, table)
 from toepsharp.schwarz import SchurParams, schur_map
 from series import Series, compose
 
@@ -89,11 +91,16 @@ def solve(kind: ClassKind, phi: PhiSpec, t: SchwarzTriple) -> tuple[complex, com
     return (solve_starlike if kind is ClassKind.STARLIKE else solve_convex)(phi, t)
 
 
-def toeplitz(kind: FunctionalKind, cb: CoeffBundle):
-    """|x_n^2 - x_{n+1}^2| for the coefficient pair named by ``kind``, elementwise
-    when the bundle holds numpy arrays."""
+def inverse(name: str, a2, a3, a4):
+    """The coefficient ``name`` of ``INVERSE`` (b2..b4 of f^(-1), or g1..g3, its
+    logarithmic ones) for f with coefficients (a2, a3, a4)."""
+    return _inverse(name, _monomials(a2, a3, a4)) / INVERSE[name][1]
+
+
+def toeplitz(kind: FunctionalKind, a):
+    """|x_n^2 - x_{n+1}^2| for the coefficient pair named by ``kind`` at a = (a2, a3, a4)."""
     first, second = PAIRS[kind]
-    return abs(getattr(cb, first) ** 2 - getattr(cb, second) ** 2)
+    return abs(inverse(first, *a) ** 2 - inverse(second, *a) ** 2)
 
 
 def table_value(kind: ClassKind, phi: PhiSpec, name: str, t: SchwarzTriple) -> complex:
@@ -147,7 +154,7 @@ def fekete_szego_reference(kind: ClassKind, phi: PhiSpec, lam):
 def third_coefficient_reference(kind: ClassKind, phi: PhiSpec, coef: str):
     """(q, D, sigma, mu) of the b4 or Gamma3 bound as the paper writes it.
 
-    |x| <= |q|/D inside the allowed Omega regions, x the CoeffBundle field
+    |x| <= |q|/D inside the allowed Omega regions, x the INVERSE coefficient
     ``coef``.  Each (class, coefficient) is typed out separately, to check
     the library's one lemma form down to the last bit of a float.
     """

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import as_floats, fekete_szego_reference, third_coefficient_reference
+from helpers import as_floats, fekete_szego_reference, inverse, third_coefficient_reference
 from toepsharp import bounds
 from toepsharp.bounds import (
     HYP_TOL,
@@ -19,7 +19,7 @@ from toepsharp.bounds import (
     theorem_bound,
 )
 from toepsharp.catalog import phi_coeffs
-from toepsharp.coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec, table
+from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec, table
 from toepsharp.extremal import attainment, extremal_coeffs
 
 HALF_PLANE = PhiSpec(F(2), F(2), F(2))
@@ -364,9 +364,10 @@ def test_t21_bounds_are_sums_of_squared_intermediates():
         phi = PhiSpec(_random_fraction(rng, 0, 3), _random_fraction(rng, -4, 4),
                       _random_fraction(rng, -4, 4))
         for kind in ClassKind:
-            cb = CoeffBundle(*extremal_coeffs(kind, phi, 4)[1:])
-            for functional, x, y in ((FunctionalKind.T21_INV, cb.b2, cb.b3),
-                                     (FunctionalKind.T21_LOG_INV, cb.g1, cb.g2)):
+            a = extremal_coeffs(kind, phi, 4)[1:]
+            for functional, pair in ((FunctionalKind.T21_INV, ("b2", "b3")),
+                                     (FunctionalKind.T21_LOG_INV, ("g1", "g2"))):
+                x, y = (inverse(name, *a) for name in pair)
                 want = abs(x) ** 2 + abs(y) ** 2
                 got = float(theorem_bound(functional, kind, phi).bound)
                 assert abs(got - want) <= 1e-12 * max(1.0, want), (functional, kind, phi)
@@ -521,6 +522,20 @@ class TestTheoremBound:
             theorem_bound("t21-inv", ClassKind.STARLIKE, HALF_PLANE)
         with pytest.raises(ValueError, match="unknown functional"):
             attainment("t21-inv", ClassKind.STARLIKE, HALF_PLANE)
+
+    @pytest.mark.parametrize("kind", ["starlike", "convex", None])
+    def test_rejects_an_unknown_class(self, kind):
+        # the class's value, not a ClassKind: no table row, no scale, and no silent
+        # fall back to the starlike extremal
+        from toepsharp.oracle import maximize
+
+        for call in (lambda: theorem_bound(FunctionalKind.T21_INV, kind, HALF_PLANE),
+                     lambda: fekete_szego_bound(kind, HALF_PLANE, 1),
+                     lambda: attainment(FunctionalKind.T22_LOG_INV, kind, HALF_PLANE),
+                     lambda: extremal_coeffs(kind, HALF_PLANE, 4),
+                     lambda: maximize(FunctionalKind.T21_INV, kind, HALF_PLANE, budget=10)):
+            with pytest.raises(ValueError, match="unknown class"):
+                call()
 
     def test_witness_mentions_the_rotation(self):
         rep = theorem_bound(FunctionalKind.T21_INV, ClassKind.STARLIKE,

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -166,6 +167,20 @@ class TestTable:
         rows = json.loads(out)["rows"]
         assert {r["name"] for r in rows if r["match"]} == {"parabolic"}
         assert all(not r["match"] for r in rows if isinstance(r["expected"], dict))
+
+    def test_a_parabolic_attained_value_one_ulp_off_fails(self, capsys, monkeypatch):
+        # attained must equal computed on every row, the float ones too: _REL_TOL
+        # only spans computed and the published parabolic value
+        from toepsharp import extremal
+
+        computed = extremal.attainment
+        monkeypatch.setattr(extremal, "attainment", lambda f, k, phi: (
+            math.nextafter(computed(f, k, phi), math.inf) if isinstance(phi.b1, float)
+            else computed(f, k, phi)))
+        code, out, _ = run(capsys, "table", "--format", "json")
+        assert code == 5
+        rows = json.loads(out)["rows"]
+        assert {r["name"] for r in rows if not r["match"]} == {"parabolic"}
 
     def test_json_round_trips(self, capsys):
         code, out, _ = run(capsys, "table", "--format", "json")

@@ -8,7 +8,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from helpers import SchwarzTriple, as_floats, random_triples, solve, table_value, toeplitz
+from helpers import (SchwarzTriple, as_floats, inverse, random_triples, solve, table_value,
+                     toeplitz)
 from series import Series, log_div_z, revert
 
 from toepsharp.bounds import Hypothesis, Region, RegionMembership, fekete_szego_bound, theorem_bound
@@ -16,7 +17,6 @@ from toepsharp.catalog import CorollaryCurve, fixture_entries
 from toepsharp.coeffs import (
     _TABLE,
     ClassKind,
-    CoeffBundle,
     FunctionalKind,
     PhiSpec,
     record,
@@ -78,21 +78,21 @@ class TestCoeffsFromSchwarz:
 
 class TestToeplitz:
     def test_log_pair_value(self):
-        cb = CoeffBundle(2j, -3, -4j)
-        assert cb.g1 == -1j
-        assert cb.g2 == -1.5
-        assert abs(toeplitz(FunctionalKind.T21_LOG_INV, cb) - 13 / 4) < TOL
+        a = (2j, -3, -4j)
+        assert inverse("g1", *a) == -1j
+        assert inverse("g2", *a) == -1.5
+        assert abs(toeplitz(FunctionalKind.T21_LOG_INV, a) - 13 / 4) < TOL
 
     def test_zero_bundle(self):
         for f in FunctionalKind:
-            assert toeplitz(f, CoeffBundle(0j, 0j, 0j)) == 0
+            assert toeplitz(f, (0j, 0j, 0j)) == 0
 
     def test_inverse_pair_value(self):
-        # bundle with b = (-2i, -5, 14i): the rotated Koebe inverse data
-        cb = CoeffBundle(2j, -3, -4j)
-        assert cb.b3 == -5
-        assert cb.b4 == 14j
-        assert abs(toeplitz(FunctionalKind.T22_INV, cb) - 221) < TOL * 221
+        # b = (-2i, -5, 14i): the rotated Koebe inverse data
+        a = (2j, -3, -4j)
+        assert inverse("b3", *a) == -5
+        assert inverse("b4", *a) == 14j
+        assert abs(toeplitz(FunctionalKind.T22_INV, a) - 221) < TOL * 221
 
 
 class TestFeketeSzego:
@@ -152,10 +152,9 @@ def test_inverse_coefficients_match_series_reversion():
     for phi, t in zip(phis, triples):
         for kind in ClassKind:
             a2, a3, a4 = solve(kind, phi, t)
-            cb = CoeffBundle(a2, a3, a4)
             g = revert(Series((0, 1, a2, a3, a4)))
             for n, name in ((2, "b2"), (3, "b3"), (4, "b4")):
-                assert abs(getattr(cb, name) - g[n]) < 1e-12
+                assert abs(inverse(name, a2, a3, a4) - g[n]) < 1e-12
                 assert abs(table_value(kind, phi, name, t) - g[n]) < 1e-12
 
 
@@ -165,10 +164,9 @@ def test_log_coefficients_match_series_log_of_inverse():
     for phi, t in zip(phis, triples):
         for kind in ClassKind:
             a2, a3, a4 = solve(kind, phi, t)
-            cb = CoeffBundle(a2, a3, a4)
             lg = log_div_z(revert(Series((0, 1, a2, a3, a4))))
             for n, name in ((1, "g1"), (2, "g2"), (3, "g3")):
-                assert abs(getattr(cb, name) - lg[n] / 2) < 1e-12
+                assert abs(inverse(name, a2, a3, a4) - lg[n] / 2) < 1e-12
                 assert abs(table_value(kind, phi, name, t) - lg[n] / 2) < 1e-12
 
 
@@ -178,13 +176,11 @@ def test_conjugation_invariance_of_functionals():
     for phi, t in zip(phis, triples):
         tc = SchwarzTriple(t.c1.conjugate(), t.c2.conjugate(), t.c3.conjugate())
         for kind in ClassKind:
-            cb = CoeffBundle(*solve(kind, phi, t))
-            cc = CoeffBundle(*solve(kind, phi, tc))
-            assert abs(cc.a2 - cb.a2.conjugate()) < 1e-13
-            assert abs(cc.a3 - cb.a3.conjugate()) < 1e-13
-            assert abs(cc.a4 - cb.a4.conjugate()) < 1e-13
+            a, ac = solve(kind, phi, t), solve(kind, phi, tc)
+            for x, xc in zip(a, ac):
+                assert abs(xc - x.conjugate()) < 1e-13
             for f in FunctionalKind:
-                v, vc = toeplitz(f, cb), toeplitz(f, cc)
+                v, vc = toeplitz(f, a), toeplitz(f, ac)
                 assert abs(v - vc) <= 1e-12 * max(1.0, v)
 
 
@@ -212,13 +208,30 @@ def test_phi_spec_rejects_non_finite(bad, field):
         PhiSpec(**dict(zip(("b1", "b2", "b3"), raw)))
 
 
+@pytest.mark.parametrize("bad", ["3", 3 + 0j, None, np.float32(0.5)],
+                         ids=["str", "complex", "None", "float32"])
+@pytest.mark.parametrize("field", range(3))
+def test_phi_spec_rejects_a_non_real_field(bad, field):
+    raw = [1, 0.5, F(1, 4)]
+    raw[field] = bad
+    with pytest.raises(TypeError, match="integers, Fractions or floats"):
+        PhiSpec(*raw)
+
+
+def test_phi_spec_takes_numpy_integers_and_doubles():
+    phi = PhiSpec(np.int64(2), np.float64(-0.5), np.int32(1))
+    assert (phi.b1, phi.b2, phi.b3) == (2, -0.5, 1) and type(phi.b1) is type(phi.b3) is F
+    exact = PhiSpec(2, F(-1, 2), 1)
+    assert (theorem_bound(FunctionalKind.T21_INV, ClassKind.STARLIKE, phi).bound
+            == float(theorem_bound(FunctionalKind.T21_INV, ClassKind.STARLIKE, exact).bound))
+
+
 # One value of each frozen record type of the exact paths, with the repr a
 # frozen dataclass gave it where that repr holds no object address.
 _CURVE = CorollaryCurve("S*(alpha)", ClassKind.STARLIKE, FunctionalKind.T21_INV, "alpha",
                         0, 0.5, abs, float)
 RECORDS = [
     (PhiSpec(1, F(1, 2), 0.25), "PhiSpec(b1=Fraction(1, 1), b2=Fraction(1, 2), b3=0.25)"),
-    (CoeffBundle(1 + 0j, 2j, -3.0), None),
     (SchurParams(0.5j, 0.25, -0.5), None),
     (RegionMembership(Region.OMEGA2, -3.0, 2.5), None),
     (Hypothesis("B1 > 0", True, 0.5), "Hypothesis(name='B1 > 0', satisfied=True, margin=0.5)"),
@@ -241,7 +254,7 @@ def test_record_semantics(value, text):
     for same in (cls(**fields), cls(*fields.values()), copy.copy(value),
                  pickle.loads(pickle.dumps(value))):
         assert same == value and hash(same) == hash(value) and same is not value
-    assert value != cls(**{**fields, names[-1]: object()})
+    assert value != cls(**{**fields, names[-1]: -1.5})  # a float, which every last field takes
     twin = record(type(cls.__name__, (), {"__annotations__": dict(cls.__annotations__)}))
     assert value != twin(**fields)
     for n in names:

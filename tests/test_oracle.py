@@ -21,7 +21,7 @@ from helpers import random_triples, solve, toeplitz
 from toepsharp import oracle
 from toepsharp.bounds import theorem_bound
 from toepsharp.catalog import certificate_entries
-from toepsharp.coeffs import ClassKind, CoeffBundle, FunctionalKind, PhiSpec
+from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec
 from toepsharp.extremal import attainment
 from toepsharp.oracle import Verdict, lemma1_scan, maximize
 from toepsharp.schwarz import schur_map
@@ -175,7 +175,7 @@ class TestObjective:
                 for functional in FunctionalKind:
                     obj = oracle._objective(functional, kind, phi)
                     for t in triples:
-                        want = toeplitz(functional, CoeffBundle(*solve(kind, phi, t)))
+                        want = toeplitz(functional, solve(kind, phi, t))
                         got = obj(*t)
                         assert abs(got - want) <= 1e-13 * want, (functional, kind, phi, t)
 

@@ -33,8 +33,8 @@ import operator
 from enum import Enum
 from fractions import Fraction
 
-from .coeffs import (_TABLE, PAIRS, ClassKind, FunctionalKind, PhiSpec, Real, _exact, _saturated,
-                     record, table)
+from .coeffs import (_TABLE, PAIRS, ClassKind, FunctionalKind, PhiSpec, Real, _exact, _known,
+                     _real, _saturated, record, table)
 
 HYP_TOL = 1e-12
 _TWO_THIRDS = Fraction(2, 3)  # times a float it is float(2/3), i.e. 2.0 / 3.0
@@ -112,8 +112,10 @@ def fekete_szego_bound(kind: ClassKind, phi: PhiSpec, lam: Real) -> Real:
     """Sharp bound max(|beta1 - lambda alpha^2|, |beta2|) on |a3 - lambda a2^2| for
     real lambda, a2 = alpha c1 and a3 = beta1 c1^2 + beta2 c2 (Ma & Minda, 1992).
 
-    Exact when phi and lambda hold no float, else rounded once from the exact
-    value; a NaN or infinite lambda raises ValueError or OverflowError."""
+    lambda is an integer, Fraction or float, as a ``PhiSpec`` field (anything else
+    is a TypeError).  Exact when phi and lambda hold no float, else rounded once
+    from the exact value; a NaN or infinite lambda raises ValueError or OverflowError."""
+    lam = _real("lambda", lam)
     ((an, ad),), ((un, ud), (vn, vd)) = table(kind, phi, "a2", "a3")
     ln, ld = lam.as_integer_ratio()
     n, d = abs(un * ld * ad * ad - ln * an * an * ud), ud * ld * ad * ad
@@ -171,9 +173,7 @@ def theorem_bound(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec) -> 
     every hypothesis holds (within HYP_TOL, so boundary generators
     count as satisfied).
     """
-    if (pair := PAIRS.get(functional)) is None:
-        raise ValueError(f"unknown functional {functional}")
-    first, second = pair
+    first, second = _known(PAIRS, functional, "functional")
     x, y = table(kind, phi, first, second)
     exact = _exact(phi.b1, phi.b2, phi.b3)
     real = operator.truediv if exact else _saturated

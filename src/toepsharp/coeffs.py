@@ -96,16 +96,30 @@ class PhiSpec:
 
     def __post_init__(self):
         for name in ("b1", "b2", "b3"):
-            v = getattr(self, name)
-            if isinstance(v, numbers.Integral):
-                object.__setattr__(self, name, Fraction(int(v)))
-            elif isinstance(v, float):
-                if not math.isfinite(v):
-                    raise ValueError(f"B1, B2, B3 must be finite, got {v!r}")
-            elif not isinstance(v, Fraction):
-                raise TypeError(f"B1, B2, B3 must be integers, Fractions or floats, got {v!r}")
+            v = _real("B1, B2, B3", getattr(self, name))
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"B1, B2, B3 must be finite, got {v!r}")
+            object.__setattr__(self, name, v)
         if self.b1 < 0:
             raise ValueError("B1 must be nonnegative")
+
+
+def _real(name: str, v) -> Real:
+    """v as the exact paths take a real: an integer as a Fraction, a float or Fraction
+    as it is; anything else (a str, complex, None, numpy float32) is a TypeError."""
+    if isinstance(v, numbers.Integral):
+        return Fraction(int(v))
+    if not isinstance(v, (float, Fraction)):
+        raise TypeError(f"{name}: integers, Fractions or floats only, got {v!r}")
+    return v
+
+
+def _known(table: dict, key, what: str):
+    """table[key], or the ValueError "unknown <what>" for a key it lacks or cannot hash."""
+    try:
+        return table[key]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown {what} {key!r}") from None
 
 
 # Each inverse coefficient b_n (weight n - 1) and logarithmic coefficient g_n =
@@ -175,10 +189,7 @@ def table(kind: ClassKind, phi: PhiSpec, *names: str) -> tuple[tuple[tuple[int, 
     """Each named ``_TABLE`` field's row values at phi, exactly, as integer pairs
     (numerator, denominator) with a positive denominator, not reduced (a float B_j
     reads exactly).  With B_j = n_j / d, a row of degree m is an integer over den d^m."""
-    try:
-        fields = _TABLE[kind]
-    except KeyError:
-        raise ValueError(f"unknown class {kind!r}") from None
+    fields = _known(_TABLE, kind, "class")
     n1, n2, n3, d = _common_denominator(phi)
     by_degree = _monomials(n1, n2 * d, n3 * d * d)  # the B-monomials of degree m times d^m
     return tuple(tuple((sum(map(operator.mul, nums, by_degree[len(nums)])), den * d ** len(nums))

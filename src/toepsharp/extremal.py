@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .coeffs import (INVERSE, PAIRS, ClassKind, FunctionalKind, PhiSpec, _common_denominator,
-                     _exact, _inverse, _monomials, _saturated)
+                     _exact, _inverse, _known, _monomials, _saturated)
 
 # extremal_coeffs refuses an order whose exact terms would take more bits than this
 # (about (N - 1) log2(N max(d, |n_k|)), with B_k = n_k / d), rather than run for hours.
@@ -57,8 +57,7 @@ def extremal_coeffs(kind: ClassKind, phi: PhiSpec, n: int) -> tuple[complex, ...
     affect a_2..a_4, and hence every functional; a_5 onward are those of
     the cut generator.
     """
-    if kind not in _SCALE:
-        raise ValueError(f"unknown class {kind!r}")
+    _known(_SCALE, kind, "class")
     if n < 2:
         raise ValueError("need N >= 2")
     n1, n2, n3, d = _common_denominator(phi)
@@ -83,12 +82,8 @@ def attainment(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec) -> Fra
     It equals the closed-form formula value whether or not that bound's
     hypotheses hold; where they hold, this is the sharpness certificate.
     """
-    if (pair := PAIRS.get(functional)) is None:
-        raise ValueError(f"unknown functional {functional}")
-    try:
-        s2, s3, s4 = _SCALE[kind]
-    except KeyError:
-        raise ValueError(f"unknown class {kind!r}") from None
+    pair = _known(PAIRS, functional, "functional")
+    s2, s3, s4 = _known(_SCALE, kind, "class")
     n1, n2, n3, d = _common_denominator(phi)
     _, t2, t3, t4 = islice(_terms(n1, n2, n3, d), 4)
     by_weight = _monomials(t2 * s2, t3 * s3, t4 * s4)  # a_m (6 d)^(m-1) of the real extremal

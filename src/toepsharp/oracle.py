@@ -4,29 +4,34 @@ The body is the image under ``schur_map`` of the box of three unit-disk
 parameters gamma_j = r_j exp(i t_j).  By the maximum-modulus principle
 ``maximize`` searches only the face where its functional peaks: T21 reads only
 c1 = gamma0 and c2 = (1 - |gamma0|^2) gamma1, a polynomial in gamma1 for fixed
-gamma0, so it peaks on |gamma1| = 1 with gamma2 unused; T22 is a polynomial in
-c3, which is affine in gamma2, so it peaks on |gamma2| = 1.  ``lemma1_scan``
-searches the whole box.  A seeded random multistart plus a derivative-free
-compass search finds the global maximum reliably.  The extremal omega(z) = iz
-and its real rotations are always injected as starts, so the empirical maximum
-can never fall below the attainment value, whatever the budget.
+gamma0, so it searches (gamma0, gamma1) with gamma1 on |gamma1| = 1 and maps
+them to (c1, c2) alone; T22 is a polynomial in c3, which is affine in gamma2,
+so it peaks on |gamma2| = 1.  ``lemma1_scan`` searches the whole box.  A
+seeded random multistart plus a derivative-free compass search finds the
+global maximum reliably.  The extremal omega(z) = iz and its real rotations
+are always injected as starts, so the empirical maximum can never fall below
+the attainment value, whatever the budget.
 
 The screen streams the sample through blocks of ``_BLOCK`` rows, so its
 memory is O(block) whatever the budget.  The blocks come from the run's one
 seeded generator, which fills row-major, so they concatenate to exactly the
-single whole draw: the sample is prefix-stable in the budget.  Its angles
-lie on a lattice, and the screen looks their phases up in a table.  The
-best rows of each block are merged into a running top-k equal to a stable
-sort of the whole sample (ties and NaN included: earlier rows first, NaN
-last), so the refinement sees the same starts as a screen holding every row.
+single whole draw: the sample is prefix-stable in the budget.  A block is
+evaluated straight from its draws: r0 from its uniform and the
+boundary-bias coin, the other radii as drawn, and the phases from a table
+of the lattice its angles lie on.  The best draws of each block are merged
+into a running top-k equal to a stable sort of the whole sample (ties and
+NaN included: earlier rows first, NaN last), so the refinement sees the
+same starts as a screen holding every row; box coordinates are built only
+for the rows it keeps.
 
-The objectives take (c1, c2, c3), ``maximize``'s from the rows of
-``coeffs.table``; ``_maximize_objective`` maps face points to them.  The
-screen's phases come from the lattice; the compass search's do not: it
-keeps each start's exp(1j t) of continuous angles, reused by a radius
-probe and recomputed by an angle probe for the one angle it moved.  A
-lattice phase is exp(1j t) of its angle, so the results are bit-identical
-to recomputing every phase as exp(1j t).
+The objectives take the coefficients their face generates, (c1, c2) or
+(c1, c2, c3), ``maximize``'s from the rows of ``coeffs.table``;
+``_maximize_objective`` maps face points to them.  The screen's phases come
+from the lattice; the compass search's do not: it keeps each start's exp(1j
+t) of continuous angles, reused by a radius probe and recomputed by an angle
+probe for the one angle it moved.  A lattice phase is exp(1j t) of its
+angle, so the results are bit-identical to recomputing every phase as
+exp(1j t).
 
 Everything is deterministic given (inputs, seed, budget): the refinement
 itself uses no randomness at all.  Its starts are not independent,
@@ -90,29 +95,32 @@ class VerificationReport:
 
 
 class _Face:
-    """The box coordinates (r0, t0, ..., t2) a face leaves free, in box order: gamma_j
-    is in the closed disk ("disk": r_j, t_j), on the unit circle ("circle": t_j) or 0
-    ("zero").  gamma0 is always a disk; zeros come last, so gamma_j's phase is column j."""
+    """The box coordinates (r0, t0, ..., t2) a face leaves free, in box order: it
+    searches (gamma0, gamma1) or (gamma0, gamma1, gamma2), each in the closed disk
+    ("disk": r_j, t_j) or on the unit circle ("circle": t_j).  gamma0 is always a
+    disk, so r0 is column 0; gamma_j's phase is column j of its angles."""
 
     def __init__(self, *kinds: str):
         self.box = np.array([2 * j + k for j, kind in enumerate(kinds)
-                             for k in {"disk": (0, 1), "circle": (1,), "zero": ()}[kind]])
+                             for k in {"disk": (0, 1), "circle": (1,)}[kind]])
         self.angle = np.flatnonzero(self.box % 2 == 1)
         self.parts = [(kind, np.searchsorted(self.box, 2 * j)) for j, kind in enumerate(kinds)]
 
 
 _FULL = _Face("disk", "disk", "disk")
-_T21_FACE, _T22_FACE = _Face("disk", "circle", "zero"), _Face("disk", "disk", "circle")
+_T21_FACE, _T22_FACE = _Face("disk", "circle"), _Face("disk", "disk", "circle")
 _FACES = {FunctionalKind.T21_INV: _T21_FACE, FunctionalKind.T21_LOG_INV: _T21_FACE,
           FunctionalKind.T22_INV: _T22_FACE, FunctionalKind.T22_LOG_INV: _T22_FACE}
 
 
 def _gammas(face: _Face, x: np.ndarray, phase: np.ndarray | None = None) -> list:
-    """(gamma0, gamma1, gamma2) at face coordinates x; phase is exp(1j t) of its angles."""
+    """The face's parameters at box coordinates x: a circle one is its phase, a disk one
+    its radius column times its phase.  phase is exp(1j t) of x's angles; where it is
+    given, only x's radius columns are read, so x may be draws (``_draw``)."""
     if phase is None:
         phase = np.exp(1j * x[..., face.angle])
-    return [0j if kind == "zero" else phase[..., j] if kind == "circle"
-            else x[..., r] * phase[..., j] for j, (kind, r) in enumerate(face.parts)]
+    return [phase[..., j] if kind == "circle" else x[..., r] * phase[..., j]
+            for j, (kind, r) in enumerate(face.parts)]
 
 
 # starts always injected, in box coordinates (a face keeps its own): the extremal omega(z) = i z,
@@ -126,16 +134,25 @@ _SEED_POINTS = np.array([
 ])
 
 
-def _sample_block(rng: np.random.Generator, m: int,
-                  face: _Face) -> tuple[np.ndarray, np.ndarray]:
-    """The next m rows (half uniform-polar, half boundary-biased in r0) and their phases."""
-    n = len(face.box)
-    u = rng.random((m, n + 1))
-    x = u[:, :n].copy()
-    k = (u[:, face.angle] * _LATTICE_N).astype(np.intp)  # floor(u N)
-    x[:, face.angle] = _LATTICE_ANGLES[k]
-    x[:, 0] = np.where(u[:, n] < 0.5, 1.0 - 0.1 * x[:, 0] ** 2, x[:, 0])
-    return x, _LATTICE_PHASES[k]
+def _draw(rng: np.random.Generator, m: int, face: _Face) -> np.ndarray:
+    """The next m draws: one uniform per box coordinate, in box order, then the
+    r0-bias coin, with r0 written over its uniform: half the rows uniform-polar,
+    half (coin below 1/2) boundary-biased to 1 - 0.1 u^2."""
+    u = rng.random((m, len(face.box) + 1))
+    u[:, 0] = np.where(u[:, -1] < 0.5, 1.0 - 0.1 * u[:, 0] ** 2, u[:, 0])
+    return u
+
+
+def _lattice(face: _Face, u: np.ndarray) -> np.ndarray:
+    """The lattice index floor(u N) of each angle uniform of draws u."""
+    return (u[:, face.angle] * _LATTICE_N).astype(np.intp)
+
+
+def _box(face: _Face, u: np.ndarray) -> np.ndarray:
+    """The box coordinates of draws u: radii as drawn, angles the lattice angles."""
+    x = u[:, :-1].copy()
+    x[:, face.angle] = _LATTICE_ANGLES[_lattice(face, u)]
+    return x
 
 
 def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
@@ -154,23 +171,27 @@ def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
 
 
 def _screen(obj, face: _Face, budget: int, seed: int) -> np.ndarray:
-    """The min(_N_STARTS, budget) best sample rows, best first.
+    """The box coordinates of the min(_N_STARTS, budget) best sample rows, best first.
 
     Streams the sample in blocks and keeps a running top-k of the
-    negated values.  The running top goes before the block's rows, all
-    of which come later in the sample, so the stable selection keeps
-    earlier rows first on ties.
+    negated values with their draws.  The running top goes before the
+    block's rows, all of which come later in the sample, so the stable
+    selection keeps earlier rows first on ties.
     """
     rng = np.random.default_rng(seed)
     n_top = min(_N_STARTS, budget)
     top_keys = np.empty(0)
-    top_x = np.empty((0, len(face.box)))
+    top_u = np.empty((0, len(face.box) + 1))
     for done in range(0, budget, _BLOCK):
-        x, phase = _sample_block(rng, min(_BLOCK, budget - done), face)
-        keys = np.concatenate([top_keys, -obj(*_gammas(face, x, phase))])
+        u = _draw(rng, min(_BLOCK, budget - done), face)
+        phase = _LATTICE_PHASES[_lattice(face, u)]
+        keys = np.concatenate([top_keys, -obj(*_gammas(face, u, phase))])
         top = _top_k(keys, n_top)
-        top_keys, top_x = keys[top], np.concatenate([top_x, x])[top]
-    return top_x
+        fresh = top >= len(top_keys)  # rows of this block
+        kept = np.empty((len(top), u.shape[1]))
+        kept[~fresh], kept[fresh] = top_u[top[~fresh]], u[top[fresh] - len(top_keys)]
+        top_keys, top_u = keys[top], kept
+    return _box(face, top_u)
 
 
 def _compass_search(obj, face: _Face, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -216,7 +237,8 @@ def _compass_search(obj, face: _Face, x0: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _maximize_objective(obj, face: _Face, budget: int,
                         seed: int) -> tuple[SchurParams, float, int]:
-    """The one search driver: (argmax, max, compass iterations) of obj(c1, c2, c3) on a face."""
+    """The one search: (argmax, max, compass iterations) on a face of obj of the
+    coefficients its parameters generate, (c1, c2) or (c1, c2, c3)."""
     budget = operator.index(budget)
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -231,11 +253,11 @@ def _maximize_objective(obj, face: _Face, budget: int,
 
 
 def _objective(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec):
-    """|x_n^2 - x_{n+1}^2| of (c1, c2, c3), elementwise, from the pair's table rows
-    in floats, in Horner order: (t0 c1^2 + t1 c2) c1 + t2 c3."""
+    """|x_n^2 - x_{n+1}^2|, elementwise, from the pair's table rows in floats, in Horner
+    order, of (c1, c2) for T21 and of (c1, c2, c3) for T22: (t0 c1^2 + t1 c2) c1 + t2 c3."""
     x, y = ([n / d for n, d in rows] for rows in table(kind, phi, *PAIRS[functional]))
     if len(x) == 1:  # T21: (k c1, u c1^2 + v c2)
-        return lambda c1, c2, c3: abs((x[0] * c1) ** 2 - (y[0] * c1 ** 2 + y[1] * c2) ** 2)
+        return lambda c1, c2: abs((x[0] * c1) ** 2 - (y[0] * c1 ** 2 + y[1] * c2) ** 2)
 
     def obj(c1, c2, c3):  # T22: (u c1^2 + v c2, (q1 c1^2 + q2 c2) c1 + q3 c3)
         c1sq = c1 ** 2

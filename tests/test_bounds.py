@@ -123,6 +123,17 @@ class TestFeketeSzego:
         with pytest.raises(OverflowError):
             fekete_szego_bound(ClassKind.STARLIKE, EXP, math.inf)
 
+    @pytest.mark.parametrize("bad", ["1", 1 + 0j, None, np.float32(0.5)],
+                             ids=["str", "complex", "None", "float32"])
+    def test_rejects_a_non_real_lambda(self, bad):
+        # as a PhiSpec field: a TypeError that names lambda, not a missing as_integer_ratio
+        with pytest.raises(TypeError, match="^lambda: integers, Fractions or floats"):
+            fekete_szego_bound(ClassKind.STARLIKE, EXP, bad)
+
+    def test_numpy_integer_lambda_is_exact(self):
+        got = fekete_szego_bound(ClassKind.STARLIKE, HALF_PLANE, np.int64(1))
+        assert got == 1 and type(got) is F
+
     def test_continuity_at_branch_boundaries(self):
         for kind in ClassKind:
             for phi in (HALF_PLANE, EXP, CARDIOID):
@@ -516,20 +527,26 @@ class TestTheoremBound:
                         h.satisfied for h in rep.hypotheses)
                     assert float(rep.bound) >= 0
 
-    def test_rejects_an_unknown_functional(self):
-        # the functional's value, not a FunctionalKind: no coefficient pair
-        with pytest.raises(ValueError, match="unknown functional"):
-            theorem_bound("t21-inv", ClassKind.STARLIKE, HALF_PLANE)
-        with pytest.raises(ValueError, match="unknown functional"):
-            attainment("t21-inv", ClassKind.STARLIKE, HALF_PLANE)
-
-    @pytest.mark.parametrize("kind", ["starlike", "convex", None])
-    def test_rejects_an_unknown_class(self, kind):
-        # the class's value, not a ClassKind: no table row, no scale, and no silent
-        # fall back to the starlike extremal
+    @pytest.mark.parametrize("functional", ["t21-inv", [1]], ids=["value", "unhashable"])
+    def test_rejects_an_unknown_functional(self, functional):
+        # the functional's value, not a FunctionalKind, or a key no dict can hash:
+        # no coefficient pair
         from toepsharp.oracle import maximize
 
-        for call in (lambda: theorem_bound(FunctionalKind.T21_INV, kind, HALF_PLANE),
+        for call in (lambda: theorem_bound(functional, ClassKind.STARLIKE, HALF_PLANE),
+                     lambda: attainment(functional, ClassKind.STARLIKE, HALF_PLANE),
+                     lambda: maximize(functional, ClassKind.STARLIKE, HALF_PLANE, budget=10)):
+            with pytest.raises(ValueError, match="unknown functional"):
+                call()
+
+    @pytest.mark.parametrize("kind", ["starlike", "convex", None, [1]])
+    def test_rejects_an_unknown_class(self, kind):
+        # the class's value, not a ClassKind, or a key no dict can hash: no table
+        # row, no scale, and no silent fall back to the starlike extremal
+        from toepsharp.oracle import maximize
+
+        for call in (lambda: table(kind, HALF_PLANE, "a2"),
+                     lambda: theorem_bound(FunctionalKind.T21_INV, kind, HALF_PLANE),
                      lambda: fekete_szego_bound(kind, HALF_PLANE, 1),
                      lambda: attainment(FunctionalKind.T22_LOG_INV, kind, HALF_PLANE),
                      lambda: extremal_coeffs(kind, HALF_PLANE, 4),

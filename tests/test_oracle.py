@@ -143,15 +143,17 @@ class TestMaximize:
         for functional in FunctionalKind:
             g = maximize(functional, ClassKind.STARLIKE, HALF_PLANE, budget=500, seed=1).argmax
             if functional in (FunctionalKind.T21_INV, FunctionalKind.T21_LOG_INV):
-                assert abs(abs(g.gamma1) - 1) <= 1e-15 and g.gamma2 == 0j
+                # the T21 face has no gamma2: the report's is SchurParams' default, exactly 0j
+                assert abs(abs(g.gamma1) - 1) <= 1e-15 and repr(g.gamma2) == "0j"
             else:
                 assert abs(abs(g.gamma2) - 1) <= 1e-15
 
 
 # The maximum-modulus facts behind the faces ``maximize`` searches: a T21
-# objective does not read gamma2, and for fixed other parameters the
-# objective is subharmonic in gamma1 (T21) and in gamma2 (T22), so it lies
-# below its Poisson integral over the unit circle and peaks on that circle.
+# objective reads only (c1, c2), which gamma2 does not move, and for fixed
+# other parameters the objective is subharmonic in gamma1 (T21) and in
+# gamma2 (T22), so it lies below its Poisson integral over the unit circle
+# and peaks on that circle.
 CATALOG_PHIS = list(dict.fromkeys(phi for _, _, phi in certificate_entries()))
 T21S = (FunctionalKind.T21_INV, FunctionalKind.T21_LOG_INV)
 T22S = (FunctionalKind.T22_INV, FunctionalKind.T22_LOG_INV)
@@ -159,8 +161,14 @@ POISSON_NODES = 256     # trapezoid nodes; its error is O(|z|^256), below 1e-24 
 POISSON_TOL = 1e-12     # in units of max(1, objective)
 
 
-def _objective(functional, kind, phi, g0, g1, g2):
-    return oracle._objective(functional, kind, phi)(*schur_map(g0, g1, g2))
+def _arity(functional):
+    """How many parameters the functional's face searches: 2 for T21, 3 for T22."""
+    return len(oracle._FACES[functional].parts)
+
+
+def _objective(functional, kind, phi, *g):
+    """The oracle's objective at parameters g, as many as the functional's face has."""
+    return oracle._objective(functional, kind, phi)(*schur_map(*g))
 
 
 class TestObjective:
@@ -176,7 +184,7 @@ class TestObjective:
                     obj = oracle._objective(functional, kind, phi)
                     for t in triples:
                         want = toeplitz(functional, solve(kind, phi, t))
-                        got = obj(*t)
+                        got = obj(*t[:_arity(functional)])
                         assert abs(got - want) <= 1e-13 * want, (functional, kind, phi, t)
 
 
@@ -209,14 +217,15 @@ class TestMaximumModulus:
     def test_t21_objective_ignores_gamma2(self, functional, kind):
         g0, g1, g2 = _seeded_points(11)
         for phi in CATALOG_PHIS:
-            want = _objective(functional, kind, phi, g0, g1, 0j)
-            assert np.array_equal(_objective(functional, kind, phi, g0, g1, g2), want)
-            assert np.array_equal(_objective(functional, kind, phi, g0, g1, 1.0), want)
+            obj = oracle._objective(functional, kind, phi)
+            want = _objective(functional, kind, phi, g0, g1)
+            for gamma2 in (g2, 0j, 1.0):
+                assert np.array_equal(obj(*schur_map(g0, g1, gamma2)[:2]), want)
 
     @pytest.mark.parametrize("kind", list(ClassKind))
     @pytest.mark.parametrize("functional, j", [(f, 1) for f in T21S] + [(f, 2) for f in T22S])
     def test_poisson_inequality_on_the_searched_parameter(self, functional, j, kind):
-        g = _seeded_points(12)
+        g = _seeded_points(12)[:_arity(functional)]
         for phi in CATALOG_PHIS:
             assert _poisson_excess(functional, kind, phi, g, j).max() <= POISSON_TOL
 
@@ -337,10 +346,10 @@ class TestTopK:
 
 
 def _replaying(fs: np.ndarray):
-    """An objective of (gamma0, gamma1, gamma2) that returns fs for the rows in sample order."""
+    """An objective of a face's parameters that returns fs for the rows in sample order."""
     done = 0
 
-    def obj(g0, g1, g2):
+    def obj(g0, *g):
         nonlocal done
         out = fs[done:done + len(g0)]
         done += len(g0)
@@ -352,9 +361,14 @@ def _replaying(fs: np.ndarray):
 FACES = {"full": oracle._FULL, "t21": oracle._T21_FACE, "t22": oracle._T22_FACE}
 
 
+def _sample(face, budget: int, seed: int) -> np.ndarray:
+    """The box coordinates of the whole sample the screen draws, as one block."""
+    return oracle._box(face, oracle._draw(np.random.default_rng(seed), budget, face))
+
+
 def _check_screen(fs: np.ndarray, seed: int, face=oracle._FULL):
     budget = len(fs)
-    sample, _ = oracle._sample_block(np.random.default_rng(seed), budget, face)
+    sample = _sample(face, budget, seed)
     want = sample[np.argsort(-fs, kind="stable")[:oracle._N_STARTS]]
     got = oracle._screen(_replaying(fs), face, budget, seed)
     assert np.array_equal(got, want)
@@ -426,26 +440,50 @@ def _lemma_objective(sigma, mu):
     return obj
 
 
-COMPASS_OBJECTIVES = {
-    "t21-inv-starlike-halfplane": lambda *g: _objective(
-        FunctionalKind.T21_INV, ClassKind.STARLIKE, HALF_PLANE, *g),
-    "t22-log-inv-convex-cardioid": lambda *g: _objective(
-        FunctionalKind.T22_LOG_INV, ClassKind.CONVEX, CARDIOID, *g),
-    "lemma-omega3": _lemma_objective(-7.0, 10.0),
-    "lemma-outside": _lemma_objective(1.5, -0.5),
+def _fekete_szego_objective(lam):
+    def obj(g0, g1):
+        c1, c2 = schur_map(g0, g1)
+        return np.abs(c2 - lam * c1 ** 2)
+    return obj
+
+
+def _table_objective(functional, kind, phi):
+    return lambda *g: _objective(functional, kind, phi, *g)
+
+
+# Objectives of each face's parameters, keyed by how many it has: (gamma0, gamma1)
+# on the T21 face, (gamma0, gamma1, gamma2) on the T22 face and the full box.
+FACE_OBJECTIVES = {
+    2: {"t21-inv-starlike-halfplane": _table_objective(
+            FunctionalKind.T21_INV, ClassKind.STARLIKE, HALF_PLANE),
+        "t21-log-inv-convex-cardioid": _table_objective(
+            FunctionalKind.T21_LOG_INV, ClassKind.CONVEX, CARDIOID),
+        "fekete-szego-0.7": _fekete_szego_objective(0.7),
+        "fekete-szego-3": _fekete_szego_objective(3.0)},
+    3: {"t22-inv-starlike-halfplane": _table_objective(
+            FunctionalKind.T22_INV, ClassKind.STARLIKE, HALF_PLANE),
+        "t22-log-inv-convex-cardioid": _table_objective(
+            FunctionalKind.T22_LOG_INV, ClassKind.CONVEX, CARDIOID),
+        "lemma-omega3": _lemma_objective(-7.0, 10.0),
+        "lemma-outside": _lemma_objective(1.5, -0.5)},
 }
+FACE_CASES = [(face, objective) for face in FACES
+              for objective in FACE_OBJECTIVES[len(FACES[face].parts)]]
+
+
+def _face_case(face: str, objective: str):
+    face = FACES[face]
+    return face, FACE_OBJECTIVES[len(face.parts)][objective]
 
 
 class TestCompassPhaseCache:
     """The cached phases give the bits of recomputing every phase each iteration."""
 
-    @pytest.mark.parametrize("objective", COMPASS_OBJECTIVES)
-    @pytest.mark.parametrize("face", FACES)
+    @pytest.mark.parametrize("face, objective", FACE_CASES, ids=["-".join(c) for c in FACE_CASES])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_recomputed_phases(self, face, objective, seed):
-        face, obj = FACES[face], COMPASS_OBJECTIVES[objective]
-        starts = np.vstack([oracle._SEED_POINTS[:, face.box],
-                            oracle._sample_block(np.random.default_rng(seed), 27, face)[0]])
+        face, obj = _face_case(face, objective)
+        starts = np.vstack([oracle._SEED_POINTS[:, face.box], _sample(face, 27, seed)])
         x, f, iters = oracle._compass_search(obj, face, starts)
         want_x, want_f, want_iters = _reference_compass(obj, face, starts)
         assert np.array_equal(x, want_x)
@@ -468,15 +506,14 @@ class TestScreenPhases:
     """The screen's table phases give the bits of recomputing exp(1j t), so the
     compass starts from exactly the values the screen ranked them by."""
 
-    @pytest.mark.parametrize("objective", COMPASS_OBJECTIVES)
-    @pytest.mark.parametrize("face", FACES)
+    @pytest.mark.parametrize("face, objective", FACE_CASES, ids=["-".join(c) for c in FACE_CASES])
     def test_kept_values_match_recomputed_phases(self, face, objective):
-        face, f = FACES[face], COMPASS_OBJECTIVES[objective]
+        face, f = _face_case(face, objective)
         obj, values = _recording(f)
         budget = oracle._BLOCK + 100
         kept = oracle._screen(obj, face, budget, 5)
         fs = np.concatenate(values)
-        sample, _ = oracle._sample_block(np.random.default_rng(5), budget, face)
+        sample = _sample(face, budget, 5)
         t = sample[:, face.angle]  # every drawn angle is a lattice angle
         k = np.rint(t / (2 * np.pi / oracle._LATTICE_N)).astype(int)
         assert np.all((0 <= k) & (k < oracle._LATTICE_N))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from helpers import SchwarzTriple, coeffs_to_schur, is_admissible
 
 from toepsharp import oracle
-from toepsharp.schwarz import schur_map
+from toepsharp.schwarz import SchurParams, schur_map
 
 unit_disk = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
@@ -27,6 +27,24 @@ class TestForwardMap:
 
     def test_rotation_point(self):
         assert schur_map(1j, 0j, 0j) == (1j, 0, 0)
+
+    def test_truncated_map_is_bit_for_bit_the_first_two_coefficients(self):
+        # Schur's recursion: c1 and c2 read only gamma0 and gamma1, so the
+        # two-parameter map the T21 search runs loses nothing
+        rng = np.random.default_rng(23)
+        g0, g1, g2 = (rng.uniform(-1, 1, 200) + 1j * rng.uniform(-1, 1, 200) for _ in range(3))
+        got = schur_map(g0, g1)
+        assert len(got) == 2
+        for gamma2 in (g2, 0j, 1.0, -1j):
+            for a, b in zip(got, schur_map(g0, g1, gamma2)[:2], strict=True):
+                assert np.array_equal(a, b)
+        for row in zip(g0[:20], g1[:20], g2[:20]):
+            assert schur_map(*row[:2]) == schur_map(*row)[:2]
+
+    def test_two_parameters_mean_gamma2_zero(self):
+        p = SchurParams(0.5j, 0.25)
+        assert p == SchurParams(0.5j, 0.25, 0j)
+        assert repr(p) == "SchurParams(gamma0=0.5j, gamma1=0.25, gamma2=0j)"
 
     def test_rejects_out_of_disk(self):
         # schur_map is unchecked: a parameter outside the disk maps outside
@@ -54,7 +72,8 @@ class TestAdmissibility:
 
 
 class TestSampler:
-    """The oracle's block sampler, the one sampler of the parameter box.
+    """The oracle's block draws, the one sampler of the parameter box, and the
+    parameters the screen forms from them.
 
     Run on the full box here and on each face ``maximize`` searches below.
     """
@@ -62,56 +81,58 @@ class TestSampler:
     face = oracle._FULL
 
     def draw(self, seed, *sizes):
-        """(rows, phases) of consecutive blocks from one generator."""
+        """The draws of consecutive blocks from one generator."""
         rng = np.random.default_rng(seed)
-        blocks = [oracle._sample_block(rng, m, self.face) for m in sizes]
-        return tuple(np.concatenate(part) for part in zip(*blocks))
+        return np.concatenate([oracle._draw(rng, m, self.face) for m in sizes])
 
-    def gammas(self, x, phase):
-        """(rows, 3) complex parameters as the screen forms them; a zero parameter
-        broadcast to a column."""
-        return np.stack(np.broadcast_arrays(*oracle._gammas(self.face, x, phase)), axis=-1)
+    def gammas(self, u):
+        """(rows, parameters) complex parameters as the screen forms them from draws u."""
+        phase = oracle._LATTICE_PHASES[oracle._lattice(self.face, u)]
+        return np.stack(oracle._gammas(self.face, u, phase), axis=-1)
 
     def test_deterministic(self):
-        for a, b in zip(self.draw(9, 50), self.draw(9, 50)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(self.draw(9, 50), self.draw(9, 50))
 
     def test_prefix_stable(self):
         """Blocks drawn from one generator concatenate to one whole draw."""
         block = oracle._BLOCK
         whole = self.draw(5, 2 * block + 5)
         for sizes in [(block, block, 5), (block - 1, 7, block - 1)]:
-            for got, want in zip(self.draw(5, *sizes), whole):
-                assert np.array_equal(got, want)
-        for got, want in zip(self.draw(5, 10), whole):
-            assert np.array_equal(got, want[:10])
+            got = self.draw(5, *sizes)
+            assert np.array_equal(got, whole)
+            assert np.array_equal(oracle._box(self.face, got), oracle._box(self.face, whole))
+        assert np.array_equal(self.draw(5, 10), whole[:10])
 
     def test_all_samples_admissible(self):
-        g = self.gammas(*self.draw(17, 10 ** 4))
+        g = self.gammas(self.draw(17, 10 ** 4))
         # disk parameters; circle ones are checked in test_circle_and_zero_parameters
         disks = [j for j, (kind, _) in enumerate(self.face.parts) if kind == "disk"]
         assert np.all(np.abs(g[:, disks]) <= 1.0)
         for row in g[:500]:
-            assert is_admissible(SchwarzTriple(*schur_map(*map(complex, row))), tol=1e-12)
+            p = SchurParams(*map(complex, row))  # gamma2 = 0 off the face
+            assert is_admissible(SchwarzTriple(*schur_map(p.gamma0, p.gamma1, p.gamma2)),
+                                 tol=1e-12)
 
     def test_boundary_bias_hits_the_face(self):
-        g = self.gammas(*self.draw(3, 10 ** 4))
+        g = self.gammas(self.draw(3, 10 ** 4))
         frac = np.mean(np.abs(g[:, 0]) >= 0.9)
         assert frac >= 0.40
 
     def test_circle_and_zero_parameters(self):
         """A circle parameter is the table entry of its drawn lattice angle,
         which is exp(1j t) of that angle, with no radius factor, so its
-        modulus is 1 to within one rounding, 2**-52; a zero parameter is
-        exactly 0."""
-        x, phase = self.draw(8, 10 ** 4)
-        g = self.gammas(x, phase)
+        modulus is 1 to within one rounding, 2**-52; a parameter the face
+        leaves out has no coordinate and is not formed, and its report
+        (``SchurParams``) holds exactly 0."""
+        u = self.draw(8, 10 ** 4)
+        x, g = oracle._box(self.face, u), self.gammas(u)
         box = list(self.face.box)
+        assert g.shape[1] == len(self.face.parts)
+        for j in range(len(self.face.parts), 3):
+            assert 2 * j not in box and 2 * j + 1 not in box
+            assert repr(SchurParams(*map(complex, g[0])).gamma2) == "0j"
         for j, (kind, _) in enumerate(self.face.parts):
-            if kind == "zero":
-                assert 2 * j not in box and 2 * j + 1 not in box
-                assert np.all(g[:, j] == 0)
-            elif kind == "circle":
+            if kind == "circle":
                 assert 2 * j not in box
                 t = x[:, box.index(2 * j + 1)]
                 k = np.rint(t / (2 * np.pi / oracle._LATTICE_N)).astype(int)
@@ -140,7 +161,9 @@ def test_draw_layout(face, free):
     n = len(free)
     assert face.box.tolist() == free
     u = np.random.default_rng(4).random((300, n + 1))
-    x, phase = oracle._sample_block(np.random.default_rng(4), 300, face)
+    draws = oracle._draw(np.random.default_rng(4), 300, face)
+    x = oracle._box(face, draws)
+    phase = oracle._LATTICE_PHASES[oracle._lattice(face, draws)]
     k = np.floor(u[:, :n] * oracle._LATTICE_N).astype(int)
     is_angle = np.array(free) % 2 == 1
     want = np.where(is_angle, oracle._LATTICE_ANGLES[k], u[:, :n])

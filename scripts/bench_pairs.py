@@ -20,7 +20,8 @@ The record holds, per workload and end-to-end metric, each side's median
 and quartiles, the pair count and the change's wins, losses and ties
 (the better direction is read from the change's ``BENCHMARK.json``);
 per workload the seeds and whether every pair's result digests agree;
-both refs with their commit and ``src/`` tree ids; every run's metrics;
+both refs with their commit, ``src/`` tree id and ``src/`` line count
+(``src_lines``, the lines of its ``*.py`` files); every run's metrics;
 and the machine, Python and numpy versions that ``perfbench/run.py``
 recorded.  Exits 0 when every run completed with every op correct, 1
 when a run failed or an op was wrong, 2 on a usage error.
@@ -85,6 +86,11 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def src_lines(root: Path) -> int:
+    """Lines of every ``*.py`` file under ``root``, counted as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in root.rglob("*.py"))
+
+
 def _git(*args: str, cwd: Path = ROOT) -> str:
     return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
                           text=True).stdout.strip()
@@ -118,6 +124,7 @@ def bench(parent: str, change: str, pairs: dict[str, int], seed: int, workdir: P
     try:
         for side, path in checkouts.items():
             _git("worktree", "add", "--detach", str(path), sides[side]["commit"])
+            sides[side]["src_lines"] = src_lines(path / "src")
         spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         seconds = spec["run_seconds"]

@@ -179,69 +179,56 @@ def _jan_slice(a: Real) -> PhiSpec:
     return phi_coeffs("janowski", a=a, b=F(-1))
 
 
+def _family(label: str, kind: ClassKind, param: str, phi_of: Callable[[Real], PhiSpec],
+            *curves: tuple) -> tuple[CorollaryCurve, ...]:
+    """One subclass family's curves, each given as (functional, lo, hi, expected[, erratum])."""
+    return tuple(CorollaryCurve(label, kind, functional, param, lo, hi, phi_of, *rest)
+                 for functional, lo, hi, *rest in curves)
+
+
 COROLLARY_CURVES: tuple[CorollaryCurve, ...] = (
-    # starlike functions of order alpha
-    CorollaryCurve("S*(alpha)", ClassKind.STARLIKE, _T21F, "alpha", 0, 1 / 2, _order,
-                   lambda a: (1 - a) ** 2 * ((3 - 4 * a) ** 2 + 4) / 4),
-    CorollaryCurve("S*(alpha)", ClassKind.STARLIKE, _T22F, "alpha", 0, 7 / 15, _order,
-                   lambda a: (1 - a) ** 2 * (9 * (3 - 4 * a) ** 2
-                             + 4 * (2 - 3 * a) ** 2 * (5 - 6 * a) ** 2) / 36),
-    CorollaryCurve("S*(alpha)", ClassKind.STARLIKE, _T21, "alpha", 0, 2 / 3, _order,
-                   lambda a: (1 - a) ** 2 * (36 * a * a - 60 * a + 29)),
-    CorollaryCurve("S*(alpha)", ClassKind.STARLIKE, _T22, "alpha", 0, 3 / 5, _order,
-                   lambda a: (1 - a) ** 2 * (9 * (5 - 6 * a) ** 2
-                             + 4 * (3 - 4 * a) ** 2 * (7 - 8 * a) ** 2) / 9),
-    # convex functions of order alpha
-    CorollaryCurve("C(alpha)", ClassKind.CONVEX, _T21F, "alpha", 0, 1 / 5, _order,
-                   lambda a: 5 * (1 - a) ** 2 * (5 * a * a - 6 * a + 9) / 144),
-    CorollaryCurve("C(alpha)", ClassKind.CONVEX, _T22F, "alpha", 0, 7 / 47, _order,
-                   lambda a: (1 - a) ** 2 * ((6 * a * a - 7 * a + 2) ** 2
-                             + (3 - 5 * a) ** 2) / 144),
-    CorollaryCurve("C(alpha)", ClassKind.CONVEX, _T21, "alpha", 0, 1 / 2, _order,
-                   lambda a: (1 - a) ** 2 * ((3 - 4 * a) ** 2 + 9) / 9,
-                   erratum=("published corollary reads ((1-alpha)^2 (3-4 alpha)^2 + 9)/9; "
-                            "the proven bound carries (1-alpha)^2 on both terms "
-                            "(the two agree at alpha = 0, value 2)")),
-    CorollaryCurve("C(alpha)", ClassKind.CONVEX, _T22, "alpha", 0, 39 / 95, _order,
-                   lambda a: (1 - a) ** 2 * ((2 - 3 * a) ** 2 + 4) * (3 - 4 * a) ** 2 / 36),
-    # strongly starlike of order beta
-    CorollaryCurve("SS*(beta)", ClassKind.STARLIKE, _T21F, "beta", 1 / 3, 1, _strongly,
-                   lambda b: b * b * (9 * b * b + 4) / 4),
-    CorollaryCurve("SS*(beta)", ClassKind.STARLIKE, _T22F, "beta", 1 / 3, 1, _strongly,
-                   lambda b: b * b * (3364 * b ** 4 + 961 * b * b + 4) / 324),
-    CorollaryCurve("SS*(beta)", ClassKind.STARLIKE, _T21, "beta", 1 / 5, 1, _strongly,
-                   lambda b: b * b * (25 * b * b + 4)),
-    CorollaryCurve("SS*(beta)", ClassKind.STARLIKE, _T22, "beta", 1 / 5, 1, _strongly,
-                   lambda b: b * b * (15376 * b ** 4 + 2521 * b * b + 4) / 81),
-    # strongly convex of order beta
-    CorollaryCurve("CC(beta)", ClassKind.CONVEX, _T21F, "beta", 2 / 3, 1, _strongly,
-                   lambda b: b * b * (b * b + 4) / 16),
-    CorollaryCurve("CC(beta)", ClassKind.CONVEX, _T22F, "beta", 2 / 3, 1, _strongly,
-                   lambda b: b * b * (25 * b ** 4 + 91 * b * b + 1) / 1296),
-    CorollaryCurve("CC(beta)", ClassKind.CONVEX, _T21, "beta", 1 / 3, 1, _strongly,
-                   lambda b: b * b * (b * b + 1)),
-    CorollaryCurve("CC(beta)", ClassKind.CONVEX, _T22, "beta", math.sqrt(2 / 17), 1, _strongly,
-                   lambda b: b * b * (289 * b ** 4 + 358 * b * b + 1) / 324),
+    *_family("S*(alpha)", ClassKind.STARLIKE, "alpha", _order,  # starlike of order alpha
+             (_T21F, 0, 1 / 2, lambda a: (1 - a) ** 2 * ((3 - 4 * a) ** 2 + 4) / 4),
+             (_T22F, 0, 7 / 15, lambda a: (1 - a) ** 2 * (9 * (3 - 4 * a) ** 2
+                                          + 4 * (2 - 3 * a) ** 2 * (5 - 6 * a) ** 2) / 36),
+             (_T21, 0, 2 / 3, lambda a: (1 - a) ** 2 * (36 * a * a - 60 * a + 29)),
+             (_T22, 0, 3 / 5, lambda a: (1 - a) ** 2 * (9 * (5 - 6 * a) ** 2
+                                        + 4 * (3 - 4 * a) ** 2 * (7 - 8 * a) ** 2) / 9)),
+    *_family("C(alpha)", ClassKind.CONVEX, "alpha", _order,  # convex of order alpha
+             (_T21F, 0, 1 / 5, lambda a: 5 * (1 - a) ** 2 * (5 * a * a - 6 * a + 9) / 144),
+             (_T22F, 0, 7 / 47, lambda a: (1 - a) ** 2 * ((6 * a * a - 7 * a + 2) ** 2
+                                          + (3 - 5 * a) ** 2) / 144),
+             (_T21, 0, 1 / 2, lambda a: (1 - a) ** 2 * ((3 - 4 * a) ** 2 + 9) / 9,
+              "published corollary reads ((1-alpha)^2 (3-4 alpha)^2 + 9)/9; the proven bound "
+              "carries (1-alpha)^2 on both terms (the two agree at alpha = 0, value 2)"),
+             (_T22, 0, 39 / 95,
+              lambda a: (1 - a) ** 2 * ((2 - 3 * a) ** 2 + 4) * (3 - 4 * a) ** 2 / 36)),
+    *_family("SS*(beta)", ClassKind.STARLIKE, "beta", _strongly,  # strongly starlike, order beta
+             (_T21F, 1 / 3, 1, lambda b: b * b * (9 * b * b + 4) / 4),
+             (_T22F, 1 / 3, 1, lambda b: b * b * (3364 * b ** 4 + 961 * b * b + 4) / 324),
+             (_T21, 1 / 5, 1, lambda b: b * b * (25 * b * b + 4)),
+             (_T22, 1 / 5, 1, lambda b: b * b * (15376 * b ** 4 + 2521 * b * b + 4) / 81)),
+    *_family("CC(beta)", ClassKind.CONVEX, "beta", _strongly,  # strongly convex of order beta
+             (_T21F, 2 / 3, 1, lambda b: b * b * (b * b + 4) / 16),
+             (_T22F, 2 / 3, 1, lambda b: b * b * (25 * b ** 4 + 91 * b * b + 1) / 1296),
+             (_T21, 1 / 3, 1, lambda b: b * b * (b * b + 1)),
+             (_T22, math.sqrt(2 / 17), 1,
+              lambda b: b * b * (289 * b ** 4 + 358 * b * b + 1) / 324)),
     # Janowski slices along B = -1 (A = 1 recovers the half-plane class);
     # the A ranges keep every hypothesis, including region membership,
     # satisfied along the slice.
-    CorollaryCurve("S*[A,-1]", ClassKind.STARLIKE, _T21F, "a", 1 / 2, 1, _jan_slice,
-                   lambda a: (a + 1) ** 2 * (4 * a * a + 4 * a + 5) / 16),
-    CorollaryCurve("S*[A,-1]", ClassKind.STARLIKE, _T22F, "a", 1 / 2, 1, _jan_slice,
-                   lambda a: (a + 1) ** 2 * ((9 * a * a + 9 * a + 2) ** 2
-                             + 9 * (1 + 2 * a) ** 2) / 144),
-    CorollaryCurve("S*[A,-1]", ClassKind.STARLIKE, _T21, "a", 1 / 2, 1, _jan_slice,
-                   lambda a: (a + 1) ** 2 * ((3 * a + 2) ** 2 + 4) / 4),
-    CorollaryCurve("S*[A,-1]", ClassKind.STARLIKE, _T22, "a", 1 / 2, 1, _jan_slice,
-                   lambda a: (a + 1) ** 2 * (9 * (3 * a + 2) ** 2
-                             + 4 * (1 + 2 * a) ** 2 * (4 * a + 3) ** 2) / 36),
-    CorollaryCurve("C[A,-1]", ClassKind.CONVEX, _T21F, "a", 4 / 5, 1, _jan_slice,
-                   lambda a: (a + 1) ** 2 * (25 * a * a + 10 * a + 145) / 2304),
-    CorollaryCurve("C[A,-1]", ClassKind.CONVEX, _T22F, "a", 4 / 5, 1, _jan_slice,
-                   lambda a: (a + 1) ** 2 * (a * a * (1 + 3 * a) ** 2
-                             + (1 + 5 * a) ** 2) / 2304),
-    CorollaryCurve("C[A,-1]", ClassKind.CONVEX, _T21, "a", 4 / 5, 1, _jan_slice,
-                   lambda a: (a + 1) ** 2 * ((1 + 2 * a) ** 2 + 9) / 36),
-    CorollaryCurve("C[A,-1]", ClassKind.CONVEX, _T22, "a", 4 / 5, 1, _jan_slice,
-                   lambda a: (2 * a * a + 3 * a + 1) ** 2 * ((1 + 3 * a) ** 2 + 16) / 576),
+    *_family("S*[A,-1]", ClassKind.STARLIKE, "a", _jan_slice,
+             (_T21F, 1 / 2, 1, lambda a: (a + 1) ** 2 * (4 * a * a + 4 * a + 5) / 16),
+             (_T22F, 1 / 2, 1, lambda a: (a + 1) ** 2 * ((9 * a * a + 9 * a + 2) ** 2
+                                         + 9 * (1 + 2 * a) ** 2) / 144),
+             (_T21, 1 / 2, 1, lambda a: (a + 1) ** 2 * ((3 * a + 2) ** 2 + 4) / 4),
+             (_T22, 1 / 2, 1, lambda a: (a + 1) ** 2 * (9 * (3 * a + 2) ** 2
+                                        + 4 * (1 + 2 * a) ** 2 * (4 * a + 3) ** 2) / 36)),
+    *_family("C[A,-1]", ClassKind.CONVEX, "a", _jan_slice,
+             (_T21F, 4 / 5, 1, lambda a: (a + 1) ** 2 * (25 * a * a + 10 * a + 145) / 2304),
+             (_T22F, 4 / 5, 1, lambda a: (a + 1) ** 2 * (a * a * (1 + 3 * a) ** 2
+                                         + (1 + 5 * a) ** 2) / 2304),
+             (_T21, 4 / 5, 1, lambda a: (a + 1) ** 2 * ((1 + 2 * a) ** 2 + 9) / 36),
+             (_T22, 4 / 5, 1,
+              lambda a: (2 * a * a + 3 * a + 1) ** 2 * ((1 + 3 * a) ** 2 + 16) / 576)),
 )

@@ -30,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import __version__, bounds, catalog, extremal
-from .coeffs import INVERSE, ClassKind, FunctionalKind, PhiSpec, Real, _inverse, _monomials
+from .coeffs import ClassKind, FunctionalKind, PhiSpec, Real
 
 _REL_TOL = 1e-12  # between a computed table value and a published float (parabolic)
 
@@ -40,9 +40,6 @@ _REL_TOL = 1e-12  # between a computed table value and a published float (parabo
 MAX_SWEEP_ROWS = 10_001
 # ``verify --budget`` above this (100 times the default) is refused, not run for hours.
 MAX_BUDGET = 10 ** 7
-
-_FUNCTIONALS = {f.value: f for f in FunctionalKind}
-_CLASSES = {k.value: k for k in ClassKind}
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +148,16 @@ def _resolve_phi(args) -> PhiSpec:
     return catalog.phi_coeffs(args.phi, **params)
 
 
-def _add_selectors(p: argparse.ArgumentParser, functional: bool = True) -> None:
+def _add_kinds(p: argparse.ArgumentParser, functional: bool = True) -> None:
     p.add_argument("--class", dest="class_kind", required=True,
-                   choices=sorted(_CLASSES), help="class kind")
+                   choices=sorted(k.value for k in ClassKind), help="class kind")
     if functional:
         p.add_argument("--functional", required=True,
-                       choices=sorted(_FUNCTIONALS), help="Toeplitz functional")
+                       choices=sorted(f.value for f in FunctionalKind), help="Toeplitz functional")
+
+
+def _add_selectors(p: argparse.ArgumentParser, functional: bool = True) -> None:
+    _add_kinds(p, functional)
     p.add_argument("--phi", choices=sorted(catalog.PHI_NAMES),
                    help="catalog generator name")
     p.add_argument("--alpha", type=_fraction, help="order parameter")
@@ -185,8 +186,7 @@ _Result = tuple[int, object, Callable[[], list[str]]]
 
 def cmd_bound(args) -> _Result:
     phi = _resolve_phi(args)
-    report = bounds.theorem_bound(
-        _FUNCTIONALS[args.functional], _CLASSES[args.class_kind], phi)
+    report = bounds.theorem_bound(FunctionalKind(args.functional), ClassKind(args.class_kind), phi)
 
     def text() -> list[str]:
         lines = [f"bound: {_fmt_value(report.bound)}"]
@@ -261,9 +261,8 @@ def cmd_verify(args) -> _Result:
         raise ValueError(f"--budget needs N >= 1, got {args.budget}")
     if args.seed < 0:
         raise ValueError(f"--seed needs N >= 0, got {args.seed}")
-    report = oracle.maximize(
-        _FUNCTIONALS[args.functional], _CLASSES[args.class_kind], phi,
-        budget=args.budget, seed=args.seed)
+    report = oracle.maximize(FunctionalKind(args.functional), ClassKind(args.class_kind), phi,
+                             budget=args.budget, seed=args.seed)
 
     def text() -> list[str]:
         flag = "" if report.applicable else " (bound unproven: hypothesis fails)"
@@ -314,8 +313,8 @@ def cmd_sweep(args) -> _Result:
         if (getattr(args, key) is not None) != (key == fixed):
             raise ValueError(f"{args.param} sweep needs fixed --{key}" if key == fixed
                              else f"--{key} does not apply to a {args.param} sweep")
-    kind = _CLASSES[args.class_kind]
-    functional = _FUNCTIONALS[args.functional]
+    kind = ClassKind(args.class_kind)
+    functional = FunctionalKind(args.functional)
     params = {fixed: getattr(args, fixed)} if fixed else {}
     lines = ["param,bound,applicable,attained"]
     for v in grid:
@@ -329,13 +328,12 @@ def cmd_sweep(args) -> _Result:
 
 def cmd_extremal(args) -> _Result:
     phi = _resolve_phi(args)
-    kind = _CLASSES[args.class_kind]
+    kind = ClassKind(args.class_kind)
     if not 2 <= args.order <= MAX_SWEEP_ROWS:
         raise ValueError(f"--order needs 2 <= N <= {MAX_SWEEP_ROWS}, got {args.order}")
-    a = extremal.extremal_coeffs(kind, phi, max(args.order, 4))
-    by_weight = _monomials(*a[1:4])
-    inverse = [_inverse(name, by_weight) / div for name, (_, div) in INVERSE.items()]
-    a, b, gamma = a[:args.order], inverse[:3], inverse[3:]  # b2..b4, Gamma1..Gamma3
+    a = extremal.extremal_coeffs(kind, phi, args.order)
+    inverse = extremal.inverse_coeffs(kind, phi)
+    b, gamma = inverse[:3], inverse[3:]  # b2..b4, Gamma1..Gamma3
     values = {f.value: float(extremal.attainment(f, kind, phi)) for f in FunctionalKind}
     if not all(map(cmath.isfinite, (*a, *b, *gamma, *values.values()))):
         raise OverflowError("a coefficient or functional of the extremal is not finite")
@@ -379,9 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="bound curve over a class parameter (CSV)")
     p.add_argument("--param", required=True, choices=tuple(_SWEEPS))
     p.add_argument("--range", required=True, metavar="LO:HI:STEP")
-    p.add_argument("--class", dest="class_kind", required=True,
-                   choices=sorted(_CLASSES))
-    p.add_argument("--functional", required=True, choices=sorted(_FUNCTIONALS))
+    _add_kinds(p)
     p.add_argument("--a", type=_fraction, help="fixed Janowski A")
     p.add_argument("--b", type=_fraction, help="fixed Janowski B")
     p.set_defaults(func=cmd_sweep, format="csv", out=None)

@@ -13,11 +13,13 @@ with X, Y the coefficients of the real r_m, and the functional is
 |x_n^2 - x_{n+1}^2| = X^2 + Y^2.  The recursion runs on integers, with
 phi over one common denominator, so that value is exact for an exact phi.
 It reads neither ``coeffs._TABLE`` nor the bound's formulas, which makes
-"attainment == bound" an independent certificate.
+"attainment == bound" an independent certificate.  ``inverse_coeffs``
+evaluates ``INVERSE`` on the same integers for display.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import islice
@@ -47,17 +49,23 @@ def _terms(n1: int, n2: int, n3: int, d: int) -> Iterator[int]:
         m += 1
 
 
+def _rotated(r: float, w: int) -> complex:
+    """i^w r, with no -0.0 part (0.0 - r, not -r)."""
+    return (complex(r, 0.0), complex(0.0, r), complex(0.0 - r, 0.0), complex(0.0, 0.0 - r))[w % 4]
+
+
 def extremal_coeffs(kind: ClassKind, phi: PhiSpec, n: int) -> tuple[complex, ...]:
     """Taylor coefficients (a_1, ..., a_N) of the rotation extremal; a_1 = 1.
 
     Each a_m = i^(m-1) r_m is the exact r_m rounded once (to +-inf past the
-    float range) and then rotated, for display.
+    float range) and then rotated, for display; N goes through ``operator.index``.
 
     The generator is cut after B3 (B_4 = B_5 = ... = 0).  Only B1..B3
     affect a_2..a_4, and hence every functional; a_5 onward are those of
     the cut generator.
     """
     _known(_SCALE, kind, "class")
+    n = operator.index(n)
     if n < 2:
         raise ValueError("need N >= 2")
     n1, n2, n3, d = _common_denominator(phi)
@@ -68,11 +76,25 @@ def extremal_coeffs(kind: ClassKind, phi: PhiSpec, n: int) -> tuple[complex, ...
     convex = kind is ClassKind.CONVEX
     a, den = [], 1  # den = (m-1)! d^(m-1)
     for m, t in zip(range(1, n + 1), _terms(n1, n2, n3, d)):
-        r = _saturated(t, den * m if convex else den)
-        a.append((complex(r, 0.0), complex(0.0, r), complex(0.0 - r, 0.0),
-                  complex(0.0, 0.0 - r))[(m - 1) % 4])  # 0.0 - r: no -0.0
+        a.append(_rotated(_saturated(t, den * m if convex else den), m - 1))
         den *= d * m
     return tuple(a)
+
+
+def _scaled_monomials(kind: ClassKind, phi: PhiSpec) -> tuple[tuple, int]:
+    """(``_monomials`` of the integers a_m (6 d)^(m-1), m = 2..4, of the real extremal; d)."""
+    s2, s3, s4 = _known(_SCALE, kind, "class")
+    n1, n2, n3, d = _common_denominator(phi)
+    _, t2, t3, t4 = islice(_terms(n1, n2, n3, d), 4)
+    return _monomials(t2 * s2, t3 * s3, t4 * s4), d
+
+
+def inverse_coeffs(kind: ClassKind, phi: PhiSpec) -> tuple[complex, ...]:
+    """(b2, b3, b4, Gamma1, Gamma2, Gamma3) of the rotation extremal: each exact value
+    rounded once (to +-inf past the float range), then rotated by i^w for its weight w."""
+    by_weight, d = _scaled_monomials(kind, phi)
+    return tuple(_rotated(_saturated(_inverse(name, by_weight), div * (6 * d) ** len(nums)),
+                          len(nums)) for name, (nums, div) in INVERSE.items())
 
 
 def attainment(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec) -> Fraction | float:
@@ -83,10 +105,7 @@ def attainment(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec) -> Fra
     hypotheses hold; where they hold, this is the sharpness certificate.
     """
     pair = _known(PAIRS, functional, "functional")
-    s2, s3, s4 = _known(_SCALE, kind, "class")
-    n1, n2, n3, d = _common_denominator(phi)
-    _, t2, t3, t4 = islice(_terms(n1, n2, n3, d), 4)
-    by_weight = _monomials(t2 * s2, t3 * s3, t4 * s4)  # a_m (6 d)^(m-1) of the real extremal
+    by_weight, d = _scaled_monomials(kind, phi)
     (_, e), (ys, f) = INVERSE[pair[0]], INVERSE[pair[1]]
     p = _inverse(pair[0], by_weight)  # X = p / (e (6 d)^w)
     q = _inverse(pair[1], by_weight)  # Y = q / (f (6 d)^(w+1))

@@ -6,7 +6,8 @@ benchmark, beyond its own definition, or be named in README.md.  An
 ``__init__`` re-export alone is no use: it would keep alive any name the
 tests import from the package.  A private (``_``) top-level name must be
 read somewhere in the library beyond its definition.  Machinery that only
-the tests need lives under ``tests/``.
+the tests need lives under ``tests/``.  The CLI is a client of the library:
+it reads no private name of another toepsharp module.
 """
 
 import ast
@@ -70,6 +71,28 @@ def test_every_public_name_has_a_caller_outside_the_tests():
               for name in sorted(_top_level_names(tree) - used)
               if not name.startswith("_")]
     assert unused == [], f"public names only the tests use: {unused}"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_the_cli_reads_no_private_name_of_another_module():
+    """Neither ``from .coeffs import _x`` nor ``coeffs._x``, under any local name of the
+    module, in cli.py; a dunder such as ``__version__`` is public."""
+    stems = {p.stem for p in PACKAGE.glob("*.py")}
+    tree = _parse(PACKAGE / "cli.py")
+    local, private = {"toepsharp"}, []  # local: the names cli.py binds to toepsharp modules
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("toepsharp")):
+            private += [f"{node.module}.{a.name}" for a in node.names if _private(a.name)]
+            local |= {a.asname or a.name for a in node.names if a.name in stems}
+        elif isinstance(node, ast.Import):
+            local |= {a.asname or a.name for a in node.names if a.name.startswith("toepsharp")}
+    private += [f"{n.value.id}.{n.attr}" for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                and n.value.id in local and _private(n.attr)]
+    assert private == [], f"cli.py reads private library names: {private}"
 
 
 def test_every_private_name_is_read_in_the_library():

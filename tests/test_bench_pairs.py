@@ -1,4 +1,5 @@
-"""scripts/bench_pairs.py: the schedule and the summary of paired runs, on synthetic records.
+"""scripts/bench_pairs.py: the schedule and the summary of paired runs, on synthetic records,
+and the ``src/`` line counter, on a temporary tree.
 
 Its usage errors for bad pair counts are in ``test_cli.TestScriptArguments``.
 """
@@ -83,6 +84,18 @@ class TestSummarize:
         first = bench_pairs.summarize(RUNS, BETTER)
         assert RUNS == before
         assert bench_pairs.summarize(RUNS, BETTER) == first
+
+
+def test_src_lines_counts_the_newlines_of_python_files_only(tmp_path):
+    (tmp_path / "pkg" / "sub").mkdir(parents=True)
+    (tmp_path / "pkg" / "__init__.py").write_text("a = 1\n\nb = 2\n")   # 3
+    (tmp_path / "pkg" / "sub" / "m.py").write_text("x\ny")              # 1, as wc -l
+    (tmp_path / "pkg" / "empty.py").write_text("")                      # 0
+    (tmp_path / "pkg" / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "pkg" / "m.pyc").write_bytes(b"\n\n")
+    assert bench_pairs.src_lines(tmp_path) == 4
+    assert bench_pairs.src_lines(tmp_path / "pkg" / "sub") == 1
+    assert bench_pairs.src_lines(tmp_path / "missing") == 0
 
 
 def test_schedule_alternates_the_side_that_runs_first():

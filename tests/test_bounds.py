@@ -20,7 +20,7 @@ from toepsharp.bounds import (
 )
 from toepsharp.catalog import phi_coeffs
 from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec, table
-from toepsharp.extremal import attainment, extremal_coeffs
+from toepsharp.extremal import attainment, extremal_coeffs, inverse_coeffs
 
 HALF_PLANE = PhiSpec(F(2), F(2), F(2))
 EXP = PhiSpec(F(1), F(1, 2), F(1, 6))
@@ -550,6 +550,7 @@ class TestTheoremBound:
                      lambda: fekete_szego_bound(kind, HALF_PLANE, 1),
                      lambda: attainment(FunctionalKind.T22_LOG_INV, kind, HALF_PLANE),
                      lambda: extremal_coeffs(kind, HALF_PLANE, 4),
+                     lambda: inverse_coeffs(kind, HALF_PLANE),
                      lambda: maximize(FunctionalKind.T21_INV, kind, HALF_PLANE, budget=10)):
             with pytest.raises(ValueError, match="unknown class"):
                 call()

@@ -20,7 +20,7 @@ from toepsharp.bounds import theorem_bound
 from toepsharp.catalog import COROLLARY_CURVES, PHI_NAMES, fixture_entries
 from toepsharp.cli import MAX_BUDGET, MAX_SWEEP_ROWS, _parse_range, main
 from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec
-from toepsharp.extremal import attainment
+from toepsharp.extremal import attainment, inverse_coeffs
 
 
 def run(capsys, *argv):
@@ -347,6 +347,19 @@ class TestExtremal:
         assert abs(d["functionals"]["t21-log-inv"] - 25 / 64) < 1e-12
         assert len(d["a"]) == 4
 
+    def test_inverse_coefficients_are_exact_values_rounded_once(self, capsys):
+        # b4 of the convex cardioid extremal is exactly 0, and Gamma3 of the
+        # starlike exp one is -i (-29/72): no residue of rounded a2..a4
+        code, out, _ = run(capsys, "extremal", "--class", "convex", "--phi", "cardioid")
+        assert code == 0
+        assert "b2, b3, b4 = 0-0.5j, -0.166666666667+0j, 0+0j" in out.splitlines()
+        code, out, _ = run(capsys, "extremal", "--class", "starlike", "--phi", "exp",
+                           "--format", "json")
+        d = json.loads(out)
+        assert d["gamma"][2] == {"re": 0.0, "im": 29 / 72}
+        want = inverse_coeffs(ClassKind.STARLIKE, PhiSpec(1, F(1, 2), F(1, 6)))
+        assert [complex(v["re"], v["im"]) for v in d["b"] + d["gamma"]] == list(want)
+
     def test_trivial_generator(self, capsys):
         code, out, _ = run(capsys, "extremal", "--class", "convex",
                            "--b1", "0", "--b2", "0", "--b3", "0",
@@ -356,8 +369,8 @@ class TestExtremal:
         assert all(v == 0 for v in d["functionals"].values())
 
     def test_low_order_prints_a_prefix_of_order_four(self, capsys):
-        # the a-lines are cut to --order; b, Gamma and the functionals still
-        # come from a2..a4
+        # the a-lines are cut to --order; b, Gamma and the functionals do not
+        # depend on it
         argv = ("extremal", "--class", "convex", "--phi", "exp", "--order")
         four = run(capsys, *argv, "4")[1].splitlines()
         for n in (2, 3):

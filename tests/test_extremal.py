@@ -4,13 +4,14 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from helpers import SchwarzTriple, solve
-from toepsharp import bounds, coeffs
+from toepsharp import bounds, catalog, coeffs
 from toepsharp.bounds import theorem_bound
 from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec
-from toepsharp.extremal import attainment, extremal_coeffs
+from toepsharp.extremal import attainment, extremal_coeffs, inverse_coeffs
 
 TOL = 1e-12
 
@@ -83,6 +84,80 @@ class TestExtremalCoeffs:
         with pytest.raises(ValueError, match="a_2000 of this generator needs exact integers"):
             extremal_coeffs(ClassKind.STARLIKE, phi, 2000)
         assert extremal_coeffs(ClassKind.CONVEX, PhiSpec(0.7, -0.3, 0.1), 2000)[-1] == 0
+
+    def test_order_is_read_as_an_index(self):
+        want = extremal_coeffs(ClassKind.STARLIKE, EXP, 4)
+        assert extremal_coeffs(ClassKind.STARLIKE, EXP, np.int64(4)) == want
+        assert extremal_coeffs(ClassKind.STARLIKE, EXP, np.uint8(4)) == want
+
+    @pytest.mark.parametrize("n", [4.0, "4", np.float64(4.0)])
+    def test_order_that_is_no_integer_is_a_type_error(self, n):
+        with pytest.raises(TypeError):
+            extremal_coeffs(ClassKind.STARLIKE, EXP, n)
+
+
+def _real_extremal(kind: ClassKind, phi: PhiSpec, n: int) -> list[F]:
+    """r_1, ..., r_n of the real extremal, exactly: r_1 = 1 and (m - 1) r_m =
+    B1 r_{m-1} + B2 r_{m-2} + B3 r_{m-3} for the starlike one; the convex r_m is that
+    over m."""
+    b = (F(phi.b1), F(phi.b2), F(phi.b3))
+    r = [F(1)]
+    for m in range(2, n + 1):
+        r.append(sum(bk * r[-k] for k, bk in enumerate(b, start=1) if k < m) / (m - 1))
+    return [x / m for m, x in enumerate(r, start=1)] if kind is ClassKind.CONVEX else r
+
+
+def _inverse_closed_forms(a2, a3, a4) -> tuple:
+    """(b2, b3, b4, Gamma1, Gamma2, Gamma3) as acceptance criterion 7 writes them."""
+    return (-a2, 2 * a2 ** 2 - a3, -5 * a2 ** 3 + 5 * a2 * a3 - a4,
+            -a2 / 2, -(a3 - F(3, 2) * a2 ** 2) / 2,
+            -(a4 - 4 * a2 * a3 + F(10, 3) * a2 ** 3) / 2)
+
+
+ROTATION = (1, 1j, -1, -1j)
+WEIGHTS = (1, 2, 3, 1, 2, 3)  # b_n has weight n - 1, Gamma_n weight n
+
+
+def _no_negative_zero(values) -> bool:
+    return all(math.copysign(1, x) == 1 for v in values for x in (v.real, v.imag) if x == 0)
+
+
+class TestInverseCoeffs:
+    @pytest.mark.parametrize("kind", list(ClassKind))
+    def test_each_value_is_the_exact_one_rounded_once_and_rotated(self, kind):
+        # a_m = i^(m-1) r_m, and every closed form is a sum of monomials of one
+        # weight w, so its value at the rotation is i^w times its value at (r2, r3, r4)
+        phis = [phi for _, _, phi in catalog.certificate_entries()] + _seeded_phis(24, 100)
+        for phi in phis:
+            _, r2, r3, r4 = _real_extremal(kind, phi, 4)
+            want = tuple(ROTATION[w % 4] * float(v)
+                         for w, v in zip(WEIGHTS, _inverse_closed_forms(r2, r3, r4)))
+            got = inverse_coeffs(kind, phi)
+            assert got == want, (kind, phi)
+            assert _no_negative_zero(got)
+
+    def test_an_exact_zero_is_printed_as_zero(self):
+        # the convex cardioid extremal has b4 = 0 exactly; evaluating b4 on the
+        # rounded a2..a4 gave 8.3e-17 i
+        assert inverse_coeffs(ClassKind.CONVEX, catalog.phi_coeffs("cardioid"))[2] == 0j
+        # Gamma3 of the starlike exp extremal is -i (-29/72), rounded once
+        assert inverse_coeffs(ClassKind.STARLIKE, EXP)[5] == complex(0.0, 29 / 72)
+
+    def test_matches_the_rounded_coefficients_to_rounding(self):
+        # the old display path: the closed forms on the rounded, rotated a2..a4
+        for phi in (HALF_PLANE, EXP, PhiSpec(1.3, 0.4, -0.2)):
+            for kind in ClassKind:
+                _, a2, a3, a4 = extremal_coeffs(kind, phi, 4)
+                for got, want in zip(inverse_coeffs(kind, phi),
+                                     _inverse_closed_forms(a2, a3, a4)):
+                    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_past_the_float_range_saturates_without_nan(self):
+        for kind in ClassKind:
+            got = inverse_coeffs(kind, PhiSpec(1e200, 0.0, 0.0))
+            assert math.isfinite(abs(got[0])) and math.isinf(abs(got[1]))
+            assert not any(math.isnan(x) for v in got for x in (v.real, v.imag))
+            assert _no_negative_zero(got)
 
 
 def _seeded_phis(seed: int, n: int) -> list[PhiSpec]:

@@ -85,13 +85,19 @@ def print_until_closed(chunks: Iterable[str]) -> bool:
     return True
 
 
-def _write_run_record(path: str, argv: list[str], report) -> None:
+def _write_run_record(path: str, argv: list[str], report, code: int) -> None:
+    """The --out envelope: the report and what ran it; numpy's version only if the
+    run loaded numpy (``verify``), never importing it here."""
     import datetime
 
     record = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "command": " ".join(argv),
         "version": __version__,
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": getattr(sys.modules.get("numpy"), "__version__", None),
+        "platform": sys.platform,
+        "exit_code": code,
         "report": report,
     }
     try:
@@ -398,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
         code, report, render = args.func(args)
         lines = [_dump_json(report)] if args.format == "json" else render()
         if args.out:
-            _write_run_record(args.out, parsed, report)
+            _write_run_record(args.out, parsed, report, code)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2

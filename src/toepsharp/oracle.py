@@ -13,16 +13,18 @@ are always injected as starts, so the empirical maximum can never fall below
 the attainment value, whatever the budget.
 
 The screen streams the sample through blocks of ``_BLOCK`` rows, so its
-memory is O(block) whatever the budget.  The blocks come from the run's one
-seeded generator, which fills row-major, so they concatenate to exactly the
-single whole draw: the sample is prefix-stable in the budget.  A block is
-evaluated straight from its draws: r0 from its uniform and the
-boundary-bias coin, the other radii as drawn, and the phases from a table
-of the lattice its angles lie on.  The best draws of each block are merged
-into a running top-k equal to a stable sort of the whole sample (ties and
-NaN included: earlier rows first, NaN last), so the refinement sees the
-same starts as a screen holding every row; box coordinates are built only
-for the rows it keeps.
+memory is O(block) whatever the budget.  Each block is one draw from the
+run's one seeded generator, laid out one coordinate per row: a contiguous
+row of ``_BLOCK`` uniforms for each box coordinate, in box order, each
+column one sample row.  The last block is cut to the budget, so the sample
+is prefix-stable in the budget.  A block is evaluated straight from its
+draws: r0 from its uniform in the even columns and boundary-biased to
+1 - 0.1 u^2 in the odd ones, the other radii as drawn, and the phases from
+a table of the lattice its angles lie on.  The best draws of each block are
+merged into a running top-k equal to a stable sort of the whole sample
+(ties and NaN included: earlier rows first, NaN last), so the refinement
+sees the same starts as a screen holding every row; box coordinates are
+built only for the rows it keeps.
 
 The objectives take the coefficients their face generates, (c1, c2) or
 (c1, c2, c3), ``maximize``'s from the rows of ``coeffs.table``;
@@ -34,11 +36,9 @@ angle, so the results are bit-identical to recomputing every phase as
 exp(1j t).
 
 Everything is deterministic given (inputs, seed, budget): the refinement
-itself uses no randomness at all.  Its starts are not independent,
-though: the compass search runs until every start's step is below
-``_STEP_MIN`` (or ``_MAX_ITERS``), and a start whose step is already below
-it keeps being probed, at ever smaller steps, until then.  So a start's
-result depends on the batch of starts it runs with.
+itself uses no randomness at all.  Its starts are independent: each is
+probed until its own step falls below ``_STEP_MIN`` (or ``_MAX_ITERS``),
+so a start's result is the same whatever batch of starts it runs with.
 """
 
 from __future__ import annotations
@@ -116,7 +116,8 @@ _FACES = {FunctionalKind.T21_INV: _T21_FACE, FunctionalKind.T21_LOG_INV: _T21_FA
 def _gammas(face: _Face, x: np.ndarray, phase: np.ndarray | None = None) -> list:
     """The face's parameters at box coordinates x: a circle one is its phase, a disk one
     its radius column times its phase.  phase is exp(1j t) of x's angles; where it is
-    given, only x's radius columns are read, so x may be draws (``_draw``)."""
+    given, only x's radius columns are read, so x may be a block of draws,
+    transposed (``_draw``)."""
     if phase is None:
         phase = np.exp(1j * x[..., face.angle])
     return [phase[..., j] if kind == "circle" else x[..., r] * phase[..., j]
@@ -134,24 +135,25 @@ _SEED_POINTS = np.array([
 ])
 
 
-def _draw(rng: np.random.Generator, m: int, face: _Face) -> np.ndarray:
-    """The next m draws: one uniform per box coordinate, in box order, then the
-    r0-bias coin, with r0 written over its uniform: half the rows uniform-polar,
-    half (coin below 1/2) boundary-biased to 1 - 0.1 u^2."""
-    u = rng.random((m, len(face.box) + 1))
-    u[:, 0] = np.where(u[:, -1] < 0.5, 1.0 - 0.1 * u[:, 0] ** 2, u[:, 0])
+def _draw(rng: np.random.Generator, face: _Face) -> np.ndarray:
+    """The next block of draws, one column per sample row: a (len(face.box), _BLOCK)
+    array, one contiguous row of uniforms per box coordinate, in box order.  r0 is
+    its uniform in the even columns and boundary-biased to 1 - 0.1 u^2 in the odd ones."""
+    u = rng.random((len(face.box), _BLOCK))
+    u[0, 1::2] = 1.0 - 0.1 * u[0, 1::2] ** 2
     return u
 
 
 def _lattice(face: _Face, u: np.ndarray) -> np.ndarray:
-    """The lattice index floor(u N) of each angle uniform of draws u."""
-    return (u[:, face.angle] * _LATTICE_N).astype(np.intp)
+    """The lattice index floor(u N) of each angle uniform of draws u, per angle row."""
+    return (u[face.angle] * _LATTICE_N).astype(np.intp)
 
 
 def _box(face: _Face, u: np.ndarray) -> np.ndarray:
-    """The box coordinates of draws u: radii as drawn, angles the lattice angles."""
-    x = u[:, :-1].copy()
-    x[:, face.angle] = _LATTICE_ANGLES[_lattice(face, u)]
+    """The box coordinates of draws u, one row per column: radii as drawn, angles the
+    lattice angles."""
+    x = u.T.copy()
+    x[:, face.angle] = _LATTICE_ANGLES[_lattice(face, u)].T
     return x
 
 
@@ -181,15 +183,15 @@ def _screen(obj, face: _Face, budget: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     n_top = min(_N_STARTS, budget)
     top_keys = np.empty(0)
-    top_u = np.empty((0, len(face.box) + 1))
+    top_u = np.empty((len(face.box), 0))
     for done in range(0, budget, _BLOCK):
-        u = _draw(rng, min(_BLOCK, budget - done), face)
+        u = _draw(rng, face)[:, :budget - done]
         phase = _LATTICE_PHASES[_lattice(face, u)]
-        keys = np.concatenate([top_keys, -obj(*_gammas(face, u, phase))])
+        keys = np.concatenate([top_keys, -obj(*_gammas(face, u.T, phase.T))])
         top = _top_k(keys, n_top)
-        fresh = top >= len(top_keys)  # rows of this block
-        kept = np.empty((len(top), u.shape[1]))
-        kept[~fresh], kept[fresh] = top_u[top[~fresh]], u[top[fresh] - len(top_keys)]
+        fresh = top >= len(top_keys)  # columns of this block
+        kept = np.empty((len(u), len(top)))
+        kept[:, ~fresh], kept[:, fresh] = top_u[:, top[~fresh]], u[:, top[fresh] - len(top_keys)]
         top_keys, top_u = keys[top], kept
     return _box(face, top_u)
 
@@ -198,12 +200,17 @@ def _compass_search(obj, face: _Face, x0: np.ndarray) -> tuple[np.ndarray, np.nd
     """Vectorized compass (pattern) search on the face, one row per start.
 
     Probes +-step along each coordinate, moves to the best improving
-    probe, halves the step when nothing improves.  Deterministic.  Probes
-    2 d and 2 d + 1 move coordinate d, and only it is projected back into
-    the box: the others are in the box already, where the projection is
-    the identity.  Each start's phases exp(1j t) are kept alongside its
-    coordinates, so only the angle probes evaluate exp, each for its one
-    moved angle; a kept phase is always that of the projected angle.
+    probe, halves the step when nothing improves.  Deterministic.  Each
+    start stops on its own step: it is probed while its step is at least
+    ``_STEP_MIN`` (and for at most ``_MAX_ITERS`` iterations), then its
+    final (x, f) is written out and its row leaves the working arrays, so
+    its result does not depend on the other starts.  The iteration count
+    returned is that of the last start to stop.  Probes 2 d and 2 d + 1
+    move coordinate d, and only it is projected back into the box: the
+    others are in the box already, where the projection is the identity.
+    Each start's phases exp(1j t) are kept alongside its coordinates, so
+    only the angle probes evaluate exp, each for its one moved angle; a
+    kept phase is always that of the projected angle.
     """
     x = x0.copy()
     coord = np.repeat(np.arange(x.shape[1]), 2)  # the coordinate each probe moves
@@ -213,11 +220,13 @@ def _compass_search(obj, face: _Face, x0: np.ndarray) -> tuple[np.ndarray, np.nd
     columns = np.searchsorted(face.angle, coord[angle_probes])  # their phase columns
     phase = np.exp(1j * x[:, face.angle])
     f = obj(*_gammas(face, x, phase))
+    x_out, f_out = np.empty_like(x), np.empty_like(f)
     step = np.full(len(x), _STEP_INIT)
-    rows = np.arange(len(x))
+    live = np.arange(len(x))  # the start of each working row
     iters = 0
-    while np.any(step >= _STEP_MIN) and iters < _MAX_ITERS:
+    while len(live) and iters < _MAX_ITERS:
         iters += 1
+        rows = np.arange(len(live))
         moved = x[:, coord].T + sign * step  # (probes, S)
         moved = np.where(is_angle, np.mod(moved, 2.0 * np.pi), np.clip(moved, 0.0, 1.0))
         cand = np.repeat(x[None, :, :], len(coord), axis=0)  # (probes, S, n)
@@ -232,7 +241,13 @@ def _compass_search(obj, face: _Face, x0: np.ndarray) -> tuple[np.ndarray, np.nd
         phase[improved] = cphase[best[improved], rows[improved]]
         f = np.where(improved, fbest, f)
         step = np.where(improved, step, step / 2.0)
-    return x, f, iters
+        stopped = step < _STEP_MIN
+        if stopped.any():
+            x_out[live[stopped]], f_out[live[stopped]] = x[stopped], f[stopped]
+            going = ~stopped
+            x, phase, f, step, live = x[going], phase[going], f[going], step[going], live[going]
+    x_out[live], f_out[live] = x, f
+    return x_out, f_out, iters
 
 
 def _maximize_objective(obj, face: _Face, budget: int,

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -106,8 +107,21 @@ class TestBound:
         assert code == 0
         record = json.loads(path.read_text())
         assert record["report"] == json.loads(out)
-        assert set(record) == {"timestamp", "command", "version", "report"}
+        assert set(record) == {"timestamp", "command", "version", "python", "numpy",
+                               "platform", "exit_code", "report"}
         assert record["command"] == " ".join(argv)
+        assert record["python"] == platform.python_version()
+        assert record["platform"] == sys.platform
+        assert record["exit_code"] == 0
+
+    def test_run_record_of_verify_names_numpy_and_the_exit_code(self, capsys, tmp_path):
+        # the cardioid's t22-log-inv formula value is exceeded: exit 5; verify has loaded numpy
+        path = tmp_path / "record.json"
+        code, _, _ = run(capsys, "verify", "--class", "starlike", "--phi", "cardioid",
+                         "--functional", "t22-log-inv", "--budget", "100", "--out", str(path))
+        record = json.loads(path.read_text())
+        assert code == record["exit_code"] == 5
+        assert record["numpy"] == sys.modules["numpy"].__version__
 
     def test_json_bound_beyond_float_range_stays_exact(self, capsys):
         code, out, _ = run(capsys, "bound", "--class", "starlike", "--functional", "t21-inv",
@@ -797,7 +811,9 @@ class TestImportHygiene:
             "    assert added(*argv) == set(), argv\n"
             "assert added(*bound, '--format', 'json') == {'json'}\n"
             f"out = {str(tmp_path / 'run.json')!r}\n"
-            "assert added(*bound, '--out', out) == {'json', 'datetime'}\n")
+            "assert added(*bound, '--out', out) == {'json', 'datetime'}\n"
+            "import json\n"
+            "assert json.load(open(out))['numpy'] is None  # not loaded, so not named\n")
         assert done.returncode == 0, done.stderr
 
     def test_verify_imports_numpy(self):

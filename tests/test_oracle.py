@@ -362,8 +362,11 @@ FACES = {"full": oracle._FULL, "t21": oracle._T21_FACE, "t22": oracle._T22_FACE}
 
 
 def _sample(face, budget: int, seed: int) -> np.ndarray:
-    """The box coordinates of the whole sample the screen draws, as one block."""
-    return oracle._box(face, oracle._draw(np.random.default_rng(seed), budget, face))
+    """The box coordinates of the whole sample the screen draws: whole blocks from
+    one generator, cut to the budget."""
+    rng = np.random.default_rng(seed)
+    blocks = [oracle._draw(rng, face) for _ in range(0, budget, oracle._BLOCK)]
+    return oracle._box(face, np.hstack(blocks)[:, :budget])
 
 
 def _check_screen(fs: np.ndarray, seed: int, face=oracle._FULL):
@@ -407,8 +410,9 @@ class TestScreenMerge:
 
 
 def _reference_compass(obj, face, x0):
-    """``oracle._compass_search`` without its phase cache: every iteration
-    recomputes the phases of all candidates from their angles."""
+    """``oracle._compass_search`` without its phase cache or its compaction: every
+    iteration probes every start and recomputes the phases of all candidates from
+    their angles, and a start whose step is below ``_STEP_MIN`` keeps its (x, f)."""
     x = x0.copy()
     coord = np.repeat(np.arange(x.shape[1]), 2)
     sign = np.tile([1.0, -1.0], x.shape[1])[:, None]
@@ -417,7 +421,7 @@ def _reference_compass(obj, face, x0):
     step = np.full(len(x), oracle._STEP_INIT)
     rows = np.arange(len(x))
     iters = 0
-    while np.any(step >= oracle._STEP_MIN) and iters < oracle._MAX_ITERS:
+    while np.any(live := step >= oracle._STEP_MIN) and iters < oracle._MAX_ITERS:
         iters += 1
         moved = x[:, coord].T + sign * step
         moved = np.where(is_angle, np.mod(moved, 2.0 * np.pi), np.clip(moved, 0.0, 1.0))
@@ -426,10 +430,10 @@ def _reference_compass(obj, face, x0):
         fc = obj(*oracle._gammas(face, cand))
         best = np.argmax(fc, axis=0)
         fbest = fc[best, rows]
-        improved = fbest > f
+        improved = live & (fbest > f)
         x[improved] = cand[best[improved], rows[improved]]
         f = np.where(improved, fbest, f)
-        step = np.where(improved, step, step / 2.0)
+        step = np.where(live & ~improved, step / 2.0, step)
     return x, f, iters
 
 
@@ -489,6 +493,40 @@ class TestCompassPhaseCache:
         assert np.array_equal(x, want_x)
         assert np.array_equal(f, want_f)
         assert iters == want_iters
+
+
+class TestCompassIndependentStarts:
+    """A start's result does not depend on the batch of starts it runs with."""
+
+    def test_first_starts_alone_match_the_whole_batch(self):
+        obj = _lemma_objective(1.5, -0.5)
+        starts = oracle._screen(obj, oracle._FULL, 5000, 1)
+        assert len(starts) == oracle._N_STARTS
+        x, f, _ = oracle._compass_search(obj, oracle._FULL, starts)
+        for lo, hi in ((0, 8), (0, 1), (5, 6)):
+            xa, fa, _ = oracle._compass_search(obj, oracle._FULL, starts[lo:hi])
+            assert np.array_equal(xa, x[lo:hi])
+            assert np.array_equal(fa, f[lo:hi])
+
+    def test_iterations_are_the_last_start_to_stop(self):
+        obj = _lemma_objective(1.5, -0.5)
+        starts = oracle._screen(obj, oracle._FULL, 5000, 1)
+        alone = [oracle._compass_search(obj, oracle._FULL, starts[i:i + 1])[2]
+                 for i in range(len(starts))]
+        assert oracle._compass_search(obj, oracle._FULL, starts)[2] == max(alone)
+
+
+class TestKnownFalseBound:
+    """A negative control: convex t22-log-inv at phi = (4/3, 1, 5/6) fails the region
+    hypothesis, and its formula value 0.01230817 lies below the true maximum
+    0.01236017 (another local maximum, 1/81, also exceeds it)."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_excess_found_at_the_default_budget(self, seed):
+        rep = maximize(FunctionalKind.T22_LOG_INV, ClassKind.CONVEX,
+                       PhiSpec(F(4, 3), F(1), F(5, 6)), seed=seed)
+        assert not rep.applicable
+        assert rep.verdict is Verdict.VIOLATION
 
 
 def _recording(obj):

@@ -80,28 +80,30 @@ class TestSampler:
 
     face = oracle._FULL
 
-    def draw(self, seed, *sizes):
-        """The draws of consecutive blocks from one generator."""
+    def draw(self, seed, budget):
+        """The draws of a budget's sample, one column per row: whole blocks from one
+        generator, cut to the budget, as the screen draws them."""
         rng = np.random.default_rng(seed)
-        return np.concatenate([oracle._draw(rng, m, self.face) for m in sizes])
+        blocks = [oracle._draw(rng, self.face) for _ in range(0, budget, oracle._BLOCK)]
+        return np.hstack(blocks)[:, :budget]
 
     def gammas(self, u):
         """(rows, parameters) complex parameters as the screen forms them from draws u."""
         phase = oracle._LATTICE_PHASES[oracle._lattice(self.face, u)]
-        return np.stack(oracle._gammas(self.face, u, phase), axis=-1)
+        return np.stack(oracle._gammas(self.face, u.T, phase.T), axis=-1)
 
     def test_deterministic(self):
         assert np.array_equal(self.draw(9, 50), self.draw(9, 50))
 
     def test_prefix_stable(self):
-        """Blocks drawn from one generator concatenate to one whole draw."""
+        """A smaller budget's sample is the first columns of a larger one's."""
         block = oracle._BLOCK
         whole = self.draw(5, 2 * block + 5)
-        for sizes in [(block, block, 5), (block - 1, 7, block - 1)]:
-            got = self.draw(5, *sizes)
-            assert np.array_equal(got, whole)
-            assert np.array_equal(oracle._box(self.face, got), oracle._box(self.face, whole))
-        assert np.array_equal(self.draw(5, 10), whole[:10])
+        for budget in (1, 10, block - 1, block, block + 1, 2 * block + 4):
+            got = self.draw(5, budget)
+            assert np.array_equal(got, whole[:, :budget])
+            assert np.array_equal(oracle._box(self.face, got),
+                                  oracle._box(self.face, whole)[:budget])
 
     def test_all_samples_admissible(self):
         g = self.gammas(self.draw(17, 10 ** 4))
@@ -154,22 +156,26 @@ class TestSamplerT22Face(TestSampler):
                                         (oracle._T21_FACE, [0, 1, 3]),
                                         (oracle._T22_FACE, [0, 1, 2, 3, 5])])
 def test_draw_layout(face, free):
-    """Per row, one uniform per free coordinate in box order (an angle u becomes
-    the lattice angle k 2 pi / N, k = floor(u N), with phase exp(2 pi i k / N)
-    from the table), then the r0-bias coin: seven on the full box, four on the
-    T21 face, six on the T22 one."""
+    """A block is one row of _BLOCK uniforms per free coordinate, in box order, each
+    column a sample row: six rows on the full box, three on the T21 face, five on the
+    T22 one.  An angle u becomes the lattice angle k 2 pi / N, k = floor(u N), with
+    phase exp(2 pi i k / N) from the table; r0 is its uniform in the even columns and
+    1 - 0.1 u^2 in the odd ones."""
     n = len(free)
     assert face.box.tolist() == free
-    u = np.random.default_rng(4).random((300, n + 1))
-    draws = oracle._draw(np.random.default_rng(4), 300, face)
+    u = np.random.default_rng(4).random((n, oracle._BLOCK))
+    draws = oracle._draw(np.random.default_rng(4), face)
+    assert draws.shape == (n, oracle._BLOCK)
     x = oracle._box(face, draws)
     phase = oracle._LATTICE_PHASES[oracle._lattice(face, draws)]
-    k = np.floor(u[:, :n] * oracle._LATTICE_N).astype(int)
+    k = np.floor(u * oracle._LATTICE_N).astype(int)
     is_angle = np.array(free) % 2 == 1
-    want = np.where(is_angle, oracle._LATTICE_ANGLES[k], u[:, :n])
-    want[:, 0] = np.where(u[:, n] < 0.5, 1.0 - 0.1 * u[:, 0] ** 2, u[:, 0])
-    assert np.array_equal(x, want)
-    assert np.array_equal(phase, oracle._LATTICE_PHASES[k[:, is_angle]])
+    want = np.where(is_angle[:, None], oracle._LATTICE_ANGLES[k], u)
+    want[0, 1::2] = 1.0 - 0.1 * u[0, 1::2] ** 2
+    assert np.array_equal(x, want.T)
+    assert np.array_equal(draws[0, ::2], u[0, ::2])
+    assert np.all(draws[0, 1::2] >= 0.9)
+    assert np.array_equal(phase, oracle._LATTICE_PHASES[k[is_angle]])
 
 
 def test_parameter_recovery_roundtrip():

@@ -200,12 +200,11 @@ def _compass_search(obj, face: _Face, x0: np.ndarray) -> tuple[np.ndarray, np.nd
     """Vectorized compass (pattern) search on the face, one row per start.
 
     Probes +-step along each coordinate, moves to the best improving
-    probe, halves the step when nothing improves.  Deterministic.  Each
-    start stops on its own step: it is probed while its step is at least
-    ``_STEP_MIN`` (and for at most ``_MAX_ITERS`` iterations), then its
-    final (x, f) is written out and its row leaves the working arrays, so
-    its result does not depend on the other starts.  The iteration count
-    returned is that of the last start to stop.  Probes 2 d and 2 d + 1
+    probe, halves the step when nothing improves.  Deterministic.  A start
+    is probed while its own step is at least ``_STEP_MIN`` (for at most
+    ``_MAX_ITERS`` iterations); then its (x, f) is written out and its row
+    leaves the working arrays, so its result does not depend on the other
+    starts.  The count returned is the last start's.  Probes 2 d and 2 d + 1
     move coordinate d, and only it is projected back into the box: the
     others are in the box already, where the projection is the identity.
     Each start's phases exp(1j t) are kept alongside its coordinates, so

@@ -173,8 +173,6 @@ def test_draw_layout(face, free):
     want = np.where(is_angle[:, None], oracle._LATTICE_ANGLES[k], u)
     want[0, 1::2] = 1.0 - 0.1 * u[0, 1::2] ** 2
     assert np.array_equal(x, want.T)
-    assert np.array_equal(draws[0, ::2], u[0, ::2])
-    assert np.all(draws[0, 1::2] >= 0.9)
     assert np.array_equal(phase, oracle._LATTICE_PHASES[k[is_angle]])
 
 

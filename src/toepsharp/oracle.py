@@ -26,6 +26,25 @@ merged into a running top-k equal to a stable sort of the whole sample
 sees the same starts as a screen holding every row; box coordinates are
 built only for the rows it keeps.
 
+Once the running top is full, the screen evaluates only the rows that
+can still enter it (the first block is merged in two parts, split after
+``_HEAD`` rows, so that holds for most of it).  Each objective comes with
+a majorant of its coefficients' moduli, which ``_moduli`` bounds from a
+row's radii alone (1 on a circle) by the Schwarz body: |c1| = r0, |c2| =
+(1 - r0^2) r1, |c3| <= (1 - r0^2)((1 - r1^2) r2 + r0 r1^2).  A row is
+dropped only where majorant (1 + tol) + tol majorant(1, ..., 1) + tiny <
+the k-th value (tol = ``_MAJORANT_TOL``, tiny the smallest normal float;
+a NaN keeps it): its key lies above the running k-th key, which later
+rows only lower, and the kept rows stay in sample order, so the selection
+is bit for bit that of evaluating every row.  The tolerance bounds the
+*computed* objective: rounding raises it by a few units of roundoff of
+the majorant at the computed coefficients, whose moduli exceed their
+bounds by a few units of roundoff, relative, plus a few absolute ones
+from 1 - |gamma0|^2; and raising moduli at most 1 by delta raises a
+polynomial of degree at most 6 with nonnegative coefficients by at most
+about 6 delta majorant(1, ..., 1).  Each term is near 1e-15 of those
+scales, far below 1e-12; tiny covers underflow.
+
 The objectives take the coefficients their face generates, (c1, c2) or
 (c1, c2, c3), ``maximize``'s from the rows of ``coeffs.table``;
 ``_maximize_objective`` maps face points to them.  The screen's phases come
@@ -66,6 +85,8 @@ _LATTICE_PHASES = np.exp(1j * _LATTICE_ANGLES)
 _STEP_INIT = 0.1
 _STEP_MIN = 1e-9
 _MAX_ITERS = 400
+_HEAD = 512             # the first block's rows that fill the top before any is dropped
+_MAJORANT_TOL = 1e-12   # relative, and in units of the majorant at moduli 1 (module docstring)
 
 
 class Verdict(Enum):
@@ -172,27 +193,42 @@ def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
     return pos[np.argsort(keys[pos], kind="stable")[:k]]
 
 
-def _screen(obj, face: _Face, budget: int, seed: int) -> np.ndarray:
+def _moduli(face: _Face, u: np.ndarray) -> tuple:
+    """Upper bounds of (|c1|, |c2|) or (|c1|, |c2|, |c3|) at draws u, from their radii
+    alone (1 on a circle), by the Schwarz body: |c1| = r0, |c2| = (1 - r0^2) r1 and
+    |c3| <= (1 - r0^2)((1 - r1^2) r2 + r0 r1^2), which is schur_map at (-r0, r1, r2)."""
+    r = [u[i] if kind == "disk" else 1.0 for kind, i in face.parts]
+    return (r[0], *schur_map(-r[0], *r[1:])[1:])
+
+
+def _screen(obj, majorant, face: _Face, budget: int, seed: int) -> np.ndarray:
     """The box coordinates of the min(_N_STARTS, budget) best sample rows, best first.
 
     Streams the sample in blocks and keeps a running top-k of the
     negated values with their draws.  The running top goes before the
     block's rows, all of which come later in the sample, so the stable
-    selection keeps earlier rows first on ties.
+    selection keeps earlier rows first on ties.  Once the top is full,
+    only rows whose majorant reaches the k-th value are evaluated.
     """
     rng = np.random.default_rng(seed)
     n_top = min(_N_STARTS, budget)
+    slack = _MAJORANT_TOL * majorant(*[1.0] * len(face.parts)) + np.finfo(float).tiny
     top_keys = np.empty(0)
     top_u = np.empty((len(face.box), 0))
     for done in range(0, budget, _BLOCK):
-        u = _draw(rng, face)[:, :budget - done]
-        phase = _LATTICE_PHASES[_lattice(face, u)]
-        keys = np.concatenate([top_keys, -obj(*_gammas(face, u.T, phase.T))])
-        top = _top_k(keys, n_top)
-        fresh = top >= len(top_keys)  # columns of this block
-        kept = np.empty((len(u), len(top)))
-        kept[:, ~fresh], kept[:, fresh] = top_u[:, top[~fresh]], u[:, top[fresh] - len(top_keys)]
-        top_keys, top_u = keys[top], kept
+        draws = _draw(rng, face)[:, :budget - done]
+        for u in np.split(draws, [_HEAD] if done == 0 else [], axis=1):
+            if len(top_keys) == n_top:  # NaN in the majorant or the k-th value keeps the row
+                u = np.compress(~(majorant(*_moduli(face, u)) * (1.0 + _MAJORANT_TOL) + slack
+                                  < -top_keys[-1]), u, axis=1)
+            phase = _LATTICE_PHASES[_lattice(face, u)]
+            keys = np.concatenate([top_keys, -obj(*_gammas(face, u.T, phase.T))])
+            top = _top_k(keys, n_top)
+            fresh = top >= len(top_keys)  # columns of u
+            kept = np.empty((len(u), len(top)))
+            kept[:, ~fresh] = top_u[:, top[~fresh]]
+            kept[:, fresh] = u[:, top[fresh] - len(top_keys)]
+            top_keys, top_u = keys[top], kept
     return _box(face, top_u)
 
 
@@ -249,10 +285,11 @@ def _compass_search(obj, face: _Face, x0: np.ndarray) -> tuple[np.ndarray, np.nd
     return x_out, f_out, iters
 
 
-def _maximize_objective(obj, face: _Face, budget: int,
+def _maximize_objective(obj, majorant, face: _Face, budget: int,
                         seed: int) -> tuple[SchurParams, float, int]:
     """The one search: (argmax, max, compass iterations) on a face of obj of the
-    coefficients its parameters generate, (c1, c2) or (c1, c2, c3)."""
+    coefficients its parameters generate, (c1, c2) or (c1, c2, c3); majorant bounds
+    obj from those coefficients' moduli (``_MAJORANT_TOL``)."""
     budget = operator.index(budget)
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -260,24 +297,34 @@ def _maximize_objective(obj, face: _Face, budget: int,
     def f(*g):
         return obj(*schur_map(*g))
 
-    starts = np.vstack([_SEED_POINTS[:, face.box], _screen(f, face, budget, seed)])
+    starts = np.vstack([_SEED_POINTS[:, face.box], _screen(f, majorant, face, budget, seed)])
     xr, fr, iters = _compass_search(f, face, starts)
     k = int(np.argmax(fr))
     return SchurParams(*map(complex, _gammas(face, xr[k]))), float(fr[k]), iters
 
 
 def _objective(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec):
-    """|x_n^2 - x_{n+1}^2|, elementwise, from the pair's table rows in floats, in Horner
-    order, of (c1, c2) for T21 and of (c1, c2, c3) for T22: (t0 c1^2 + t1 c2) c1 + t2 c3."""
-    x, y = ([n / d for n, d in rows] for rows in table(kind, phi, *PAIRS[functional]))
-    if len(x) == 1:  # T21: (k c1, u c1^2 + v c2)
-        return lambda c1, c2: abs((x[0] * c1) ** 2 - (y[0] * c1 ** 2 + y[1] * c2) ** 2)
+    """(objective, majorant), elementwise.  The objective is |x_n^2 - x_{n+1}^2| from
+    the pair's table rows in floats, in Horner order, of (c1, c2) for T21 and of (c1,
+    c2, c3) for T22: (t0 c1^2 + t1 c2) c1 + t2 c3.  The majorant is |x_n|^2 +
+    |x_{n+1}|^2 with |rows| at the coefficients' moduli, by the same polynomials."""
+    rows = [[n / d for n, d in r] for r in table(kind, phi, *PAIRS[functional])]
+    moduli_rows = [[abs(t) for t in r] for r in rows]
 
-    def obj(c1, c2, c3):  # T22: (u c1^2 + v c2, (q1 c1^2 + q2 c2) c1 + q3 c3)
-        c1sq = c1 ** 2
-        return abs((x[0] * c1sq + x[1] * c2) ** 2
-                   - ((y[0] * c1sq + y[1] * c2) * c1 + y[2] * c3) ** 2)
-    return obj
+    def xy(x, y, c1, c2, c3=None):
+        if c3 is None:  # T21: (k c1, u c1^2 + v c2)
+            return x[0] * c1, y[0] * c1 ** 2 + y[1] * c2
+        c1sq = c1 ** 2  # T22: (u c1^2 + v c2, (q1 c1^2 + q2 c2) c1 + q3 c3)
+        return x[0] * c1sq + x[1] * c2, (y[0] * c1sq + y[1] * c2) * c1 + y[2] * c3
+
+    def objective(*c):
+        x, y = xy(*rows, *c)
+        return abs(x ** 2 - y ** 2)
+
+    def majorant(*m):
+        x, y = xy(*moduli_rows, *m)
+        return x ** 2 + y ** 2
+    return objective, majorant
 
 
 def _verdict(bound: float, emp: float) -> Verdict:
@@ -312,7 +359,7 @@ def maximize(
     if not math.isfinite(bound):
         raise OverflowError(f"bound {bound} overflows a float")
     argmax, emp, iters = _maximize_objective(
-        _objective(functional, kind, phi), _FACES[functional], budget, seed)
+        *_objective(functional, kind, phi), _FACES[functional], budget, seed)
     return VerificationReport(
         functional=functional,
         class_kind=kind,
@@ -349,7 +396,8 @@ def lemma1_scan(
     if not (math.isfinite(sigma) and math.isfinite(mu)):
         raise ValueError(f"sigma and mu must be finite, got ({sigma!r}, {mu!r})")
     _, emp, _ = _maximize_objective(
-        lambda c1, c2, c3: np.abs(c3 + sigma * c1 * c2 + mu * c1 ** 3), _FULL, budget, seed)
+        lambda c1, c2, c3: np.abs(c3 + sigma * c1 * c2 + mu * c1 ** 3),
+        lambda m1, m2, m3: m3 + abs(sigma) * m1 * m2 + abs(mu) * m1 ** 3, _FULL, budget, seed)
     membership = bounds.omega_region(sigma, mu)
     if membership.region is bounds.Region.NONE:
         return emp, None, Verdict.VALID_NOT_ATTAINED

@@ -665,7 +665,7 @@ class TestErrorContract:
 
         budgets = []
 
-        def search(obj, face, budget, seed):
+        def search(obj, majorant, face, budget, seed):
             budgets.append(budget)
             return oracle.SchurParams(1j, 0j, 0j), 0.0, 0
 

@@ -168,7 +168,7 @@ def _arity(functional):
 
 def _objective(functional, kind, phi, *g):
     """The oracle's objective at parameters g, as many as the functional's face has."""
-    return oracle._objective(functional, kind, phi)(*schur_map(*g))
+    return oracle._objective(functional, kind, phi)[0](*schur_map(*g))
 
 
 class TestObjective:
@@ -181,7 +181,7 @@ class TestObjective:
         for phi in phis:
             for kind in ClassKind:
                 for functional in FunctionalKind:
-                    obj = oracle._objective(functional, kind, phi)
+                    obj, _ = oracle._objective(functional, kind, phi)
                     for t in triples:
                         want = toeplitz(functional, solve(kind, phi, t))
                         got = obj(*t[:_arity(functional)])
@@ -217,7 +217,7 @@ class TestMaximumModulus:
     def test_t21_objective_ignores_gamma2(self, functional, kind):
         g0, g1, g2 = _seeded_points(11)
         for phi in CATALOG_PHIS:
-            obj = oracle._objective(functional, kind, phi)
+            obj, _ = oracle._objective(functional, kind, phi)
             want = _objective(functional, kind, phi, g0, g1)
             for gamma2 in (g2, 0j, 1.0):
                 assert np.array_equal(obj(*schur_map(g0, g1, gamma2)[:2]), want)
@@ -358,6 +358,11 @@ def _replaying(fs: np.ndarray):
     return obj
 
 
+def _keep_every_row(m1, *m):
+    """A majorant that drops no row: NaN at every row, which the screen keeps."""
+    return np.full(np.shape(m1), np.nan)
+
+
 FACES = {"full": oracle._FULL, "t21": oracle._T21_FACE, "t22": oracle._T22_FACE}
 
 
@@ -373,7 +378,7 @@ def _check_screen(fs: np.ndarray, seed: int, face=oracle._FULL):
     budget = len(fs)
     sample = _sample(face, budget, seed)
     want = sample[np.argsort(-fs, kind="stable")[:oracle._N_STARTS]]
-    got = oracle._screen(_replaying(fs), face, budget, seed)
+    got = oracle._screen(_replaying(fs), _keep_every_row, face, budget, seed)
     assert np.array_equal(got, want)
 
 
@@ -409,6 +414,121 @@ class TestScreenMerge:
         _check_screen(np.random.default_rng(budget).random(budget), budget, FACES[face])
 
 
+# The screen's prefilter: a row is evaluated only if its majorant, a bound of the
+# objective from the moduli of its coefficients, does not put it below the running
+# k-th value; the selection must be the bits of evaluating every row.
+MAJORANT_PHIS = CATALOG_PHIS + [
+    PhiSpec(*np.random.default_rng(26).uniform((0, -3, -3), (3, 3, 3))) for _ in range(20)] + [
+    PhiSpec(b1, b2, b3) for b1 in (1e-8, 1.0, 1e8) for b2 in (-1e8, 1e-8, 1e8)
+    for b3 in (-1e-8, 1.0, 1e8)]  # coefficient ratios of 1e+-8 and 1e+-16
+# (r0, r1) forced into the first columns of a block: each radius at 0, 1/2 and 1
+EDGE_RADII = [(a, b) for a in (0.0, 0.5, 1.0) for b in (0.0, 0.5, 1.0)]
+
+
+def _edge_draws(face, seed):
+    """One screen block of draws, its first columns' disk radii set to EDGE_RADII."""
+    u = oracle._draw(np.random.default_rng(seed), face)
+    disks = [i for kind, i in face.parts if kind == "disk"][:2]
+    for col, radii in enumerate(EDGE_RADII):
+        u[disks, col] = radii[:len(disks)]
+    return u
+
+
+def _majorant_excess(obj, majorant, face, u):
+    """The screen's objective at draws u minus the bound it drops rows by:
+    majorant (1 + tol) + tol majorant(1, ..., 1) + tiny.  Never positive if sound."""
+    phase = oracle._LATTICE_PHASES[oracle._lattice(face, u)]
+    values = obj(*schur_map(*oracle._gammas(face, u.T, phase.T)))
+    ones = majorant(*[1.0] * len(face.parts))
+    bound = (majorant(*oracle._moduli(face, u)) * (1 + oracle._MAJORANT_TOL)
+             + oracle._MAJORANT_TOL * ones + np.finfo(float).tiny)
+    assert not np.isnan(values).any() and not np.isnan(bound).any()
+    return values - bound
+
+
+class TestMajorant:
+    """Each searched objective lies below its majorant, up to the screen's tolerance,
+    on the bits the screen computes."""
+
+    @pytest.mark.parametrize("functional", list(FunctionalKind))
+    @pytest.mark.parametrize("kind", list(ClassKind))
+    def test_table_objectives(self, functional, kind):
+        face = oracle._FACES[functional]
+        for k, phi in enumerate(MAJORANT_PHIS):
+            obj, majorant = oracle._objective(functional, kind, phi)
+            u = _edge_draws(face, k)
+            assert _majorant_excess(obj, majorant, face, u).max() <= 0, phi
+
+    def test_lemma_objective(self):
+        rng = np.random.default_rng(27)
+        points = [*rng.uniform((-6, -1), (6, 6), (40, 2)), (1e8, 1e-8), (-1e-8, 1e8), (0, 0)]
+        for k, (sigma, mu) in enumerate(points):
+            u = _edge_draws(oracle._FULL, k)
+            excess = _majorant_excess(*_lemma_functions(sigma, mu), oracle._FULL, u)
+            assert excess.max() <= 0, (sigma, mu)
+
+    def test_moduli_bound_the_coefficients(self):
+        # the third Schwarz inequality, at the edge radii: tight at r = 0 and 1
+        for face in FACES.values():
+            u = _edge_draws(face, 3)
+            phase = oracle._LATTICE_PHASES[oracle._lattice(face, u)]
+            c = schur_map(*oracle._gammas(face, u.T, phase.T))
+            for cj, mj in zip(c, oracle._moduli(face, u)):
+                assert np.all(abs(cj) <= mj * (1 + 1e-15) + 1e-15)
+
+
+def _face_objective(face, objective):
+    """(objective of the face's parameters, majorant of the coefficient moduli): a table
+    or lemma objective made tie-heavy (quantized), or NaN on a tenth of the rows ("nan"),
+    or on all but about 1% of them, so that the running top holds NaN ("mostly-nan")."""
+    if face is oracle._FULL:
+        obj, majorant = _lemma_functions(1.5, -0.5)
+    else:
+        functional = FunctionalKind.T21_INV if face is oracle._T21_FACE else FunctionalKind.T22_INV
+        obj, majorant = oracle._objective(functional, ClassKind.STARLIKE, HALF_PLANE)
+
+    def values(*g):
+        v = obj(*schur_map(*g))
+        if objective == "quantized":  # a few distinct values, each at most v
+            return np.floor(4 * v) / 4
+        return np.where(abs(g[0]) > (0.9 if objective == "nan" else 0.02), np.nan, v)
+
+    return values, majorant
+
+
+class TestScreenPrefilter:
+    """The filtering screen keeps the bits of the screen that evaluates every row."""
+
+    @pytest.mark.parametrize("budget", [1, 63, 64, 65, oracle._HEAD - 1, oracle._HEAD,
+                                        oracle._HEAD + 1, 4095, 4096, 4097, 8193])
+    @pytest.mark.parametrize("objective", ["quantized", "nan", "mostly-nan"])
+    @pytest.mark.parametrize("face", FACES)
+    def test_matches_the_screen_without_it(self, face, objective, budget):
+        face = FACES[face]
+        obj, majorant = _face_objective(face, objective)
+        recorded, values = _recording(obj)
+        got = oracle._screen(recorded, majorant, face, budget, budget)
+        want = oracle._screen(obj, _keep_every_row, face, budget, budget)
+        assert np.array_equal(got, want)
+        if budget > 2 * oracle._BLOCK and objective != "mostly-nan":
+            assert sum(map(len, values)) < budget  # not vacuous: the later blocks were cut
+
+    def test_catalog_t22_evaluates_few_rows(self, monkeypatch):
+        # a majorant that bounds nothing (inf, NaN) still gives the same bits, so
+        # only a count of the evaluated rows sees it
+        screen, calls = oracle._screen, []
+
+        def recording_screen(obj, *args):
+            recorded, values = _recording(obj)
+            calls.append(values)
+            return screen(recorded, *args)
+
+        monkeypatch.setattr(oracle, "_screen", recording_screen)
+        maximize(FunctionalKind.T22_INV, ClassKind.STARLIKE, PhiSpec(F(1), F(1, 2), F(1, 6)),
+                 budget=10 ** 5, seed=0)
+        assert len(calls) == 1 and 0 < sum(map(len, calls[0])) < 0.3 * 10 ** 5
+
+
 def _reference_compass(obj, face, x0):
     """``oracle._compass_search`` without its phase cache or its compaction: every
     iteration probes every start and recomputes the phases of all candidates from
@@ -437,11 +557,30 @@ def _reference_compass(obj, face, x0):
     return x, f, iters
 
 
+def _lemma_functions(sigma, mu):
+    """``lemma1_scan``'s own (objective, majorant) of the coefficients at (sigma, mu),
+    taken from the search call it makes."""
+    search, got = oracle._maximize_objective, []
+
+    def capture(obj, majorant, *args):
+        got.append((obj, majorant))
+        return oracle.SchurParams(0j, 0j), 0.0, 0
+
+    oracle._maximize_objective = capture
+    try:
+        lemma1_scan(sigma, mu, budget=1)
+    finally:
+        oracle._maximize_objective = search
+    return got[0]
+
+
 def _lemma_objective(sigma, mu):
-    def obj(g0, g1, g2):
-        c1, c2, c3 = schur_map(g0, g1, g2)
-        return np.abs(c3 + sigma * c1 * c2 + mu * c1 ** 3)
-    return obj
+    obj, _ = _lemma_functions(sigma, mu)
+    return lambda *g: obj(*schur_map(*g))
+
+
+def _lemma_majorant(sigma, mu):
+    return _lemma_functions(sigma, mu)[1]
 
 
 def _fekete_szego_objective(lam):
@@ -500,7 +639,7 @@ class TestCompassIndependentStarts:
 
     def test_first_starts_alone_match_the_whole_batch(self):
         obj = _lemma_objective(1.5, -0.5)
-        starts = oracle._screen(obj, oracle._FULL, 5000, 1)
+        starts = oracle._screen(obj, _lemma_majorant(1.5, -0.5), oracle._FULL, 5000, 1)
         assert len(starts) == oracle._N_STARTS
         x, f, _ = oracle._compass_search(obj, oracle._FULL, starts)
         for lo, hi in ((0, 8), (0, 1), (5, 6)):
@@ -510,7 +649,7 @@ class TestCompassIndependentStarts:
 
     def test_iterations_are_the_last_start_to_stop(self):
         obj = _lemma_objective(1.5, -0.5)
-        starts = oracle._screen(obj, oracle._FULL, 5000, 1)
+        starts = oracle._screen(obj, _lemma_majorant(1.5, -0.5), oracle._FULL, 5000, 1)
         alone = [oracle._compass_search(obj, oracle._FULL, starts[i:i + 1])[2]
                  for i in range(len(starts))]
         assert oracle._compass_search(obj, oracle._FULL, starts)[2] == max(alone)
@@ -549,7 +688,7 @@ class TestScreenPhases:
         face, f = _face_case(face, objective)
         obj, values = _recording(f)
         budget = oracle._BLOCK + 100
-        kept = oracle._screen(obj, face, budget, 5)
+        kept = oracle._screen(obj, _keep_every_row, face, budget, 5)
         fs = np.concatenate(values)
         sample = _sample(face, budget, 5)
         t = sample[:, face.angle]  # every drawn angle is a lattice angle

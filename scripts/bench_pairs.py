@@ -14,7 +14,8 @@ for the ``run_seconds`` of the change's ``BENCHMARK.json``.
 Pair k of a workload runs both refs on workload seed S + k, the parent
 first when k is even and the change first when k is odd, so that
 neither side always meets the warmer caches or the quieter machine.
-The worktrees are removed afterwards, also when a run fails.
+The worktrees are removed afterwards, also when a run fails or the
+script is stopped by SIGTERM (it then exits 128 + SIGTERM).
 
 The record holds, per workload and end-to-end metric, each side's median
 and quartiles, the pair count and the change's wins, losses and ties
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -172,6 +174,9 @@ def main(argv: list[str] | None = None) -> int:
     for name, n in pairs.items():
         if n < 1:
             p.error(f"--pairs needs N >= 1, got {name}={n}")
+    # unwind on SIGTERM, so the cleanup below and in ``bench`` runs; subprocess.run
+    # kills a running child on the way out
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
             record = bench(args.parent, args.change, pairs, args.seed, Path(tmp))

@@ -20,11 +20,11 @@ column one sample row.  The last block is cut to the budget, so the sample
 is prefix-stable in the budget.  A block is evaluated straight from its
 draws: r0 from its uniform in the even columns and boundary-biased to
 1 - 0.1 u^2 in the odd ones, the other radii as drawn, and the phases from
-a table of the lattice its angles lie on.  The best draws of each block are
-merged into a running top-k equal to a stable sort of the whole sample
-(ties and NaN included: earlier rows first, NaN last), so the refinement
-sees the same starts as a screen holding every row; box coordinates are
-built only for the rows it keeps.
+a table of the lattice its angles lie on.  The running top-k is one stable
+sort of the top followed by the block's kept rows, so it equals a stable
+sort of the whole sample (ties and NaN included: earlier rows first, NaN
+last), and the refinement sees the same starts as a screen holding every
+row; box coordinates are built only for the rows it keeps.
 
 Once the running top is full, the screen evaluates only the rows that
 can still enter it (the first block is merged in two parts, split after
@@ -178,21 +178,6 @@ def _box(face: _Face, u: np.ndarray) -> np.ndarray:
     return x
 
 
-def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k smallest keys: ``np.argsort(keys, kind="stable")[:k]``.
-
-    A partition finds the k-th smallest key; only keys not above it (NaN
-    counts as above everything, as in the sort) are then sorted stably,
-    so ties keep position order.
-    """
-    if len(keys) > k:
-        kth = np.partition(keys, k - 1)[k - 1]
-        pos = np.flatnonzero(~(keys > kth))
-    else:
-        pos = np.arange(len(keys))
-    return pos[np.argsort(keys[pos], kind="stable")[:k]]
-
-
 def _moduli(face: _Face, u: np.ndarray) -> tuple:
     """Upper bounds of (|c1|, |c2|) or (|c1|, |c2|, |c3|) at draws u, from their radii
     alone (1 on a circle), by the Schwarz body: |c1| = r0, |c2| = (1 - r0^2) r1 and
@@ -205,30 +190,25 @@ def _screen(obj, majorant, face: _Face, budget: int, seed: int) -> np.ndarray:
     """The box coordinates of the min(_N_STARTS, budget) best sample rows, best first.
 
     Streams the sample in blocks and keeps a running top-k of the
-    negated values with their draws.  The running top goes before the
-    block's rows, all of which come later in the sample, so the stable
-    selection keeps earlier rows first on ties.  Once the top is full,
+    negated values with their draws, one stable sort per merge.  The
+    running top goes before the block's rows, all of which come later in
+    the sample, so ties keep earlier rows first.  Once the top is full,
     only rows whose majorant reaches the k-th value are evaluated.
     """
     rng = np.random.default_rng(seed)
-    n_top = min(_N_STARTS, budget)
     slack = _MAJORANT_TOL * majorant(*[1.0] * len(face.parts)) + np.finfo(float).tiny
     top_keys = np.empty(0)
     top_u = np.empty((len(face.box), 0))
     for done in range(0, budget, _BLOCK):
         draws = _draw(rng, face)[:, :budget - done]
         for u in np.split(draws, [_HEAD] if done == 0 else [], axis=1):
-            if len(top_keys) == n_top:  # NaN in the majorant or the k-th value keeps the row
+            if len(top_keys) == _N_STARTS:  # NaN in the majorant or the k-th value keeps the row
                 u = np.compress(~(majorant(*_moduli(face, u)) * (1.0 + _MAJORANT_TOL) + slack
                                   < -top_keys[-1]), u, axis=1)
             phase = _LATTICE_PHASES[_lattice(face, u)]
             keys = np.concatenate([top_keys, -obj(*_gammas(face, u.T, phase.T))])
-            top = _top_k(keys, n_top)
-            fresh = top >= len(top_keys)  # columns of u
-            kept = np.empty((len(u), len(top)))
-            kept[:, ~fresh] = top_u[:, top[~fresh]]
-            kept[:, fresh] = u[:, top[fresh] - len(top_keys)]
-            top_keys, top_u = keys[top], kept
+            top = np.argsort(keys, kind="stable")[:_N_STARTS]
+            top_keys, top_u = keys[top], np.concatenate([top_u, u], axis=1)[:, top]
     return _box(face, top_u)
 
 

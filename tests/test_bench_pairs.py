@@ -1,13 +1,16 @@
 """scripts/bench_pairs.py: the schedule and the summary of paired runs, on synthetic records,
-and the ``src/`` line counter, on a temporary tree.
+the ``src/`` line counter, on a temporary tree, and the cleanup after SIGTERM, on a real run.
 
 Its usage errors for bad pair counts are in ``test_cli.TestScriptArguments``.
 """
 
 import copy
 import importlib.util
+import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -117,3 +120,45 @@ def test_malformed_pairs_spec_is_a_usage_error(spec):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("usage:") and "expected WORKLOAD=N" in done.stderr
+
+
+def _worktrees_under(path: Path) -> list[str]:
+    listing = subprocess.run(["git", "worktree", "list", "--porcelain"], cwd=SCRIPT.parents[1],
+                             capture_output=True, text=True, check=True).stdout
+    return [line for line in listing.splitlines()
+            if line.startswith("worktree ") and str(path) in line]
+
+
+@pytest.mark.skipif(subprocess.run(["git", "rev-parse", "HEAD"], cwd=SCRIPT.parents[1],
+                                   capture_output=True, check=False).returncode != 0,
+                    reason="needs a git checkout with a commit")
+def test_sigterm_removes_the_worktrees_and_the_temporary_directory(tmp_path):
+    """Stopped by SIGTERM during the parent's run, the script exits non-zero and leaves
+    no checkout behind.  It is stopped once the parent's run has byte-compiled its
+    sources, so both ``git worktree add`` calls have finished."""
+    tmp = (tmp_path / "tmp").resolve()
+    tmp.mkdir()
+    env = {**os.environ, "TMPDIR": str(tmp)}
+    proc = subprocess.Popen([sys.executable, str(SCRIPT), "HEAD", "HEAD", "--out",
+                             str(tmp_path / "out.json"), "--pairs", "cli-cold=1"],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 120
+        while not list(tmp.glob("bench_pairs_*/parent/src/toepsharp/__pycache__")):
+            assert proc.poll() is None, proc.stderr.read().decode()
+            assert time.monotonic() < deadline, "the parent's run never started"
+            time.sleep(0.02)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=120) != 0
+        assert list(tmp.glob("bench_pairs_*")) == []
+        assert _worktrees_under(tmp) == []
+        assert not (tmp_path / "out.json").exists()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+        for line in _worktrees_under(tmp):
+            subprocess.run(["git", "worktree", "remove", "--force", "--force",
+                            line.removeprefix("worktree ")], cwd=SCRIPT.parents[1], check=False)
+        subprocess.run(["git", "worktree", "prune"], cwd=SCRIPT.parents[1], check=False)

@@ -33,8 +33,8 @@ import operator
 from enum import Enum
 from fractions import Fraction
 
-from .coeffs import (_TABLE, PAIRS, ClassKind, FunctionalKind, PhiSpec, Real, _exact, _known,
-                     _real, _saturated, record, table)
+from .coeffs import (_TABLE, PAIRS, ClassKind, FunctionalKind, PhiSpec, Real, _known, _real,
+                     _saturated, record, table)
 
 HYP_TOL = 1e-12
 _TWO_THIRDS = Fraction(2, 3)  # times a float it is float(2/3), i.e. 2.0 / 3.0
@@ -121,7 +121,7 @@ def fekete_szego_bound(kind: ClassKind, phi: PhiSpec, lam: Real) -> Real:
     n, d = abs(un * ld * ad * ad - ln * an * an * ud), ud * ld * ad * ad
     if n * vd < abs(vn) * d:
         n, d = abs(vn), vd
-    return Fraction(n, d) if _exact(phi.b1, phi.b2, phi.b3, lam) else _saturated(n, d)
+    return Fraction(n, d) if phi.exact and not isinstance(lam, float) else _saturated(n, d)
 
 
 # The paper's hypothesis on each field past the first, for (starlike, convex):
@@ -175,8 +175,7 @@ def theorem_bound(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec) -> 
     """
     first, second = _known(PAIRS, functional, "functional")
     x, y = table(kind, phi, first, second)
-    exact = _exact(phi.b1, phi.b2, phi.b3)
-    real = operator.truediv if exact else _saturated
+    real = operator.truediv if phi.exact else _saturated
     hx, _ = _hypothesis(kind, first, x, real)
     hy, region = _hypothesis(kind, second, y, real)
     hyps = tuple(h for h in (hx, hy) if h is not None)
@@ -186,7 +185,7 @@ def theorem_bound(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec) -> 
         functional=functional,
         class_kind=kind,
         phi=phi,
-        bound=Fraction(n, d) if exact else real(n, d),
+        bound=Fraction(n, d) if phi.exact else real(n, d),
         hypotheses=hyps,
         sigma_mu=region,
         applicable=all(h.satisfied for h in hyps),

@@ -413,8 +413,6 @@ def main(argv: list[str] | None = None) -> int:
         code = 2
     else:
         print_until_closed(["\n".join(lines)])
-    if argv is None:
-        sys.exit(code)
     return code
 
 

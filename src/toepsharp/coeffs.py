@@ -87,7 +87,9 @@ class PhiSpec:
     TypeError); B1 >= 0 for every generator of interest
     (B1 = 0 only for the lemniscate generator sqrt(1+z^2)).  Fractions and
     integers (stored as Fractions) keep all downstream bound arithmetic
-    exact.
+    exact.  Set once here, read-only and not fields (outside repr, == and hash):
+    ``integers`` = (n1, n2, n3, d) with B_k = n_k / d exactly and d > 0 the least
+    common denominator, and ``exact``, whether no field is a float.
     """
 
     b1: Real
@@ -102,6 +104,11 @@ class PhiSpec:
             object.__setattr__(self, name, v)
         if self.b1 < 0:
             raise ValueError("B1 must be nonnegative")
+        b = (self.b1, self.b2, self.b3)
+        (n1, d1), (n2, d2), (n3, d3) = (v.as_integer_ratio() for v in b)
+        d = math.lcm(d1, d2, d3)
+        object.__setattr__(self, "integers", (n1 * (d // d1), n2 * (d // d2), n3 * (d // d3), d))
+        object.__setattr__(self, "exact", not any(isinstance(v, float) for v in b))
 
 
 def _real(name: str, v) -> Real:
@@ -176,21 +183,12 @@ _TABLE = {
 }
 
 
-def _common_denominator(phi: PhiSpec) -> tuple[int, int, int, int]:
-    """(n1, n2, n3, d) with B_k = n_k / d and d > 0 the least common denominator;
-    a float B_k reads exactly."""
-    (n1, d1), (n2, d2), (n3, d3) = (phi.b1.as_integer_ratio(), phi.b2.as_integer_ratio(),
-                                    phi.b3.as_integer_ratio())
-    d = math.lcm(d1, d2, d3)
-    return n1 * (d // d1), n2 * (d // d2), n3 * (d // d3), d
-
-
 def table(kind: ClassKind, phi: PhiSpec, *names: str) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Each named ``_TABLE`` field's row values at phi, exactly, as integer pairs
-    (numerator, denominator) with a positive denominator, not reduced (a float B_j
-    reads exactly).  With B_j = n_j / d, a row of degree m is an integer over den d^m."""
+    (numerator, denominator) with a positive denominator, not reduced: with
+    ``phi.integers`` = (n1, n2, n3, d), a row of degree m is an integer over den d^m."""
     fields = _known(_TABLE, kind, "class")
-    n1, n2, n3, d = _common_denominator(phi)
+    n1, n2, n3, d = phi.integers
     by_degree = _monomials(n1, n2 * d, n3 * d * d)  # the B-monomials of degree m times d^m
     return tuple(tuple((sum(map(operator.mul, nums, by_degree[len(nums)])), den * d ** len(nums))
                        for nums, den in fields[name]) for name in names)
@@ -202,8 +200,3 @@ def _saturated(n: int, d: int) -> float:
         return n / d
     except OverflowError:
         return math.inf if n > 0 else -math.inf
-
-
-def _exact(*values: Real) -> bool:
-    """Whether no value is a float: a result is exact, or rounded once from the exact one."""
-    return not any(isinstance(v, float) for v in values)

@@ -24,8 +24,8 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import islice
 
-from .coeffs import (INVERSE, PAIRS, ClassKind, FunctionalKind, PhiSpec, _common_denominator,
-                     _exact, _inverse, _known, _monomials, _saturated)
+from .coeffs import (INVERSE, PAIRS, ClassKind, FunctionalKind, PhiSpec, _inverse, _known,
+                     _monomials, _saturated)
 
 # extremal_coeffs refuses an order whose exact terms would take more bits than this
 # (about (N - 1) log2(N max(d, |n_k|)), with B_k = n_k / d), rather than run for hours.
@@ -68,7 +68,7 @@ def extremal_coeffs(kind: ClassKind, phi: PhiSpec, n: int) -> tuple[complex, ...
     n = operator.index(n)
     if n < 2:
         raise ValueError("need N >= 2")
-    n1, n2, n3, d = _common_denominator(phi)
+    n1, n2, n3, d = phi.integers
     bits = (n - 1) * (max(abs(n1), abs(n2), abs(n3), d).bit_length() + n.bit_length())
     if bits > MAX_TERM_BITS:
         raise ValueError(f"a_{n} of this generator needs exact integers of about {bits} bits; "
@@ -84,9 +84,8 @@ def extremal_coeffs(kind: ClassKind, phi: PhiSpec, n: int) -> tuple[complex, ...
 def _scaled_monomials(kind: ClassKind, phi: PhiSpec) -> tuple[tuple, int]:
     """(``_monomials`` of the integers a_m (6 d)^(m-1), m = 2..4, of the real extremal; d)."""
     s2, s3, s4 = _known(_SCALE, kind, "class")
-    n1, n2, n3, d = _common_denominator(phi)
-    _, t2, t3, t4 = islice(_terms(n1, n2, n3, d), 4)
-    return _monomials(t2 * s2, t3 * s3, t4 * s4), d
+    _, t2, t3, t4 = islice(_terms(*phi.integers), 4)
+    return _monomials(t2 * s2, t3 * s3, t4 * s4), phi.integers[3]
 
 
 def inverse_coeffs(kind: ClassKind, phi: PhiSpec) -> tuple[complex, ...]:
@@ -111,4 +110,4 @@ def attainment(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec) -> Fra
     q = _inverse(pair[1], by_weight)  # Y = q / (f (6 d)^(w+1))
     uu = 36 * d * d
     num, den = (p * f) ** 2 * uu + (q * e) ** 2, (e * f) ** 2 * uu ** len(ys)
-    return Fraction(num, den) if _exact(phi.b1, phi.b2, phi.b3) else _saturated(num, den)
+    return Fraction(num, den) if phi.exact else _saturated(num, den)

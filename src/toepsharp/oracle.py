@@ -270,9 +270,9 @@ def _maximize_objective(obj, majorant, face: _Face, budget: int,
     """The one search: (argmax, max, compass iterations) on a face of obj of the
     coefficients its parameters generate, (c1, c2) or (c1, c2, c3); majorant bounds
     obj from those coefficients' moduli (``_MAJORANT_TOL``)."""
-    budget = operator.index(budget)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    budget, seed = operator.index(budget), operator.index(seed)
+    if budget < 1 or seed < 0:
+        raise ValueError(f"need budget >= 1 and seed >= 0, got budget={budget}, seed={seed}")
 
     def f(*g):
         return obj(*schur_map(*g))
@@ -347,9 +347,9 @@ def maximize(
         bound=bound,
         empirical_max=emp,
         argmax=argmax,
-        samples_used=int(budget),  # a valid budget: the search checked it
+        samples_used=int(budget),  # a valid budget and seed: the search checked them
         refinement_iters=iters,
-        seed=seed,
+        seed=int(seed),
         verdict=_verdict(bound, emp),
         margin=bound - emp,
         applicable=report.applicable,

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (SchwarzTriple, as_floats, inverse, random_triples, solve, table_value,
                      toeplitz)
@@ -224,6 +226,58 @@ def test_phi_spec_takes_numpy_integers_and_doubles():
     exact = PhiSpec(2, F(-1, 2), 1)
     assert (theorem_bound(FunctionalKind.T21_INV, ClassKind.STARLIKE, phi).bound
             == float(theorem_bound(FunctionalKind.T21_INV, ClassKind.STARLIKE, exact).bound))
+
+
+# Generator fields of every kind PhiSpec takes: integers, Fractions and floats,
+# with subnormals and the ends of the float range among the floats.
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e300, -1e300, 1.7976931348623157e308])
+_FIELDS = (st.integers(-10 ** 30, 10 ** 30) | st.fractions(max_denominator=10 ** 30)
+           | st.fractions(max_denominator=10) | _FLOATS)
+
+
+class TestPhiSpecIntegers:
+    """``PhiSpec.integers`` and ``PhiSpec.exact``, computed once per generator."""
+
+    @given(b1=_FIELDS.map(abs), b2=_FIELDS, b3=_FIELDS)
+    def test_integers_over_the_least_common_denominator(self, b1, b2, b3):
+        phi = PhiSpec(b1, b2, b3)
+        *nums, d = phi.integers
+        assert all(type(x) is int for x in phi.integers) and d > 0
+        exact = [F(b) for b in (b1, b2, b3)]  # a float converts exactly
+        assert [F(n, d) for n in nums] == exact
+        assert d == math.lcm(*(b.denominator for b in exact))
+
+    @given(b1=_FIELDS.map(abs), b2=_FIELDS, b3=_FIELDS)
+    def test_exact_iff_no_field_is_a_float(self, b1, b2, b3):
+        phi = PhiSpec(b1, b2, b3)
+        assert phi.exact is not any(isinstance(b, float) for b in (b1, b2, b3))
+
+    def test_numpy_fields(self):
+        assert PhiSpec(np.int64(2), np.int32(1), F(1, 3)).exact
+        phi = PhiSpec(np.int64(2), np.float64(-0.5), np.int32(1))
+        assert not phi.exact and phi.integers == (4, -1, 2, 2)
+
+    @given(b1=_FIELDS.map(abs), b2=_FIELDS, b3=_FIELDS)
+    def test_copies_and_pickles_keep_both(self, b1, b2, b3):
+        phi = PhiSpec(b1, b2, b3)
+        for same in (copy.copy(phi), copy.deepcopy(phi), pickle.loads(pickle.dumps(phi))):
+            assert (same.integers, same.exact) == (phi.integers, phi.exact)
+
+    def test_integers_and_their_fractions_agree(self):
+        a, b = PhiSpec(2, 2, 2), PhiSpec(F(2), F(2), F(2))
+        assert (a.integers, a.exact) == (b.integers, b.exact) == ((2, 2, 2, 1), True)
+
+    def test_read_only_and_not_fields(self):
+        phi = PhiSpec(F(1, 2), 0.25, F(-1, 6))
+        assert phi.integers == (6, 3, -2, 12) and not phi.exact
+        for name in ("integers", "exact"):
+            with pytest.raises(AttributeError):
+                setattr(phi, name, getattr(phi, name))
+            with pytest.raises(AttributeError):
+                delattr(phi, name)
+        assert PhiSpec.__match_args__ == ("b1", "b2", "b3")
+        assert repr(phi) == "PhiSpec(b1=Fraction(1, 2), b2=0.25, b3=Fraction(-1, 6))"
 
 
 # One value of each frozen record type of the exact paths, with the repr a

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_triples, solve, toeplitz
-from toepsharp import oracle
+from toepsharp import cli, oracle
 from toepsharp.bounds import theorem_bound
 from toepsharp.catalog import certificate_entries
 from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec
@@ -28,6 +28,14 @@ from toepsharp.schwarz import schur_map
 
 HALF_PLANE = PhiSpec(F(2), F(2), F(2))
 CARDIOID = PhiSpec(F(1), F(1), F(1, 2))
+# Each seed the search refuses, with the error and the text of its message.
+BAD_SEEDS = pytest.mark.parametrize("seed, error, text", [
+    (None, TypeError, "integer"), (1.5, TypeError, "integer"), ("3", TypeError, "integer"),
+    (-1, ValueError, "seed >= 0, got budget=100, seed=-1")], ids=["None", "float", "str", "-1"])
+
+
+def _no_screen(*args):
+    raise AssertionError("the screen ran")
 
 
 class TestMaximize:
@@ -125,6 +133,21 @@ class TestMaximize:
         assert type(rep.samples_used) is int
         assert lemma1_scan(3, 2, budget=np.int64(100), seed=2) == lemma1_scan(
             3, 2, budget=100, seed=2)
+
+    @BAD_SEEDS
+    def test_rejects_a_bad_seed_before_the_screen(self, seed, error, text, monkeypatch):
+        monkeypatch.setattr(oracle, "_screen", _no_screen)
+        with pytest.raises(error, match=text):
+            maximize(FunctionalKind.T21_INV, ClassKind.STARLIKE, HALF_PLANE,
+                     budget=100, seed=seed)
+
+    def test_numpy_integer_seed_reports_an_int(self):
+        rep = maximize(FunctionalKind.T22_INV, ClassKind.CONVEX, CARDIOID,
+                       budget=200, seed=np.int64(3))
+        assert rep == maximize(FunctionalKind.T22_INV, ClassKind.CONVEX, CARDIOID,
+                               budget=200, seed=3)
+        assert type(rep.seed) is int
+        assert json.loads(cli._dump_json(rep))["seed"] == 3
 
     def test_screen_memory_does_not_grow_with_budget(self):
         """The screen streams fixed-size blocks: no budget-sized arrays."""
@@ -300,6 +323,16 @@ class TestLemmaScan:
     def test_rejects_non_integer_budget(self, budget):
         with pytest.raises(TypeError):
             lemma1_scan(0, 1, budget=budget)
+
+    @BAD_SEEDS
+    def test_rejects_a_bad_seed_before_the_screen(self, seed, error, text, monkeypatch):
+        monkeypatch.setattr(oracle, "_screen", _no_screen)
+        with pytest.raises(error, match=text):
+            lemma1_scan(3, 2, budget=100, seed=seed)
+
+    def test_numpy_integer_seed(self):
+        assert lemma1_scan(3, 2, budget=200, seed=np.uint8(4)) == lemma1_scan(
+            3, 2, budget=200, seed=4)
 
     @pytest.mark.parametrize("sigma, mu", [(0.0, math.nan), (math.nan, 1.0),
                                            (math.inf, 1.0), (0.0, -math.inf)])

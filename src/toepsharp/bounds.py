@@ -33,8 +33,8 @@ import operator
 from enum import Enum
 from fractions import Fraction
 
-from .coeffs import (_TABLE, PAIRS, ClassKind, FunctionalKind, PhiSpec, Real, _known, _real,
-                     _saturated, record, table)
+from .coeffs import (PAIRS, ClassKind, FunctionalKind, PhiSpec, Real, _known, _real, _saturated,
+                     record, table)
 
 HYP_TOL = 1e-12
 _TWO_THIRDS = Fraction(2, 3)  # times a float it is float(2/3), i.e. 2.0 / 3.0
@@ -134,17 +134,16 @@ _HYPOTHESES = {
 }
 
 
-def _hypothesis(kind: ClassKind, name: str, rows: tuple, real):
-    """(hypothesis, region) of the field ``name`` with table rows ``rows``; ``region``
-    is where (sigma, mu) lies, for a third-coefficient field with B1 > 0.  ``real``
-    rounds an integer ratio to a reported float."""
+def _hypothesis(kind: ClassKind, name: str, rows: tuple, d: int, real):
+    """(hypothesis, region) of the field ``name`` with table rows ``rows`` at a phi of
+    common denominator ``d``; ``region`` is where (sigma, mu) lies, for a third-coefficient
+    field with B1 > 0.  ``real`` rounds an integer ratio to a reported float."""
     if len(rows) == 1:
         return None, None
     check = _HYPOTHESES[name][kind is ClassKind.CONVEX]
     if len(rows) == 2:
-        (un, ud), (vn, vd) = rows  # v = -B1/d, so d (|u| - |v|) is the printed |...| - B1
-        n, d = _TABLE[kind][name][1][1] * (abs(un) * vd - abs(vn) * ud), ud * vd
-        return _checked(check, real(n, d)), None
+        (un, ud), (vn, vd) = rows  # v = -B1/s, vd = s d: s (|u| - |v|) is the printed |...| - B1
+        return _checked(check, real(abs(un) * vd - abs(vn) * ud, ud * d)), None
     (n1, d1), (n2, d2), (n3, d3) = rows  # q3 = -B1/D, so n3 < 0 where B1 > 0
     if not n3:
         return _checked("B1 > 0 ((sigma, mu) defined)", -math.inf), None
@@ -176,8 +175,8 @@ def theorem_bound(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec) -> 
     first, second = _known(PAIRS, functional, "functional")
     x, y = table(kind, phi, first, second)
     real = operator.truediv if phi.exact else _saturated
-    hx, _ = _hypothesis(kind, first, x, real)
-    hy, region = _hypothesis(kind, second, y, real)
+    hx, _ = _hypothesis(kind, first, x, phi.integers[3], real)
+    hy, region = _hypothesis(kind, second, y, phi.integers[3], real)
     hyps = tuple(h for h in (hx, hy) if h is not None)
     (kn, kd), (un, ud) = x[0], y[0]  # the pure-c1 rows: k^2 + u^2 or u^2 + q1^2
     n, d = kn * kn * ud * ud + un * un * kd * kd, kd * kd * ud * ud

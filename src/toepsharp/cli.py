@@ -209,9 +209,11 @@ def cmd_bound(args) -> _Result:
     return (0 if report.applicable else 3), report, text
 
 
-def _table_rows() -> list[dict]:
+def cmd_table(args) -> _Result:
     rows = []
     for entry in catalog.fixture_entries():
+        if args.only and entry.name != args.only:
+            continue
         for functional, expected in entry.fixtures:
             rep = bounds.theorem_bound(functional, entry.class_kind, entry.phi)
             att = extremal.attainment(functional, entry.class_kind, entry.phi)
@@ -231,15 +233,8 @@ def _table_rows() -> list[dict]:
                 "match": match,
                 "notes": "",
             })
-    return rows
-
-
-def cmd_table(args) -> _Result:
-    rows = _table_rows()
-    if args.only:
-        rows = [r for r in rows if r["name"] == args.only]
-        if not rows:
-            raise ValueError(f"no catalog entry named {args.only!r}")
+    if not rows:
+        raise ValueError(f"no catalog entry named {args.only!r}")
 
     def text() -> list[str]:
         if args.format == "csv":

@@ -26,16 +26,16 @@ def record(cls):
     """Make ``cls`` a frozen value type over its annotated fields, as
     ``dataclass(frozen=True)`` would, without importing ``dataclasses``: an
     ``__init__`` taking the fields by position or keyword (a class attribute is
-    a default) and calling ``__post_init__`` if defined, ``__eq__`` and
-    ``__hash__`` over the fields within one class, the dataclass repr,
-    ``__match_args__``, and assignment or deletion raising AttributeError."""
+    a default) and calling ``__post_init__`` if defined, ``__eq__`` and ``__hash__``
+    within one class over the fields (or ``cls._key(self)``, if set), the dataclass
+    repr, ``__match_args__``, and assignment or deletion raising AttributeError."""
     names = tuple(cls.__annotations__)
     params = ", ".join(f"{n}=_cls.{n}" if n in vars(cls) else n for n in names)
     body = "".join(f"\n _set(self, {n!r}, {n})" for n in names)
     post = "\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""
     scope = {"_cls": cls, "_set": object.__setattr__}
     exec(f"def __init__(self, {params}):{body}{post}", scope)
-    key = operator.attrgetter(*names)
+    key = getattr(cls, "_key", None) or operator.attrgetter(*names)
 
     def __eq__(self, other):
         return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
@@ -87,14 +87,15 @@ class PhiSpec:
     TypeError); B1 >= 0 for every generator of interest
     (B1 = 0 only for the lemniscate generator sqrt(1+z^2)).  Fractions and
     integers (stored as Fractions) keep all downstream bound arithmetic
-    exact.  Set once here, read-only and not fields (outside repr, == and hash):
-    ``integers`` = (n1, n2, n3, d) with B_k = n_k / d exactly and d > 0 the least
-    common denominator, and ``exact``, whether no field is a float.
+    exact.  ``integers`` = (n1, n2, n3, d), B_k = n_k / d exactly with d > 0 the
+    least common denominator, and ``exact``, whether no field is a float, are set
+    once here, read-only and outside repr; == and hash compare them (1.0 and 1 differ).
     """
 
     b1: Real
     b2: Real
     b3: Real
+    _key = operator.attrgetter("integers", "exact")
 
     def __post_init__(self):
         for name in ("b1", "b2", "b3"):

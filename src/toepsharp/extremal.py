@@ -12,7 +12,7 @@ by i^n, so the pair (x_n, x_{n+1}) of every functional is i^j (X, i Y)
 with X, Y the coefficients of the real r_m, and the functional is
 |x_n^2 - x_{n+1}^2| = X^2 + Y^2.  The recursion runs on integers, with
 phi over one common denominator, so that value is exact for an exact phi.
-It reads neither ``coeffs._TABLE`` nor the bound's formulas, which makes
+It reads neither the coefficient table nor the bound's formulas, which makes
 "attainment == bound" an independent certificate.  ``inverse_coeffs``
 evaluates ``INVERSE`` on the same integers for display.
 """

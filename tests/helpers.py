@@ -1,7 +1,8 @@
 """Shared test utilities: the Schwarz coefficient body as a reference,
 independent pipeline solvers, random data, the inverse of the Schur
 parameter map, the piecewise Fekete-Szego bound, and the paper's closed
-forms of the third-coefficient bounds.
+forms of the third-coefficient bounds, and the writer of the golden
+fixtures, ``write_golden``, which names every key it moves.
 
 The solvers here derive (a2, a3, a4) directly from the defining
 differential relations using only the series engine, term by term.  They
@@ -14,6 +15,10 @@ coefficient table at a Schwarz triple, for comparison with them,
 
 from __future__ import annotations
 
+import json
+import sys
+from collections.abc import Callable, Iterable
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -185,3 +190,25 @@ def random_triples(seed: int, n: int) -> list[SchwarzTriple]:
         g = r * np.exp(1j * th)
         out.append(SchwarzTriple(*schur_map(*map(complex, g))))
     return out
+
+
+def golden_diff(old: dict, new: dict) -> dict[str, list[str]]:
+    """The keys ``new`` adds to ``old``, removes from it and changes, each list sorted."""
+    return {"added": sorted(new.keys() - old.keys()),
+            "removed": sorted(old.keys() - new.keys()),
+            "changed": sorted(k for k in old.keys() & new.keys() if old[k] != new[k])}
+
+
+def write_golden(path: Path, cases: Iterable[tuple[str, Callable[[], object]]]) -> None:
+    """Rewrite the golden fixture ``path`` from its (key, thunk) ``cases``, first
+    printing to stderr how many keys it adds, removes and changes, and each of them."""
+    text = json.dumps({key: run() for key, run in cases}, indent=1, sort_keys=True) + "\n"
+    old = json.loads(path.read_text()) if path.exists() else {}
+    diff = golden_diff(old, json.loads(text))  # as read back: a tuple compares as a list
+    print(f"{path.name}: " + ", ".join(f"{len(keys)} {what}" for what, keys in diff.items()),
+          file=sys.stderr)
+    for what, keys in diff.items():
+        for key in keys:
+            print(f"  {what}: {key}", file=sys.stderr)
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(text)

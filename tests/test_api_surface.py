@@ -102,3 +102,11 @@ def test_every_private_name_is_read_in_the_library():
             for name in sorted(_top_level_names(tree) - used)
             if name.startswith("_") and not name.endswith("__")]
     assert dead == [], f"private names the library never reads: {dead}"
+
+
+def test_only_coeffs_names_the_coefficient_table():
+    """``_TABLE``'s row layout is a ``coeffs`` format: every other module reads rows
+    through ``coeffs.table``, and no text of theirs names the literal."""
+    naming = [p.name for p in sorted(PACKAGE.glob("*.py"))
+              if p.name != "coeffs.py" and "_TABLE" in p.read_text()]
+    assert naming == [], f"modules that name coeffs._TABLE: {naming}"

@@ -157,6 +157,25 @@ class TestTable:
         code, _, _ = run(capsys, "table", "--only", "nephroid")
         assert code == 2
 
+    @pytest.mark.parametrize("only, rows", [((), 23), (("--only", "halfplane"), 8),
+                                            (("--only", "nephroid"), 0)],
+                             ids=["all", "halfplane", "nephroid"])
+    def test_only_evaluates_just_the_rows_it_prints(self, capsys, monkeypatch, only, rows):
+        from toepsharp import bounds, extremal
+
+        calls = []
+        for module, name in ((bounds, "theorem_bound"), (extremal, "attainment")):
+            def counted(*args, _f=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(module, name, counted)
+        code, out, err = run(capsys, "table", "--format", "csv", *only)
+        assert calls.count("theorem_bound") == calls.count("attainment") == rows
+        if rows:
+            assert (code, len(out.splitlines()), err) == (0, 1 + rows, "")
+        else:  # an entry that does not exist: named, and nothing on stdout
+            assert (code, out, err) == (2, "", "error: no catalog entry named 'nephroid'\n")
+
     def test_every_exact_row_is_attained_exactly(self):
         # the exact rows compare attained == expected, with no tolerance
         exact = 0

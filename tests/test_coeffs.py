@@ -280,6 +280,42 @@ class TestPhiSpecIntegers:
         assert repr(phi) == "PhiSpec(b1=Fraction(1, 2), b2=0.25, b3=Fraction(-1, 6))"
 
 
+# Each field as given, as the exact Fraction of it, or rounded to a float, so that two
+# generators often agree in value while differing in exactness, and the other way round.
+_CASTS = st.tuples(*[st.sampled_from((lambda v: v, F, float))] * 3)
+
+
+class TestPhiSpecEquality:
+    """Two generators compare, and hash, by (``integers``, ``exact``): equal values of
+    equal exactness, whatever type carries them."""
+
+    @given(b=st.tuples(_FIELDS.map(abs), _FIELDS, _FIELDS), casts=_CASTS)
+    def test_equal_iff_integers_and_exactness_agree(self, b, casts):
+        p, q = PhiSpec(*b), PhiSpec(*(cast(v) for cast, v in zip(casts, b)))
+        assert (p == q) is ((p.integers, p.exact) == (q.integers, q.exact))
+        assert (q == p) is (p == q) is not (p != q)
+        if p == q:
+            assert hash(p) == hash(q) and len({p, q}) == 1
+
+    def test_a_float_and_an_integer_generator_differ(self):
+        inexact, exact = PhiSpec(1.0, 0, 0), PhiSpec(1, 0, 0)
+        assert inexact != exact and len({inexact, exact}) == 2
+        reports = [theorem_bound(FunctionalKind.T21_INV, ClassKind.STARLIKE, phi)
+                   for phi in (inexact, exact)]
+        assert [r.bound for r in reports] == [3.25, F(13, 4)]
+        assert type(reports[0].bound) is float and reports[0] != reports[1]
+
+    def test_numpy_and_python_floats_agree(self):
+        a, b = PhiSpec(2, np.float64(-0.5), 1), PhiSpec(2, -0.5, 1)
+        assert a == b and hash(a) == hash(b)
+
+    @given(b1=_FIELDS.map(abs), b2=_FIELDS, b3=_FIELDS)
+    def test_copies_and_pickles_compare_equal(self, b1, b2, b3):
+        phi = PhiSpec(b1, b2, b3)
+        for same in (copy.copy(phi), copy.deepcopy(phi), pickle.loads(pickle.dumps(phi))):
+            assert same == phi and hash(same) == hash(phi)
+
+
 # One value of each frozen record type of the exact paths, with the repr a
 # frozen dataclass gave it where that repr holds no object address.
 _CURVE = CorollaryCurve("S*(alpha)", ClassKind.STARLIKE, FunctionalKind.T21_INV, "alpha",

@@ -6,7 +6,8 @@ and of ``repr(theorem_bound(...))`` on float generators, so that a
 refactor of the bound or coefficient code that moves any byte fails here.
 
 Run as a script to rewrite the fixture from the current code:
-``PYTHONPATH=src python tests/test_exact_golden.py``.
+``PYTHONPATH=src python tests/test_exact_golden.py``.  It first prints to
+stderr the keys it adds, removes and changes (``helpers.write_golden``).
 """
 
 import contextlib
@@ -15,12 +16,12 @@ import importlib.util
 import io
 import json
 import random
-import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from helpers import golden_diff, write_golden
 from toepsharp.bounds import theorem_bound
 from toepsharp.catalog import phi_coeffs
 from toepsharp.cli import main
@@ -144,8 +145,29 @@ def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(c for c, _ in _GOLDEN_CASES)
 
 
+def test_golden_diff_names_each_moved_key():
+    old = {"a": "1 x", "b": "0 y", "c": [1, 2]}
+    new = {"b": "0 y", "c": [1, 3], "d": "0 z", "e": "0 z"}
+    assert golden_diff(old, new) == {"added": ["d", "e"], "removed": ["a"], "changed": ["c"]}
+    assert golden_diff(new, new) == {"added": [], "removed": [], "changed": []}
+    assert golden_diff({}, {"k": 0}) == {"added": ["k"], "removed": [], "changed": []}
+
+
+def test_write_golden_reports_before_it_writes(tmp_path, capsys):
+    path = tmp_path / "data" / "golden.json"
+    write_golden(path, [("x", lambda: (0, "d")), ("y", lambda: "s")])
+    assert json.loads(path.read_text()) == {"x": [0, "d"], "y": "s"}
+    assert capsys.readouterr().err == ("golden.json: 2 added, 0 removed, 0 changed\n"
+                                       "  added: x\n  added: y\n")
+    # a tuple reads back as a list, so an unchanged tuple is no change
+    write_golden(path, [("x", lambda: (0, "d")), ("z", lambda: "t")])
+    assert capsys.readouterr().err == ("golden.json: 1 added, 1 removed, 0 changed\n"
+                                       "  added: z\n  removed: y\n")
+    text = path.read_text()
+    write_golden(path, [("x", lambda: (1, "d")), ("z", lambda: "t")])
+    assert capsys.readouterr().err == "golden.json: 0 added, 0 removed, 1 changed\n  changed: x\n"
+    assert path.read_text() == text.replace("  0,", "  1,")
+
+
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps({c: run() for c, run in _GOLDEN_CASES},
-                                 indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(_GOLDEN_CASES)} cases to {GOLDEN}", file=sys.stderr)
+    write_golden(GOLDEN, _GOLDEN_CASES)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import SchwarzTriple, solve
-from toepsharp import bounds, catalog, coeffs
+from toepsharp import catalog, coeffs
 from toepsharp.bounds import theorem_bound
 from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec
 from toepsharp.extremal import attainment, extremal_coeffs, inverse_coeffs
@@ -229,6 +229,5 @@ class TestAttainment:
                           for name, row in fields.items()}
                    for kind, fields in coeffs._TABLE.items()}
         monkeypatch.setattr(coeffs, "_TABLE", garbage)
-        monkeypatch.setattr(bounds, "_TABLE", garbage)
         assert theorem_bound(*cases[0]).bound != want[0]  # the table did change
         assert [attainment(*c) for c in cases] == want

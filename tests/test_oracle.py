@@ -1,12 +1,12 @@
 """Numerical maximization oracle: determinism, seeding, verdicts, lemma scan.
 
 Run as a script to rewrite the golden fixture from the current code:
-``PYTHONPATH=src python tests/test_oracle.py``.
+``PYTHONPATH=src python tests/test_oracle.py``.  It first prints to stderr the
+keys it adds, removes and changes (``helpers.write_golden``).
 """
 
 import json
 import math
-import sys
 import tracemalloc
 import warnings
 from fractions import Fraction as F
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_triples, solve, toeplitz
+from helpers import random_triples, solve, toeplitz, write_golden
 from toepsharp import cli, oracle
 from toepsharp.bounds import theorem_bound
 from toepsharp.catalog import certificate_entries
@@ -772,7 +772,4 @@ def test_golden_covers_every_case(golden):
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps({c: run() for c, run in _GOLDEN_CASES},
-                                 indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(_GOLDEN_CASES)} cases to {GOLDEN}", file=sys.stderr)
+    write_golden(GOLDEN, _GOLDEN_CASES)

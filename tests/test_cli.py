@@ -310,6 +310,13 @@ class TestSweep:
                          "--functional", "t21-inv")
         assert code == 2
 
+    @pytest.mark.parametrize("rng", ["0:1:0", "0:1:-1/2", "1:0:1/2"])
+    def test_empty_or_backward_range_exits_2(self, capsys, rng):
+        code, out, err = run(capsys, "sweep", "--param", "alpha", f"--range={rng}",
+                             "--class", "starlike", "--functional", "t21-inv")
+        assert (code, out) == (2, "")
+        assert err == f"error: range needs step > 0 and hi >= lo, got {rng!r}\n"
+
     def test_invalid_row_prints_nothing(self, capsys):
         # alpha = 1 is outside the order family; the valid alpha = 0 row
         # before it must not reach stdout

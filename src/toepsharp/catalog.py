@@ -17,7 +17,7 @@ import math
 from collections.abc import Callable
 from fractions import Fraction
 
-from .coeffs import ClassKind, FunctionalKind, PhiSpec, Real, record
+from .coeffs import ClassKind, FunctionalKind, PhiSpec, Real, _known, record
 
 F = Fraction
 
@@ -44,16 +44,13 @@ def _strongly(beta: Real) -> PhiSpec:
     return PhiSpec(2 * beta, 2 * beta * beta, 2 * beta * (1 + 2 * beta * beta) / F(3))
 
 
-_FIXED_PHIS: dict[str, PhiSpec] = {
-    "halfplane": PhiSpec(F(2), F(2), F(2)),            # (1+z)/(1-z)
-    "cardioid": PhiSpec(F(1), F(1), F(1, 2)),          # 1 + z e^z
-    "exp": PhiSpec(F(1), F(1, 2), F(1, 6)),            # e^z
-    "lune": PhiSpec(F(1), F(1, 2), F(0)),              # z + sqrt(1+z^2)
-    "parabolic": PhiSpec(8 / _PI2, 16 / (3 * _PI2), 184 / (45 * _PI2)),
-    "lemniscate": PhiSpec(F(0), F(1, 2), F(0)),        # sqrt(1+z^2)
-}
-
-_PARAMETRIC_PHIS: dict[str, Callable[..., PhiSpec]] = {
+_PHIS: dict[str, Callable[..., PhiSpec]] = {
+    "halfplane": lambda: PhiSpec(F(2), F(2), F(2)),            # (1+z)/(1-z)
+    "cardioid": lambda: PhiSpec(F(1), F(1), F(1, 2)),          # 1 + z e^z
+    "exp": lambda: PhiSpec(F(1), F(1, 2), F(1, 6)),            # e^z
+    "lune": lambda: PhiSpec(F(1), F(1, 2), F(0)),              # z + sqrt(1+z^2)
+    "parabolic": lambda: PhiSpec(8 / _PI2, 16 / (3 * _PI2), 184 / (45 * _PI2)),
+    "lemniscate": lambda: PhiSpec(F(0), F(1, 2), F(0)),        # sqrt(1+z^2)
     "janowski": _janowski,
     "starlike-order": _order,
     "convex-order": _order,
@@ -61,30 +58,25 @@ _PARAMETRIC_PHIS: dict[str, Callable[..., PhiSpec]] = {
     "strongly-convex": _strongly,
 }
 
-PHI_NAMES = tuple(_FIXED_PHIS) + tuple(_PARAMETRIC_PHIS)
+PHI_NAMES = tuple(_PHIS)
 
 
 def phi_coeffs(name: str, **params: Real) -> PhiSpec:
     """Taylor data (B1, B2, B3) for a catalog generator.
 
     Parametric generators take ``alpha``, ``beta`` or ``a``/``b``; pass
-    Fractions to keep everything downstream exact.
+    Fractions to keep everything downstream exact; a bad name or parameter is
+    a ValueError that names it.
     """
-    if name in _FIXED_PHIS:
-        if params:
-            raise ValueError(f"{name} takes no parameters")
-        return _FIXED_PHIS[name]
-    if name in _PARAMETRIC_PHIS:
-        make = _PARAMETRIC_PHIS[name]
-        wanted = make.__code__.co_varnames[:make.__code__.co_argcount]  # its parameter names
-        missing = [p for p in wanted if p not in params]
-        unexpected = [p for p in params if p not in wanted]
-        if missing or unexpected:
-            raise ValueError(f"{name} takes parameters {', '.join(wanted)}: "
-                             f"missing {', '.join(missing) or 'none'}, "
-                             f"unexpected {', '.join(unexpected) or 'none'}")
-        return make(**params)
-    raise ValueError(f"unknown catalog generator {name!r}")
+    make = _known(_PHIS, name, "catalog generator")
+    wanted = make.__code__.co_varnames[:make.__code__.co_argcount]  # its parameter names
+    missing = [p for p in wanted if p not in params]
+    unexpected = [p for p in params if p not in wanted]
+    if missing or unexpected:
+        raise ValueError(f"{name} takes parameters {', '.join(wanted) or 'none'}: "
+                         f"missing {', '.join(missing) or 'none'}, "
+                         f"unexpected {', '.join(unexpected) or 'none'}")
+    return make(**params)
 
 
 _T21F = FunctionalKind.T21_LOG_INV

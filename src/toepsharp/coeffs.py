@@ -113,13 +113,13 @@ class PhiSpec:
 
 
 def _real(name: str, v) -> Real:
-    """v as the exact paths take a real: an integer as a Fraction, a float or Fraction
-    as it is; anything else (a str, complex, None, numpy float32) is a TypeError."""
+    """v as the exact paths take a real: an integer as a Fraction, a float as a Python float,
+    a Fraction as it is; anything else (str, complex, None, numpy float32) is a TypeError."""
     if isinstance(v, numbers.Integral):
         return Fraction(int(v))
     if not isinstance(v, (float, Fraction)):
         raise TypeError(f"{name}: integers, Fractions or floats only, got {v!r}")
-    return v
+    return float(v) if isinstance(v, float) else v
 
 
 def _known(table: dict, key, what: str):

@@ -134,6 +134,13 @@ class TestFeketeSzego:
         got = fekete_szego_bound(ClassKind.STARLIKE, HALF_PLANE, np.int64(1))
         assert got == 1 and type(got) is F
 
+    @pytest.mark.parametrize("lam", [0.1, -2.5, 1e300])
+    def test_numpy_float_lambda_equals_a_python_float(self, lam):
+        for kind in ClassKind:
+            for phi in (HALF_PLANE, EXP, PhiSpec(2, np.float64(-0.5), 1)):
+                got = fekete_szego_bound(kind, phi, np.float64(lam))
+                assert type(got) is float and got == fekete_szego_bound(kind, phi, lam)
+
     def test_continuity_at_branch_boundaries(self):
         for kind in ClassKind:
             for phi in (HALF_PLANE, EXP, CARDIOID):

@@ -1,6 +1,8 @@
 """Catalog generators against a Taylor-expansion oracle, and the fixtures."""
 
+import ast
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -17,6 +19,7 @@ from toepsharp.catalog import (
 from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec
 
 TOL = 1e-12
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 FIXTURES = {(e.name, e.class_kind): dict(e.fixtures) for e in fixture_entries()}
 
 mp.mp.dps = 40
@@ -141,6 +144,41 @@ class TestParameterValidation:
 
     def test_names_cover_both_kinds(self):
         assert "halfplane" in PHI_NAMES and "janowski" in PHI_NAMES
+
+    def test_fixed_generator_names_the_unexpected_parameter(self):
+        with pytest.raises(ValueError, match="unexpected alpha$"):
+            phi_coeffs("exp", alpha=F(1, 2))
+
+    def test_unhashable_name_is_an_unknown_generator(self):
+        with pytest.raises(ValueError, match=r"^unknown catalog generator \['exp'\]$"):
+            phi_coeffs(["exp"])
+
+
+def _workload_constant(name: str):
+    """A module-level constant of perfbench/workloads.py, read without importing it."""
+    for node in ast.parse(WORKLOADS.read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{name} not assigned in {WORKLOADS}")
+
+
+def _needs_parameters(name: str) -> bool:
+    """False if phi_coeffs(name) succeeds, True if it says a parameter is missing."""
+    try:
+        phi_coeffs(name)
+    except ValueError as e:
+        assert "missing " in str(e) and "missing none" not in str(e), e
+        return True
+    return False
+
+
+def test_benchmark_draws_generators_from_the_catalog():
+    # cli-cold draws --phi from these two tuples: a catalog generator renamed
+    # without them would silently turn its ops into exit-2 ops
+    families = [name for name in PHI_NAMES if _needs_parameters(name)]
+    fixed = [name for name in PHI_NAMES if name not in families]
+    assert sorted(_workload_constant("_FIXED_PHIS")) == sorted(fixed)
+    assert sorted(_workload_constant("_FAMILIES")) == sorted(families)
 
 
 class TestFixtures:

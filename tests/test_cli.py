@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import toepsharp
 from toepsharp.bounds import theorem_bound
 from toepsharp.catalog import COROLLARY_CURVES, PHI_NAMES, fixture_entries
-from toepsharp.cli import MAX_BUDGET, MAX_SWEEP_ROWS, _parse_range, main
+from toepsharp.cli import MAX_BUDGET, MAX_SWEEP_ROWS, _dump_json, _parse_range, main
 from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec
 from toepsharp.extremal import attainment, inverse_coeffs
 
@@ -558,6 +558,11 @@ class TestErrorContract:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
         assert not path.exists()
+
+    def test_json_names_a_type_it_cannot_encode(self):
+        # no report holds such a value; the encoder hook's last line says so if one did
+        with pytest.raises(TypeError, match="^object is not JSON serializable$"):
+            _dump_json(object())
 
     def test_table_out_writes_a_record(self, capsys, tmp_path):
         path = tmp_path / "table.json"

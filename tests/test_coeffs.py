@@ -16,6 +16,7 @@ from series import Series, log_div_z, revert
 
 from toepsharp.bounds import Hypothesis, Region, RegionMembership, fekete_szego_bound, theorem_bound
 from toepsharp.catalog import CorollaryCurve, fixture_entries
+from toepsharp.cli import _dump_json
 from toepsharp.coeffs import (
     _TABLE,
     ClassKind,
@@ -308,6 +309,13 @@ class TestPhiSpecEquality:
     def test_numpy_and_python_floats_agree(self):
         a, b = PhiSpec(2, np.float64(-0.5), 1), PhiSpec(2, -0.5, 1)
         assert a == b and hash(a) == hash(b)
+
+    def test_numpy_and_python_floats_print_alike(self):
+        a, b = PhiSpec(2, np.float64(-0.5), 1), PhiSpec(2, -0.5, 1)
+        assert type(a.b2) is float and repr(a) == repr(b)
+        reports = [theorem_bound(FunctionalKind.T21_INV, ClassKind.STARLIKE, phi) for phi in (a, b)]
+        assert repr(reports[0]) == repr(reports[1])
+        assert _dump_json(reports[0]) == _dump_json(reports[1])
 
     @given(b1=_FIELDS.map(abs), b2=_FIELDS, b3=_FIELDS)
     def test_copies_and_pickles_compare_equal(self, b1, b2, b3):

@@ -36,7 +36,6 @@ _REL_TOL = 1e-12  # between a computed table value and a published float (parabo
 
 # A sweep computes every row before printing; this caps the work a tiny
 # step can ask for (0:1:1/10000 is the largest decimal grid on [0, 1]).
-# It caps ``extremal --order`` as well.
 MAX_SWEEP_ROWS = 10_001
 # ``verify --budget`` above this (100 times the default) is refused, not run for hours.
 MAX_BUDGET = 10 ** 7
@@ -330,8 +329,8 @@ def cmd_sweep(args) -> _Result:
 def cmd_extremal(args) -> _Result:
     phi = _resolve_phi(args)
     kind = ClassKind(args.class_kind)
-    if not 2 <= args.order <= MAX_SWEEP_ROWS:
-        raise ValueError(f"--order needs 2 <= N <= {MAX_SWEEP_ROWS}, got {args.order}")
+    if not 2 <= args.order <= 4:
+        raise ValueError(f"--order must be in 2..4 (B1..B3 fix a2..a4 only), got {args.order}")
     a = extremal.extremal_coeffs(kind, phi, args.order)
     inverse = extremal.inverse_coeffs(kind, phi)
     b, gamma = inverse[:3], inverse[3:]  # b2..b4, Gamma1..Gamma3
@@ -385,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extremal", help="extremal function coefficients")
     _add_selectors(p, functional=False)
-    p.add_argument("--order", type=int, default=4, metavar="N")
+    p.add_argument("--order", type=int, default=4, metavar="N", help="2..4")
     _add_common(p)
     p.set_defaults(func=cmd_extremal)
 

@@ -101,10 +101,11 @@ def _golden_cases():
                     cases.append((f"bound|{name}|{kind.value}|{functional.value}|{fmt}",
                                   lambda a=argv: _cli(a)))
             for fmt in ("text", "json"):
-                argv = ["extremal", f"--class={kind.value}", *gen, "--order=6",
-                        f"--format={fmt}"]
-                cases.append((f"extremal|{name}|{kind.value}|6|{fmt}",
-                              lambda a=argv: _cli(a)))
+                for order in (4, 6):  # 6 pins the refusal: exit 2, nothing on stdout
+                    argv = ["extremal", f"--class={kind.value}", *gen, f"--order={order}",
+                            f"--format={fmt}"]
+                    cases.append((f"extremal|{name}|{kind.value}|{order}|{fmt}",
+                                  lambda a=argv: _cli(a)))
     for fmt in ("markdown", "csv", "json", "text"):
         cases.append((f"table|{fmt}", lambda f=fmt: _cli(["table", f"--format={f}"])))
     sweeps = (

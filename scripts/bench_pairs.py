@@ -18,8 +18,10 @@ The worktrees are removed afterwards, also when a run fails or the
 script is stopped by SIGTERM (it then exits 128 + SIGTERM).
 
 The record holds, per workload and end-to-end metric, each side's median
-and quartiles, the pair count and the change's wins, losses and ties
-(the better direction is read from the change's ``BENCHMARK.json``);
+and quartiles, the pair count, the change's wins, losses and ties, the
+metric's bound and whether the runs spread too widely to resolve it (the
+better direction and the bound are read from the change's
+``BENCHMARK.json``);
 per workload the seeds and whether every pair's result digests agree;
 both refs with their commit, ``src/`` tree id and ``src/`` line count
 (``src_lines``, the lines of its ``*.py`` files); every run's metrics;
@@ -58,29 +60,38 @@ def quartiles(xs: list[float]) -> dict[str, float]:
     return {"q1": q1, "median": med, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(runs: list[dict], spec: dict[str, dict]) -> dict:
     """Per workload: the pair count, seeds, digest agreement, and per metric
     both sides' median and quartiles with the change's wins, losses and ties.
 
     ``runs`` holds one entry per pair: ``{"workload", "seed", "parent",
     "change"}``, each side ``{"metrics": {name: value}, "digest": str}``.
-    ``better`` maps each end-to-end metric to "higher" or "lower"; metrics
-    it does not name are left out.  Pure: reads its arguments only.
+    ``spec`` maps each end-to-end metric to its ``BENCHMARK.json`` entry,
+    ``{"better": "higher" or "lower", "bound": relative}``; metrics it does
+    not name are left out.  A metric is ``unresolved`` when either side's
+    interquartile spread exceeds its bound times the parent's median, unless
+    every change run reads better than every parent run.  Pure: reads its
+    arguments only.
     """
     out: dict = {}
     for w in dict.fromkeys(r["workload"] for r in runs):
         pairs = [r for r in runs if r["workload"] == w]
         metrics = {}
-        for name, direction in better.items():
+        for name, m in spec.items():
             values = {side: [r[side]["metrics"][name] for r in pairs] for side in ("parent", "change")}
-            sign = 1 if direction == "higher" else -1
+            sign = 1 if m["better"] == "higher" else -1
             diffs = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
-            metrics[name] = {"better": direction,
-                             "parent": quartiles(values["parent"]),
-                             "change": quartiles(values["change"]),
+            q = {side: quartiles(v) for side, v in values.items()}
+            spread = max(q[side]["q3"] - q[side]["q1"] for side in q)
+            separated = (min(sign * c for c in values["change"])
+                         > max(sign * p for p in values["parent"]))
+            metrics[name] = {"better": m["better"], "bound": m["bound"],
+                             "parent": q["parent"], "change": q["change"],
                              "wins": sum(d > 0 for d in diffs),
                              "losses": sum(d < 0 for d in diffs),
-                             "ties": sum(d == 0 for d in diffs)}
+                             "ties": sum(d == 0 for d in diffs),
+                             "unresolved": (spread > m["bound"] * abs(q["parent"]["median"])
+                                            and not separated)}
         out[w] = {"pairs": len(pairs), "seeds": [r["seed"] for r in pairs],
                   "digests_equal": all(r["parent"]["digest"] == r["change"]["digest"]
                                        for r in pairs),
@@ -128,7 +139,7 @@ def bench(parent: str, change: str, pairs: dict[str, int], seed: int, workdir: P
             _git("worktree", "add", "--detach", str(path), sides[side]["commit"])
             sides[side]["src_lines"] = src_lines(path / "src")
         spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        metrics = {m["name"]: m for m in spec["end_to_end"]}
         seconds = spec["run_seconds"]
         runs = []
         for workload, s, order in schedule(pairs, seed):
@@ -148,7 +159,7 @@ def bench(parent: str, change: str, pairs: dict[str, int], seed: int, workdir: P
         for side in refs:
             r[side].pop("machine")
     return {"parent": sides["parent"], "change": sides["change"], "seconds": seconds,
-            "machine": machine, "workloads": summarize(runs, better), "runs": runs}
+            "machine": machine, "workloads": summarize(runs, metrics), "runs": runs}
 
 
 def _pair_count(spec: str) -> tuple[str, int]:

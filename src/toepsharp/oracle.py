@@ -24,7 +24,7 @@ a table of the lattice its angles lie on.  The running top-k is one stable
 sort of the top followed by the block's kept rows, so it equals a stable
 sort of the whole sample (ties and NaN included: earlier rows first, NaN
 last), and the refinement sees the same starts as a screen holding every
-row; box coordinates are built only for the rows it keeps.
+row.
 
 Once the running top is full, the screen evaluates only the rows that
 can still enter it (the first block is merged in two parts, split after
@@ -135,25 +135,24 @@ _FACES = {FunctionalKind.T21_INV: _T21_FACE, FunctionalKind.T21_LOG_INV: _T21_FA
 
 
 def _gammas(face: _Face, x: np.ndarray, phase: np.ndarray | None = None) -> list:
-    """The face's parameters at box coordinates x: a circle one is its phase, a disk one
-    its radius column times its phase.  phase is exp(1j t) of x's angles; where it is
-    given, only x's radius columns are read, so x may be a block of draws,
-    transposed (``_draw``)."""
+    """The face's parameters at box coordinates x, one row per coordinate: a circle one
+    is its phase, a disk one its radius row times its phase.  phase is exp(1j t) of x's
+    angle rows; where it is given, only x's radius rows are read (``_draw``)."""
     if phase is None:
-        phase = np.exp(1j * x[..., face.angle])
-    return [phase[..., j] if kind == "circle" else x[..., r] * phase[..., j]
+        phase = np.exp(1j * x[face.angle])
+    return [phase[j] if kind == "circle" else x[r] * phase[j]
             for j, (kind, r) in enumerate(face.parts)]
 
 
-# starts always injected, in box coordinates (a face keeps its own): the extremal omega(z) = i z,
-# its real rotations, and the pure-c3 corner (gamma1 = 1 on the T21 face)
+# starts always injected, one column each in box coordinates (a face keeps its own rows): the
+# extremal omega(z) = i z, its real rotations, and the pure-c3 corner (gamma1 = 1 on the T21 face)
 _SEED_POINTS = np.array([
     [1.0, np.pi / 2, 0.0, 0.0, 0.0, 0.0],   # gamma0 = i
     [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],          # gamma0 = 1
     [1.0, np.pi, 0.0, 0.0, 0.0, 0.0],        # gamma0 = -1
     [1.0, 3 * np.pi / 2, 0.0, 0.0, 0.0, 0.0],  # gamma0 = -i
     [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],          # gamma2 = 1
-])
+]).T
 
 
 def _draw(rng: np.random.Generator, face: _Face) -> np.ndarray:
@@ -170,14 +169,6 @@ def _lattice(face: _Face, u: np.ndarray) -> np.ndarray:
     return (u[face.angle] * _LATTICE_N).astype(np.intp)
 
 
-def _box(face: _Face, u: np.ndarray) -> np.ndarray:
-    """The box coordinates of draws u, one row per column: radii as drawn, angles the
-    lattice angles."""
-    x = u.T.copy()
-    x[:, face.angle] = _LATTICE_ANGLES[_lattice(face, u)].T
-    return x
-
-
 def _moduli(face: _Face, u: np.ndarray) -> tuple:
     """Upper bounds of (|c1|, |c2|) or (|c1|, |c2|, |c3|) at draws u, from their radii
     alone (1 on a circle), by the Schwarz body: |c1| = r0, |c2| = (1 - r0^2) r1 and
@@ -187,7 +178,7 @@ def _moduli(face: _Face, u: np.ndarray) -> tuple:
 
 
 def _screen(obj, majorant, face: _Face, budget: int, seed: int) -> np.ndarray:
-    """The box coordinates of the min(_N_STARTS, budget) best sample rows, best first.
+    """The min(_N_STARTS, budget) best sample rows in box coordinates, best first.
 
     Streams the sample in blocks and keeps a running top-k of the
     negated values with their draws, one stable sort per merge.  The
@@ -206,19 +197,20 @@ def _screen(obj, majorant, face: _Face, budget: int, seed: int) -> np.ndarray:
                 u = np.compress(~(majorant(*_moduli(face, u)) * (1.0 + _MAJORANT_TOL) + slack
                                   < -top_keys[-1]), u, axis=1)
             phase = _LATTICE_PHASES[_lattice(face, u)]
-            keys = np.concatenate([top_keys, -obj(*_gammas(face, u.T, phase.T))])
+            keys = np.concatenate([top_keys, -obj(*_gammas(face, u, phase))])
             top = np.argsort(keys, kind="stable")[:_N_STARTS]
             top_keys, top_u = keys[top], np.concatenate([top_u, u], axis=1)[:, top]
-    return _box(face, top_u)
+    top_u[face.angle] = _LATTICE_ANGLES[_lattice(face, top_u)]
+    return top_u
 
 
 def _compass_search(obj, face: _Face, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Vectorized compass (pattern) search on the face, one row per start.
+    """Vectorized compass (pattern) search on the face, one column per start.
 
     Probes +-step along each coordinate, moves to the best improving
     probe, halves the step when nothing improves.  Deterministic.  A start
     is probed while its own step is at least ``_STEP_MIN`` (for at most
-    ``_MAX_ITERS`` iterations); then its (x, f) is written out and its row
+    ``_MAX_ITERS`` iterations); then its (x, f) is written out and its column
     leaves the working arrays, so its result does not depend on the other
     starts.  The count returned is the last start's.  Probes 2 d and 2 d + 1
     move coordinate d, and only it is projected back into the box: the
@@ -228,40 +220,40 @@ def _compass_search(obj, face: _Face, x0: np.ndarray) -> tuple[np.ndarray, np.nd
     kept phase is always that of the projected angle.
     """
     x = x0.copy()
-    coord = np.repeat(np.arange(x.shape[1]), 2)  # the coordinate each probe moves
-    sign = np.tile([1.0, -1.0], x.shape[1])[:, None]
+    coord = np.repeat(np.arange(len(x)), 2)  # the coordinate each probe moves
+    sign = np.tile([1.0, -1.0], len(x))[:, None]
     is_angle = np.isin(coord, face.angle)[:, None]
     angle_probes = np.flatnonzero(is_angle)
-    columns = np.searchsorted(face.angle, coord[angle_probes])  # their phase columns
-    phase = np.exp(1j * x[:, face.angle])
+    rows = np.searchsorted(face.angle, coord[angle_probes])  # their phase rows
+    phase = np.exp(1j * x[face.angle])
     f = obj(*_gammas(face, x, phase))
     x_out, f_out = np.empty_like(x), np.empty_like(f)
-    step = np.full(len(x), _STEP_INIT)
-    live = np.arange(len(x))  # the start of each working row
+    step = np.full(len(f), _STEP_INIT)
+    live = np.arange(len(f))  # the start of each working column
     iters = 0
     while len(live) and iters < _MAX_ITERS:
         iters += 1
-        rows = np.arange(len(live))
-        moved = x[:, coord].T + sign * step  # (probes, S)
+        cols = np.arange(len(live))
+        moved = x[coord] + sign * step  # (probes, S)
         moved = np.where(is_angle, np.mod(moved, 2.0 * np.pi), np.clip(moved, 0.0, 1.0))
-        cand = np.repeat(x[None, :, :], len(coord), axis=0)  # (probes, S, n)
-        cand[np.arange(len(coord)), :, coord] = moved
-        cphase = np.repeat(phase[None, :, :], len(coord), axis=0)  # (probes, S, angles)
-        cphase[angle_probes, :, columns] = np.exp(1j * moved[angle_probes])
+        cand = np.repeat(x[:, None, :], len(coord), axis=1)  # (n, probes, S)
+        cand[coord, np.arange(len(coord))] = moved
+        cphase = np.repeat(phase[:, None, :], len(coord), axis=1)  # (angles, probes, S)
+        cphase[rows, angle_probes] = np.exp(1j * moved[angle_probes])
         fc = obj(*_gammas(face, cand, cphase))  # (probes, S)
         best = np.argmax(fc, axis=0)  # first max wins: deterministic
-        fbest = fc[best, rows]
+        fbest = fc[best, cols]
         improved = fbest > f
-        x[improved] = cand[best[improved], rows[improved]]
-        phase[improved] = cphase[best[improved], rows[improved]]
+        x[:, improved] = cand[:, best[improved], cols[improved]]
+        phase[:, improved] = cphase[:, best[improved], cols[improved]]
         f = np.where(improved, fbest, f)
         step = np.where(improved, step, step / 2.0)
         stopped = step < _STEP_MIN
         if stopped.any():
-            x_out[live[stopped]], f_out[live[stopped]] = x[stopped], f[stopped]
-            going = ~stopped
-            x, phase, f, step, live = x[going], phase[going], f[going], step[going], live[going]
-    x_out[live], f_out[live] = x, f
+            x_out[:, live[stopped]], f_out[live[stopped]] = x[:, stopped], f[stopped]
+            keep = ~stopped
+            x, phase, f, step, live = x[:, keep], phase[:, keep], f[keep], step[keep], live[keep]
+    x_out[:, live], f_out[live] = x, f
     return x_out, f_out, iters
 
 
@@ -277,10 +269,10 @@ def _maximize_objective(obj, majorant, face: _Face, budget: int,
     def f(*g):
         return obj(*schur_map(*g))
 
-    starts = np.vstack([_SEED_POINTS[:, face.box], _screen(f, majorant, face, budget, seed)])
+    starts = np.hstack([_SEED_POINTS[face.box], _screen(f, majorant, face, budget, seed)])
     xr, fr, iters = _compass_search(f, face, starts)
     k = int(np.argmax(fr))
-    return SchurParams(*map(complex, _gammas(face, xr[k]))), float(fr[k]), iters
+    return SchurParams(*map(complex, _gammas(face, xr[:, k]))), float(fr[k]), iters
 
 
 def _objective(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec):

@@ -110,3 +110,16 @@ def test_only_coeffs_names_the_coefficient_table():
     naming = [p.name for p in sorted(PACKAGE.glob("*.py"))
               if p.name != "coeffs.py" and "_TABLE" in p.read_text()]
     assert naming == [], f"modules that name coeffs._TABLE: {naming}"
+
+
+MAX_LINE = 100
+
+
+def test_no_library_line_is_wider_than_the_limit():
+    """Every line of ``src/toepsharp/*.py`` fits in ``MAX_LINE`` characters, so the
+    ``src/`` line count is not lowered by joining lines past it."""
+    wide = [f"{p.name}:{n}: {len(line)}" for p in sorted(PACKAGE.glob("*.py"))
+            for n, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > MAX_LINE]
+    assert sorted(PACKAGE.glob("*.py")), "no library files found"
+    assert wide == [], f"lines wider than {MAX_LINE} characters: {wide}"

@@ -20,7 +20,8 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-BETTER = {"ops_per_s": "higher", "op_ms_p50": "lower"}
+SPEC = {"ops_per_s": {"better": "higher", "bound": 0.2},
+        "op_ms_p50": {"better": "lower", "bound": 0.2}}
 
 
 def _side(ops, p50, digest="d0"):
@@ -47,46 +48,100 @@ RUNS = [
 
 class TestSummarize:
     def test_pairs_seeds_and_workload_order(self):
-        s = bench_pairs.summarize(RUNS, BETTER)
+        s = bench_pairs.summarize(RUNS, SPEC)
         assert list(s) == ["oracle-sweep", "lemma-scan"]
         assert s["oracle-sweep"]["pairs"] == 5
         assert s["oracle-sweep"]["seeds"] == [7, 8, 9, 10, 11]
         assert s["lemma-scan"]["seeds"] == [7, 8]
 
     def test_medians_and_quartiles(self):
-        ops = bench_pairs.summarize(RUNS, BETTER)["oracle-sweep"]["metrics"]["ops_per_s"]
+        ops = bench_pairs.summarize(RUNS, SPEC)["oracle-sweep"]["metrics"]["ops_per_s"]
         # inclusive quartiles of 10..14 and of 12, 12, 13, 15, 16
         assert ops["parent"] == {"q1": 11.0, "median": 12.0, "q3": 13.0}
         assert ops["change"] == {"q1": 12.0, "median": 13.0, "q3": 15.0}
 
     def test_wins_follow_the_better_direction_and_ties_count_for_neither(self):
-        m = bench_pairs.summarize(RUNS, BETTER)["oracle-sweep"]["metrics"]
+        m = bench_pairs.summarize(RUNS, SPEC)["oracle-sweep"]["metrics"]
         assert (m["ops_per_s"]["wins"], m["ops_per_s"]["losses"], m["ops_per_s"]["ties"]) == (4, 0, 1)
         assert (m["op_ms_p50"]["wins"], m["op_ms_p50"]["losses"], m["op_ms_p50"]["ties"]) == (3, 2, 0)
-        lemma = bench_pairs.summarize(RUNS, BETTER)["lemma-scan"]["metrics"]
+        lemma = bench_pairs.summarize(RUNS, SPEC)["lemma-scan"]["metrics"]
         assert (lemma["ops_per_s"]["wins"], lemma["ops_per_s"]["losses"]) == (0, 2)
         assert lemma["op_ms_p50"]["ties"] == 2
 
     def test_only_the_named_metrics_are_summarized(self):
-        s = bench_pairs.summarize(RUNS, BETTER)
-        assert all(set(w["metrics"]) == set(BETTER) for w in s.values())
+        s = bench_pairs.summarize(RUNS, SPEC)
+        assert all(set(w["metrics"]) == set(SPEC) for w in s.values())
         assert s["oracle-sweep"]["metrics"]["op_ms_p50"]["better"] == "lower"
 
     def test_digest_agreement_per_workload(self):
-        s = bench_pairs.summarize(RUNS, BETTER)
+        s = bench_pairs.summarize(RUNS, SPEC)
         assert s["oracle-sweep"]["digests_equal"] is False
         assert s["lemma-scan"]["digests_equal"] is True
 
     def test_one_pair_has_collapsed_quartiles(self):
-        s = bench_pairs.summarize(RUNS[:1], BETTER)["oracle-sweep"]["metrics"]["ops_per_s"]
+        s = bench_pairs.summarize(RUNS[:1], SPEC)["oracle-sweep"]["metrics"]["ops_per_s"]
         assert s["parent"] == {"q1": 10.0, "median": 10.0, "q3": 10.0}
         assert s["wins"] == 1
 
     def test_pure(self):
         before = copy.deepcopy(RUNS)
-        first = bench_pairs.summarize(RUNS, BETTER)
+        first = bench_pairs.summarize(RUNS, SPEC)
         assert RUNS == before
-        assert bench_pairs.summarize(RUNS, BETTER) == first
+        assert bench_pairs.summarize(RUNS, SPEC) == first
+
+
+def _spread_runs(parent, change):
+    """Pairs of one workload whose ops_per_s and op_ms_p50 both read the given values."""
+    return [_pair("lemma-scan", k, _side(p, p), _side(c, c))
+            for k, (p, c) in enumerate(zip(parent, change))]
+
+
+NARROW = [100.0, 101.0, 102.0, 103.0, 104.0]    # interquartile spread 2, median 102
+WIDE = [50.0, 70.0, 100.0, 130.0, 150.0]        # interquartile spread 60, median 100
+
+
+class TestUnresolved:
+    """A metric is unresolved when either side's interquartile spread exceeds its bound
+    times the parent's median, unless every change run reads better than every parent run."""
+
+    def _metrics(self, parent, change, spec=SPEC):
+        return bench_pairs.summarize(_spread_runs(parent, change), spec)["lemma-scan"]["metrics"]
+
+    def test_the_bound_is_recorded(self):
+        m = self._metrics(NARROW, NARROW)
+        assert m["ops_per_s"]["bound"] == 0.2 and m["op_ms_p50"]["bound"] == 0.2
+
+    def test_narrow_runs_on_both_sides_are_resolved(self):
+        m = self._metrics(NARROW, [99.0, 100.0, 101.0, 102.0, 103.0])
+        assert not m["ops_per_s"]["unresolved"] and not m["op_ms_p50"]["unresolved"]
+
+    def test_a_wide_parent_is_unresolved(self):
+        m = self._metrics(WIDE, NARROW)
+        assert m["ops_per_s"]["unresolved"] and m["op_ms_p50"]["unresolved"]
+
+    def test_a_wide_change_is_unresolved(self):
+        m = self._metrics(NARROW, WIDE)
+        assert m["ops_per_s"]["unresolved"] and m["op_ms_p50"]["unresolved"]
+
+    def test_wide_runs_that_separate_in_the_better_direction_are_resolved(self):
+        # every change run above every parent run: better for ops_per_s only
+        m = self._metrics([10.0, 20.0, 30.0, 40.0, 50.0], [60.0, 80.0, 100.0, 120.0, 140.0])
+        assert not m["ops_per_s"]["unresolved"]
+        assert m["op_ms_p50"]["unresolved"]
+
+    def test_a_spread_equal_to_the_bound_is_resolved(self):
+        # interquartile spread 25 = 0.25 x the parent's median 100, on both sides
+        parent, change = [80.0, 90.0, 100.0, 115.0, 120.0], [85.0, 90.0, 95.0, 115.0, 125.0]
+        m = self._metrics(parent, change, {"ops_per_s": {"better": "higher", "bound": 0.25}})
+        assert m["ops_per_s"]["parent"]["q3"] - m["ops_per_s"]["parent"]["q1"] == 25.0
+        assert not m["ops_per_s"]["unresolved"]
+        m = self._metrics(parent, change, {"ops_per_s": {"better": "higher", "bound": 0.24}})
+        assert m["ops_per_s"]["unresolved"]
+
+    def test_unresolved_is_reported_for_every_metric(self):
+        s = bench_pairs.summarize(RUNS, SPEC)
+        assert all(isinstance(m["unresolved"], bool)
+                   for w in s.values() for m in w["metrics"].values())
 
 
 def test_src_lines_counts_the_newlines_of_python_files_only(tmp_path):

@@ -379,17 +379,21 @@ FACES = {"full": oracle._FULL, "t21": oracle._T21_FACE, "t22": oracle._T22_FACE}
 
 
 def _sample(face, budget: int, seed: int) -> np.ndarray:
-    """The box coordinates of the whole sample the screen draws: whole blocks from
-    one generator, cut to the budget."""
+    """The box coordinates of the whole sample the screen draws, one column per row:
+    whole blocks from one generator, cut to the budget, radii as drawn and each angle
+    the lattice angle k 2 pi / N of its uniform u, k = floor(u N)."""
     rng = np.random.default_rng(seed)
     blocks = [oracle._draw(rng, face) for _ in range(0, budget, oracle._BLOCK)]
-    return oracle._box(face, np.hstack(blocks)[:, :budget])
+    x = np.hstack(blocks)[:, :budget]
+    k = np.floor(x[face.angle] * oracle._LATTICE_N).astype(int)
+    x[face.angle] = oracle._LATTICE_ANGLES[k]
+    return x
 
 
 def _check_screen(fs: np.ndarray, seed: int, face=oracle._FULL):
     budget = len(fs)
     sample = _sample(face, budget, seed)
-    want = sample[np.argsort(-fs, kind="stable")[:oracle._N_STARTS]]
+    want = sample[:, np.argsort(-fs, kind="stable")[:oracle._N_STARTS]]
     got = oracle._screen(_replaying(fs), _keep_every_row, face, budget, seed)
     assert np.array_equal(got, want)
 
@@ -450,7 +454,7 @@ def _majorant_excess(obj, majorant, face, u):
     """The screen's objective at draws u minus the bound it drops rows by:
     majorant (1 + tol) + tol majorant(1, ..., 1) + tiny.  Never positive if sound."""
     phase = oracle._LATTICE_PHASES[oracle._lattice(face, u)]
-    values = obj(*schur_map(*oracle._gammas(face, u.T, phase.T)))
+    values = obj(*schur_map(*oracle._gammas(face, u, phase)))
     ones = majorant(*[1.0] * len(face.parts))
     bound = (majorant(*oracle._moduli(face, u)) * (1 + oracle._MAJORANT_TOL)
              + oracle._MAJORANT_TOL * ones + np.finfo(float).tiny)
@@ -484,7 +488,7 @@ class TestMajorant:
         for face in FACES.values():
             u = _edge_draws(face, 3)
             phase = oracle._LATTICE_PHASES[oracle._lattice(face, u)]
-            c = schur_map(*oracle._gammas(face, u.T, phase.T))
+            c = schur_map(*oracle._gammas(face, u, phase))
             for cj, mj in zip(c, oracle._moduli(face, u)):
                 assert np.all(abs(cj) <= mj * (1 + 1e-15) + 1e-15)
 
@@ -546,24 +550,24 @@ def _reference_compass(obj, face, x0):
     iteration probes every start and recomputes the phases of all candidates from
     their angles, and a start whose step is below ``_STEP_MIN`` keeps its (x, f)."""
     x = x0.copy()
-    coord = np.repeat(np.arange(x.shape[1]), 2)
-    sign = np.tile([1.0, -1.0], x.shape[1])[:, None]
+    coord = np.repeat(np.arange(len(x)), 2)
+    sign = np.tile([1.0, -1.0], len(x))[:, None]
     is_angle = np.isin(coord, face.angle)[:, None]
     f = obj(*oracle._gammas(face, x))
-    step = np.full(len(x), oracle._STEP_INIT)
-    rows = np.arange(len(x))
+    step = np.full(x.shape[1], oracle._STEP_INIT)
+    cols = np.arange(x.shape[1])
     iters = 0
     while np.any(live := step >= oracle._STEP_MIN) and iters < oracle._MAX_ITERS:
         iters += 1
-        moved = x[:, coord].T + sign * step
+        moved = x[coord] + sign * step
         moved = np.where(is_angle, np.mod(moved, 2.0 * np.pi), np.clip(moved, 0.0, 1.0))
-        cand = np.repeat(x[None, :, :], len(coord), axis=0)
-        cand[np.arange(len(coord)), :, coord] = moved
+        cand = np.repeat(x[:, None, :], len(coord), axis=1)
+        cand[coord, np.arange(len(coord))] = moved
         fc = obj(*oracle._gammas(face, cand))
         best = np.argmax(fc, axis=0)
-        fbest = fc[best, rows]
+        fbest = fc[best, cols]
         improved = live & (fbest > f)
-        x[improved] = cand[best[improved], rows[improved]]
+        x[:, improved] = cand[:, best[improved], cols[improved]]
         f = np.where(improved, fbest, f)
         step = np.where(live & ~improved, step / 2.0, step)
     return x, f, iters
@@ -638,7 +642,7 @@ class TestCompassPhaseCache:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_recomputed_phases(self, face, objective, seed):
         face, obj = _face_case(face, objective)
-        starts = np.vstack([oracle._SEED_POINTS[:, face.box], _sample(face, 27, seed)])
+        starts = np.hstack([oracle._SEED_POINTS[face.box], _sample(face, 27, seed)])
         x, f, iters = oracle._compass_search(obj, face, starts)
         want_x, want_f, want_iters = _reference_compass(obj, face, starts)
         assert np.array_equal(x, want_x)
@@ -652,18 +656,18 @@ class TestCompassIndependentStarts:
     def test_first_starts_alone_match_the_whole_batch(self):
         obj = _lemma_objective(1.5, -0.5)
         starts = oracle._screen(obj, _lemma_majorant(1.5, -0.5), oracle._FULL, 5000, 1)
-        assert len(starts) == oracle._N_STARTS
+        assert starts.shape[1] == oracle._N_STARTS
         x, f, _ = oracle._compass_search(obj, oracle._FULL, starts)
         for lo, hi in ((0, 8), (0, 1), (5, 6)):
-            xa, fa, _ = oracle._compass_search(obj, oracle._FULL, starts[lo:hi])
-            assert np.array_equal(xa, x[lo:hi])
+            xa, fa, _ = oracle._compass_search(obj, oracle._FULL, starts[:, lo:hi])
+            assert np.array_equal(xa, x[:, lo:hi])
             assert np.array_equal(fa, f[lo:hi])
 
     def test_iterations_are_the_last_start_to_stop(self):
         obj = _lemma_objective(1.5, -0.5)
         starts = oracle._screen(obj, _lemma_majorant(1.5, -0.5), oracle._FULL, 5000, 1)
-        alone = [oracle._compass_search(obj, oracle._FULL, starts[i:i + 1])[2]
-                 for i in range(len(starts))]
+        alone = [oracle._compass_search(obj, oracle._FULL, starts[:, i:i + 1])[2]
+                 for i in range(starts.shape[1])]
         assert oracle._compass_search(obj, oracle._FULL, starts)[2] == max(alone)
 
 
@@ -703,12 +707,12 @@ class TestScreenPhases:
         kept = oracle._screen(obj, _keep_every_row, face, budget, 5)
         fs = np.concatenate(values)
         sample = _sample(face, budget, 5)
-        t = sample[:, face.angle]  # every drawn angle is a lattice angle
+        t = sample[face.angle]  # every drawn angle is a lattice angle
         k = np.rint(t / (2 * np.pi / oracle._LATTICE_N)).astype(int)
         assert np.all((0 <= k) & (k < oracle._LATTICE_N))
         assert np.array_equal(t, oracle._LATTICE_ANGLES[k])
         top = np.argsort(-fs, kind="stable")[:oracle._N_STARTS]
-        assert np.array_equal(kept, sample[top])
+        assert np.array_equal(kept, sample[:, top])
         assert np.array_equal(f(*oracle._gammas(face, kept)), fs[top])
 
 

@@ -90,7 +90,15 @@ class TestSampler:
     def gammas(self, u):
         """(rows, parameters) complex parameters as the screen forms them from draws u."""
         phase = oracle._LATTICE_PHASES[oracle._lattice(self.face, u)]
-        return np.stack(oracle._gammas(self.face, u.T, phase.T), axis=-1)
+        return np.stack(oracle._gammas(self.face, u, phase), axis=-1)
+
+    def box(self, u):
+        """The box coordinates of draws u, one column per row: radii as drawn, each
+        angle the lattice angle k 2 pi / N of its uniform u, k = floor(u N)."""
+        x = u.copy()
+        k = np.floor(u[self.face.angle] * oracle._LATTICE_N).astype(int)
+        x[self.face.angle] = oracle._LATTICE_ANGLES[k]
+        return x
 
     def test_deterministic(self):
         assert np.array_equal(self.draw(9, 50), self.draw(9, 50))
@@ -102,8 +110,7 @@ class TestSampler:
         for budget in (1, 10, block - 1, block, block + 1, 2 * block + 4):
             got = self.draw(5, budget)
             assert np.array_equal(got, whole[:, :budget])
-            assert np.array_equal(oracle._box(self.face, got),
-                                  oracle._box(self.face, whole)[:budget])
+            assert np.array_equal(self.box(got), self.box(whole)[:, :budget])
 
     def test_all_samples_admissible(self):
         g = self.gammas(self.draw(17, 10 ** 4))
@@ -127,7 +134,7 @@ class TestSampler:
         leaves out has no coordinate and is not formed, and its report
         (``SchurParams``) holds exactly 0."""
         u = self.draw(8, 10 ** 4)
-        x, g = oracle._box(self.face, u), self.gammas(u)
+        x, g = self.box(u), self.gammas(u)
         box = list(self.face.box)
         assert g.shape[1] == len(self.face.parts)
         for j in range(len(self.face.parts), 3):
@@ -136,7 +143,7 @@ class TestSampler:
         for j, (kind, _) in enumerate(self.face.parts):
             if kind == "circle":
                 assert 2 * j not in box
-                t = x[:, box.index(2 * j + 1)]
+                t = x[box.index(2 * j + 1)]
                 k = np.rint(t / (2 * np.pi / oracle._LATTICE_N)).astype(int)
                 assert np.array_equal(t, oracle._LATTICE_ANGLES[k])
                 assert np.array_equal(g[:, j], oracle._LATTICE_PHASES[k])
@@ -166,13 +173,14 @@ def test_draw_layout(face, free):
     u = np.random.default_rng(4).random((n, oracle._BLOCK))
     draws = oracle._draw(np.random.default_rng(4), face)
     assert draws.shape == (n, oracle._BLOCK)
-    x = oracle._box(face, draws)
+    x = draws.copy()  # box coordinates, built from the lattice indices of the angle rows
+    x[face.angle] = oracle._LATTICE_ANGLES[oracle._lattice(face, draws)]
     phase = oracle._LATTICE_PHASES[oracle._lattice(face, draws)]
     k = np.floor(u * oracle._LATTICE_N).astype(int)
     is_angle = np.array(free) % 2 == 1
     want = np.where(is_angle[:, None], oracle._LATTICE_ANGLES[k], u)
     want[0, 1::2] = 1.0 - 0.1 * u[0, 1::2] ** 2
-    assert np.array_equal(x, want.T)
+    assert np.array_equal(x, want)
     assert np.array_equal(phase, oracle._LATTICE_PHASES[k[is_angle]])
 
 

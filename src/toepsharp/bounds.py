@@ -102,8 +102,9 @@ def omega_region(sigma: float, mu: float) -> RegionMembership:
 
     Overlaps (|sigma| exactly 2 or 4) report the lower index.  NaN data lie in no
     region, nor does (+-inf, +inf), where Omega3's mu - (2/3)(|sigma| - 1) is NaN.
+    A sigma or mu that is not an integer, Fraction or float raises TypeError.
     """
-    sigma, mu = float(sigma), float(mu)
+    sigma, mu = float(_real("sigma", sigma)), float(_real("mu", mu))
     nowhere = math.isnan(mu - abs(sigma))  # a NaN, or |sigma| = mu = inf
     return RegionMembership(Region.NONE if nowhere else _region(_slacks(sigma, mu)), sigma, mu)
 

@@ -6,8 +6,8 @@ function omega.  Matching powers of z makes each coefficient a polynomial
 in (c1, c2, c3) and the Taylor data (B1, B2, B3) of phi; ``_TABLE`` holds
 them and ``table`` evaluates them exactly, for the bounds and the oracle.
 ``INVERSE`` states the inverse and logarithmic coefficients as polynomials
-in (a2, a3, a4), which ``_inverse`` evaluates; ``PAIRS`` names each
-functional's pair of them.
+in (a2, a3, a4), and ``PAIRS`` names each functional's pair of them.  ``_graded``
+evaluates all of these weight-graded polynomials, the table's rows and fields too.
 ``record`` makes the frozen value types of the exact paths.
 """
 
@@ -143,18 +143,14 @@ INVERSE = {
 }
 
 
-def _monomials(x1, x2, x3) -> tuple:
-    """The monomials of weight 1, 2, 3 in (x1, x2, x3), x_k of weight k, indexed by
-    weight: x1; x1^2, x2; x1^3, x1 x2, x3.  INVERSE's are those of (a2, a3, a4)."""
-    sq = x1 * x1
-    return None, (x1,), (sq, x2), (sq * x1, x1 * x2, x3)
-
-
-def _inverse(name: str, by_weight: tuple):
-    """The numerator of ``INVERSE[name]`` at the monomials ``by_weight`` of ``_monomials``;
-    over its divisor it is that coefficient of f^(-1)."""
-    nums = INVERSE[name][0]
-    return sum(map(operator.mul, nums, by_weight[len(nums)]))
+def _graded(k, x1, x2, x3=None):
+    """The sum of k_i m_i over the monomials m of weight len(k) in (x1, x2, x3), x_j of
+    weight j, in Horner order: k0 x1; k0 x1^2 + k1 x2; or (k0 x1^2 + k1 x2) x1 + k2 x3.
+    INVERSE's are those of (a2, a3, a4), _TABLE's of (B1, B2, B3) and of (c1, c2, c3)."""
+    if len(k) == 1:
+        return k[0] * x1
+    head = k[0] * x1 ** 2 + k[1] * x2
+    return head if len(k) == 2 else head * x1 + k[2] * x3
 
 
 # A field of weight w (a_{w+1}, b_{w+1}, Gamma_w) has one row per c-monomial: c1;
@@ -190,9 +186,9 @@ def table(kind: ClassKind, phi: PhiSpec, *names: str) -> tuple[tuple[tuple[int, 
     ``phi.integers`` = (n1, n2, n3, d), a row of degree m is an integer over den d^m."""
     fields = _known(_TABLE, kind, "class")
     n1, n2, n3, d = phi.integers
-    by_degree = _monomials(n1, n2 * d, n3 * d * d)  # the B-monomials of degree m times d^m
-    return tuple(tuple((sum(map(operator.mul, nums, by_degree[len(nums)])), den * d ** len(nums))
-                       for nums, den in fields[name]) for name in names)
+    b = (n1, n2 * d, n3 * d * d)  # B_k d^k, so a B-monomial of degree m comes times d^m
+    return tuple(tuple((_graded(nums, *b), den * d ** len(nums)) for nums, den in fields[name])
+                 for name in names)
 
 
 def _saturated(n: int, d: int) -> float:

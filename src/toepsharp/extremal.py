@@ -14,7 +14,7 @@ with X, Y the coefficients of the real r_m, and the functional is
 phi over one common denominator, so that value is exact for an exact phi.
 It reads neither the coefficient table nor the bound's formulas, which makes
 "attainment == bound" an independent certificate.  ``inverse_coeffs``
-evaluates ``INVERSE`` on the same integers for display.
+evaluates ``INVERSE`` on the same integers for display, through ``coeffs._graded``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .coeffs import (INVERSE, PAIRS, ClassKind, FunctionalKind, PhiSpec, _inverse, _known,
-                     _monomials, _saturated)
+from .coeffs import INVERSE, PAIRS, ClassKind, FunctionalKind, PhiSpec, _graded, _known, _saturated
 
 # 6^(m-1) / (m-1)! and 6^(m-1) / m! for m = 2, 3, 4: integers, so r_2, r_3, r_4
 # are these times t_m over (6 d)^(m-1) in either class.
@@ -68,9 +67,8 @@ def inverse_coeffs(kind: ClassKind, phi: PhiSpec) -> tuple[complex, ...]:
     """(b2, b3, b4, Gamma1, Gamma2, Gamma3) of the rotation extremal: each exact value
     rounded once (to +-inf past the float range), then rotated by i^w for its weight w."""
     scaled, d = _scaled(kind, phi)
-    by_weight = _monomials(*scaled)
-    return tuple(_rotated(_saturated(_inverse(name, by_weight), div * (6 * d) ** len(nums)),
-                          len(nums)) for name, (nums, div) in INVERSE.items())
+    return tuple(_rotated(_saturated(_graded(nums, *scaled), div * (6 * d) ** len(nums)), len(nums))
+                 for nums, div in INVERSE.values())
 
 
 def attainment(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec) -> Fraction | float:
@@ -82,10 +80,9 @@ def attainment(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec) -> Fra
     """
     pair = _known(PAIRS, functional, "functional")
     scaled, d = _scaled(kind, phi)
-    by_weight = _monomials(*scaled)
-    (_, e), (ys, f) = INVERSE[pair[0]], INVERSE[pair[1]]
-    p = _inverse(pair[0], by_weight)  # X = p / (e (6 d)^w)
-    q = _inverse(pair[1], by_weight)  # Y = q / (f (6 d)^(w+1))
+    (xs, e), (ys, f) = INVERSE[pair[0]], INVERSE[pair[1]]
+    p = _graded(xs, *scaled)  # X = p / (e (6 d)^w)
+    q = _graded(ys, *scaled)  # Y = q / (f (6 d)^(w+1))
     uu = 36 * d * d
     num, den = (p * f) ** 2 * uu + (q * e) ** 2, (e * f) ** 2 * uu ** len(ys)
     return Fraction(num, den) if phi.exact else _saturated(num, den)

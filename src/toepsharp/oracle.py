@@ -70,7 +70,7 @@ from enum import Enum
 import numpy as np
 
 from . import bounds
-from .coeffs import PAIRS, ClassKind, FunctionalKind, PhiSpec, table
+from .coeffs import PAIRS, ClassKind, FunctionalKind, PhiSpec, _graded, _real, table
 from .schwarz import SchurParams, schur_map
 
 # verdict tolerances, in units of max(1, |bound|)
@@ -277,26 +277,13 @@ def _maximize_objective(obj, majorant, face: _Face, budget: int,
 
 def _objective(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec):
     """(objective, majorant), elementwise.  The objective is |x_n^2 - x_{n+1}^2| from
-    the pair's table rows in floats, in Horner order, of (c1, c2) for T21 and of (c1,
-    c2, c3) for T22: (t0 c1^2 + t1 c2) c1 + t2 c3.  The majorant is |x_n|^2 +
-    |x_{n+1}|^2 with |rows| at the coefficients' moduli, by the same polynomials."""
+    the pair's table rows in floats by ``coeffs._graded``, of (c1, c2) for T21 and of
+    (c1, c2, c3) for T22.  The majorant is |x_n|^2 + |x_{n+1}|^2 with |rows| at the
+    coefficients' moduli, by the same polynomials."""
     rows = [[n / d for n, d in r] for r in table(kind, phi, *PAIRS[functional])]
     moduli_rows = [[abs(t) for t in r] for r in rows]
-
-    def xy(x, y, c1, c2, c3=None):
-        if c3 is None:  # T21: (k c1, u c1^2 + v c2)
-            return x[0] * c1, y[0] * c1 ** 2 + y[1] * c2
-        c1sq = c1 ** 2  # T22: (u c1^2 + v c2, (q1 c1^2 + q2 c2) c1 + q3 c3)
-        return x[0] * c1sq + x[1] * c2, (y[0] * c1sq + y[1] * c2) * c1 + y[2] * c3
-
-    def objective(*c):
-        x, y = xy(*rows, *c)
-        return abs(x ** 2 - y ** 2)
-
-    def majorant(*m):
-        x, y = xy(*moduli_rows, *m)
-        return x ** 2 + y ** 2
-    return objective, majorant
+    return (lambda *c: abs(_graded(rows[0], *c) ** 2 - _graded(rows[1], *c) ** 2),
+            lambda *m: _graded(moduli_rows[0], *m) ** 2 + _graded(moduli_rows[1], *m) ** 2)
 
 
 def _verdict(bound: float, emp: float) -> Verdict:
@@ -361,15 +348,16 @@ def lemma1_scan(
     which case only the empirical value is meaningful and the verdict is
     ValidNotAttained.  A bound is judged as in ``maximize``: with s =
     max(1, |mu|), VIOLATION iff the maximum exceeds |mu| + VIOLATION_TOL * s,
-    else SharpConfirmed iff it is within SHARPNESS_TOL * s of |mu|.  A NaN or
-    infinite sigma or mu raises ValueError before the search.
+    else SharpConfirmed iff it is within SHARPNESS_TOL * s of |mu|.  A sigma or mu that
+    is not an integer, Fraction or float raises TypeError, a NaN or infinite one
+    ValueError, before the search.
     """
-    sigma, mu = float(sigma), float(mu)
+    sigma, mu = float(_real("sigma", sigma)), float(_real("mu", mu))
     if not (math.isfinite(sigma) and math.isfinite(mu)):
         raise ValueError(f"sigma and mu must be finite, got ({sigma!r}, {mu!r})")
     _, emp, _ = _maximize_objective(
         lambda c1, c2, c3: np.abs(c3 + sigma * c1 * c2 + mu * c1 ** 3),
-        lambda m1, m2, m3: m3 + abs(sigma) * m1 * m2 + abs(mu) * m1 ** 3, _FULL, budget, seed)
+        lambda *m: _graded((abs(mu), abs(sigma), 1.0), *m), _FULL, budget, seed)
     membership = bounds.omega_region(sigma, mu)
     if membership.region is bounds.Region.NONE:
         return emp, None, Verdict.VALID_NOT_ATTAINED

@@ -23,8 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from toepsharp.coeffs import (INVERSE, PAIRS, ClassKind, FunctionalKind, PhiSpec, _inverse,
-                              _monomials, table)
+from toepsharp.coeffs import INVERSE, PAIRS, ClassKind, FunctionalKind, PhiSpec, table
 from toepsharp.schwarz import SchurParams, schur_map
 from series import Series, compose
 
@@ -99,7 +98,9 @@ def solve(kind: ClassKind, phi: PhiSpec, t: SchwarzTriple) -> tuple[complex, com
 def inverse(name: str, a2, a3, a4):
     """The coefficient ``name`` of ``INVERSE`` (b2..b4 of f^(-1), or g1..g3, its
     logarithmic ones) for f with coefficients (a2, a3, a4)."""
-    return _inverse(name, _monomials(a2, a3, a4)) / INVERSE[name][1]
+    nums, div = INVERSE[name]
+    monomials = {1: (a2,), 2: (a2 ** 2, a3), 3: (a2 ** 3, a2 * a3, a4)}
+    return sum(n * m for n, m in zip(nums, monomials[len(nums)])) / div
 
 
 def toeplitz(kind: FunctionalKind, a):

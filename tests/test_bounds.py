@@ -62,6 +62,15 @@ class TestOmegaRegion:
         assert omega_region(1.0, math.inf).region is Region.OMEGA1
         assert omega_region(math.inf, 5.0).region is Region.NONE
 
+    @pytest.mark.parametrize("sigma, mu", [("1", 2), (1, "2"), (1j, 2), (1, 2 + 0j),
+                                           (None, 2), (1, None), (np.float32(1), 2)])
+    def test_rejects_a_non_real(self, sigma, mu):
+        with pytest.raises(TypeError, match="integers, Fractions or floats only"):
+            omega_region(sigma, mu)
+
+    def test_integers_fractions_and_numpy_doubles_alike(self):
+        assert omega_region(3, 2) == omega_region(F(3), np.float64(2.0)) == omega_region(3.0, 2.0)
+
 
 @given(sigma=st.floats(-10, 10), mu=st.floats(-5, 20),
        bump=st.floats(0, 10))

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -22,6 +23,7 @@ from toepsharp.coeffs import (
     ClassKind,
     FunctionalKind,
     PhiSpec,
+    _graded,
     record,
     table,
 )
@@ -96,6 +98,40 @@ class TestToeplitz:
         assert inverse("b3", *a) == -5
         assert inverse("b4", *a) == 14j
         assert abs(toeplitz(FunctionalKind.T22_INV, a) - 221) < TOL * 221
+
+
+def _monomial_sum(k, x1, x2, x3):
+    """The sum of k_i m_i over the monomials of weight len(k), written out term by term."""
+    monomials = {1: (x1,), 2: (x1 * x1, x2), 3: (x1 * x1 * x1, x1 * x2, x3)}
+    return sum(a * m for a, m in zip(k, monomials[len(k)]))
+
+
+class TestGraded:
+    """``coeffs._graded``: the weight-graded sum, exact on integers and Fractions,
+    and in Horner order on complex arrays, bit for bit."""
+
+    @pytest.mark.parametrize("weight", [1, 2, 3])
+    def test_integers_and_fractions_exactly(self, weight):
+        rng = random.Random(weight)
+        for _ in range(200):
+            ints = [rng.randint(-10 ** 9, 10 ** 9) for _ in range(weight + 3)]
+            fracs = [F(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(weight + 3)]
+            for v in (ints, fracs):
+                k, x = v[:weight], v[weight:]
+                assert _graded(k, *x) == _monomial_sum(k, *x)
+                if weight < 3:
+                    assert _graded(k, *x[:2]) == _monomial_sum(k, *x)
+
+    @pytest.mark.parametrize("weight", [1, 2, 3])
+    def test_complex_arrays_in_horner_order(self, weight):
+        rng = np.random.default_rng(weight)
+        x1, x2, x3 = rng.normal(size=(3, 257)) + 1j * rng.normal(size=(3, 257))
+        k = [float(v) for v in rng.normal(size=weight)]
+        horner = {1: lambda: k[0] * x1,
+                  2: lambda: k[0] * x1 ** 2 + k[1] * x2,
+                  3: lambda: (k[0] * x1 ** 2 + k[1] * x2) * x1 + k[2] * x3}[weight]()
+        assert np.array_equal(_graded(k, x1, x2, x3), horner)
+        assert np.array_equal(_graded(k, *(x1, x2, x3)[:max(2, weight)]), horner)
 
 
 class TestFeketeSzego:

@@ -344,6 +344,16 @@ class TestLemmaScan:
         with pytest.raises(ValueError, match="must be finite"):
             lemma1_scan(sigma, mu, budget=100)
 
+    @pytest.mark.parametrize("sigma, mu", [("1", 2), (1, "2"), (1j, 2), (1, 2 + 0j),
+                                           (None, 2), (1, None)])
+    def test_rejects_a_non_real_before_the_search(self, sigma, mu, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(oracle, "_maximize_objective", no_search)
+        with pytest.raises(TypeError, match="integers, Fractions or floats only"):
+            lemma1_scan(sigma, mu, budget=100)
+
 
 # Screen selection: the streamed top-k must pick exactly the rows a stable
 # descending sort of the whole sample picks, ties, NaN and +-inf included.

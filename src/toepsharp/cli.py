@@ -211,7 +211,7 @@ def cmd_bound(args) -> _Result:
 def cmd_table(args) -> _Result:
     rows = []
     for entry in catalog.fixture_entries():
-        if args.only and entry.name != args.only:
+        if args.only is not None and entry.name != args.only:
             continue
         for functional, expected in entry.fixtures:
             rep = bounds.theorem_bound(functional, entry.class_kind, entry.phi)
@@ -397,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, report, render = args.func(args)
         lines = [_dump_json(report)] if args.format == "json" else render()
-        if args.out:
+        if args.out is not None:
             _write_run_record(args.out, parsed, report, code)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,15 +2,15 @@
 
 The body is the image under ``schur_map`` of the box of three unit-disk
 parameters gamma_j = r_j exp(i t_j).  By the maximum-modulus principle
-``maximize`` searches only the face where its functional peaks: T21 reads only
-c1 = gamma0 and c2 = (1 - |gamma0|^2) gamma1, a polynomial in gamma1 for fixed
-gamma0, so it searches (gamma0, gamma1) with gamma1 on |gamma1| = 1 and maps
-them to (c1, c2) alone; T22 is a polynomial in c3, which is affine in gamma2,
-so it peaks on |gamma2| = 1.  ``lemma1_scan`` searches the whole box.  A
-seeded random multistart plus a derivative-free compass search finds the
-global maximum reliably.  The extremal omega(z) = iz and its real rotations
-are always injected as starts, so the empirical maximum can never fall below
-the attainment value, whatever the budget.
+``maximize`` searches only the face where its functional peaks, which the
+coefficients it reads decide (``_FACES``): T21 reads c1 = gamma0 and c2 = (1 -
+|gamma0|^2) gamma1, a polynomial in gamma1 for fixed gamma0, so its face is
+(gamma0, gamma1) with |gamma1| = 1; T22 is a polynomial in c3 too, which is
+affine in gamma2, so it peaks on |gamma2| = 1.  ``lemma1_scan`` searches the
+whole box.  A seeded random multistart plus a derivative-free compass search
+finds the global maximum reliably.  The extremal omega(z) = iz and its real
+rotations are always injected as starts, so the empirical maximum can never
+fall below the attainment value, whatever the budget.
 
 The screen streams the sample through blocks of ``_BLOCK`` rows, so its
 memory is O(block) whatever the budget.  Each block is one draw from the
@@ -46,8 +46,8 @@ about 6 delta majorant(1, ..., 1).  Each term is near 1e-15 of those
 scales, far below 1e-12; tiny covers underflow.
 
 The objectives take the coefficients their face generates, (c1, c2) or
-(c1, c2, c3), ``maximize``'s from the rows of ``coeffs.table``;
-``_maximize_objective`` maps face points to them.  The screen's phases come
+(c1, c2, c3); the screen and the compass search evaluate them at
+``schur_map`` of the face's parameters.  The screen's phases come
 from the lattice; the compass search's do not: it keeps each start's exp(1j
 t) of continuous angles, reused by a radius probe and recomputed by an angle
 probe for the one angle it moved.  A lattice phase is exp(1j t) of its
@@ -129,9 +129,7 @@ class _Face:
 
 
 _FULL = _Face("disk", "disk", "disk")
-_T21_FACE, _T22_FACE = _Face("disk", "circle"), _Face("disk", "disk", "circle")
-_FACES = {FunctionalKind.T21_INV: _T21_FACE, FunctionalKind.T21_LOG_INV: _T21_FACE,
-          FunctionalKind.T22_INV: _T22_FACE, FunctionalKind.T22_LOG_INV: _T22_FACE}
+_FACES = {2: _Face("disk", "circle"), 3: _Face("disk", "disk", "circle")}
 
 
 def _gammas(face: _Face, x: np.ndarray, phase: np.ndarray | None = None) -> list:
@@ -180,11 +178,11 @@ def _moduli(face: _Face, u: np.ndarray) -> tuple:
 def _screen(obj, majorant, face: _Face, budget: int, seed: int) -> np.ndarray:
     """The min(_N_STARTS, budget) best sample rows in box coordinates, best first.
 
-    Streams the sample in blocks and keeps a running top-k of the
-    negated values with their draws, one stable sort per merge.  The
-    running top goes before the block's rows, all of which come later in
-    the sample, so ties keep earlier rows first.  Once the top is full,
-    only rows whose majorant reaches the k-th value are evaluated.
+    Streams the sample in blocks and keeps a running top-k of the negated values of
+    obj at ``schur_map`` of the rows' parameters, with their draws, one stable sort per
+    merge.  The running top goes before the block's rows, all of which come later in
+    the sample, so ties keep earlier rows first.  Once the top is full, only rows
+    whose majorant at the coefficients' ``_moduli`` reaches the k-th value are evaluated.
     """
     rng = np.random.default_rng(seed)
     slack = _MAJORANT_TOL * majorant(*[1.0] * len(face.parts)) + np.finfo(float).tiny
@@ -197,7 +195,7 @@ def _screen(obj, majorant, face: _Face, budget: int, seed: int) -> np.ndarray:
                 u = np.compress(~(majorant(*_moduli(face, u)) * (1.0 + _MAJORANT_TOL) + slack
                                   < -top_keys[-1]), u, axis=1)
             phase = _LATTICE_PHASES[_lattice(face, u)]
-            keys = np.concatenate([top_keys, -obj(*_gammas(face, u, phase))])
+            keys = np.concatenate([top_keys, -obj(*schur_map(*_gammas(face, u, phase)))])
             top = np.argsort(keys, kind="stable")[:_N_STARTS]
             top_keys, top_u = keys[top], np.concatenate([top_u, u], axis=1)[:, top]
     top_u[face.angle] = _LATTICE_ANGLES[_lattice(face, top_u)]
@@ -207,17 +205,16 @@ def _screen(obj, majorant, face: _Face, budget: int, seed: int) -> np.ndarray:
 def _compass_search(obj, face: _Face, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Vectorized compass (pattern) search on the face, one column per start.
 
-    Probes +-step along each coordinate, moves to the best improving
-    probe, halves the step when nothing improves.  Deterministic.  A start
-    is probed while its own step is at least ``_STEP_MIN`` (for at most
-    ``_MAX_ITERS`` iterations); then its (x, f) is written out and its column
-    leaves the working arrays, so its result does not depend on the other
-    starts.  The count returned is the last start's.  Probes 2 d and 2 d + 1
-    move coordinate d, and only it is projected back into the box: the
-    others are in the box already, where the projection is the identity.
-    Each start's phases exp(1j t) are kept alongside its coordinates, so
-    only the angle probes evaluate exp, each for its one moved angle; a
-    kept phase is always that of the projected angle.
+    f is obj at ``schur_map`` of a point's parameters.  Probes +-step along each
+    coordinate, moves to the best improving probe, halves the step when nothing
+    improves.  Deterministic.  A start is probed while its own step is at least
+    ``_STEP_MIN`` (for at most ``_MAX_ITERS`` iterations); then its (x, f) is written
+    out and its column leaves the working arrays, so its result does not depend on
+    the other starts.  The count returned is the last start's.  Probes 2 d and 2 d + 1
+    move coordinate d, and only it is projected back into the box: the others are in
+    the box already, where the projection is the identity.  Each start's phases
+    exp(1j t) are kept alongside its coordinates, so only the angle probes evaluate
+    exp, each for its one moved angle; a kept phase is always that of the projected angle.
     """
     x = x0.copy()
     coord = np.repeat(np.arange(len(x)), 2)  # the coordinate each probe moves
@@ -226,7 +223,7 @@ def _compass_search(obj, face: _Face, x0: np.ndarray) -> tuple[np.ndarray, np.nd
     angle_probes = np.flatnonzero(is_angle)
     rows = np.searchsorted(face.angle, coord[angle_probes])  # their phase rows
     phase = np.exp(1j * x[face.angle])
-    f = obj(*_gammas(face, x, phase))
+    f = obj(*schur_map(*_gammas(face, x, phase)))
     x_out, f_out = np.empty_like(x), np.empty_like(f)
     step = np.full(len(f), _STEP_INIT)
     live = np.arange(len(f))  # the start of each working column
@@ -240,7 +237,7 @@ def _compass_search(obj, face: _Face, x0: np.ndarray) -> tuple[np.ndarray, np.nd
         cand[coord, np.arange(len(coord))] = moved
         cphase = np.repeat(phase[:, None, :], len(coord), axis=1)  # (angles, probes, S)
         cphase[rows, angle_probes] = np.exp(1j * moved[angle_probes])
-        fc = obj(*_gammas(face, cand, cphase))  # (probes, S)
+        fc = obj(*schur_map(*_gammas(face, cand, cphase)))  # (probes, S)
         best = np.argmax(fc, axis=0)  # first max wins: deterministic
         fbest = fc[best, cols]
         improved = fbest > f
@@ -265,25 +262,23 @@ def _maximize_objective(obj, majorant, face: _Face, budget: int,
     budget, seed = operator.index(budget), operator.index(seed)
     if budget < 1 or seed < 0:
         raise ValueError(f"need budget >= 1 and seed >= 0, got budget={budget}, seed={seed}")
-
-    def f(*g):
-        return obj(*schur_map(*g))
-
-    starts = np.hstack([_SEED_POINTS[face.box], _screen(f, majorant, face, budget, seed)])
-    xr, fr, iters = _compass_search(f, face, starts)
+    starts = np.hstack([_SEED_POINTS[face.box], _screen(obj, majorant, face, budget, seed)])
+    xr, fr, iters = _compass_search(obj, face, starts)
     k = int(np.argmax(fr))
     return SchurParams(*map(complex, _gammas(face, xr[:, k]))), float(fr[k]), iters
 
 
 def _objective(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec):
-    """(objective, majorant), elementwise.  The objective is |x_n^2 - x_{n+1}^2| from
-    the pair's table rows in floats by ``coeffs._graded``, of (c1, c2) for T21 and of
-    (c1, c2, c3) for T22.  The majorant is |x_n|^2 + |x_{n+1}|^2 with |rows| at the
-    coefficients' moduli, by the same polynomials."""
+    """(objective, majorant, face).  The objective is |x_n^2 - x_{n+1}^2| from the pair's
+    table rows in floats by ``coeffs._graded``, elementwise in the coefficients; the
+    majorant is |x_n|^2 + |x_{n+1}|^2 with |rows| at their moduli, by the same polynomials.
+    A weight-w row has one term per c-monomial of weight w, so the objective reads c1 ...
+    c_w, w = len(rows[1]): 2 for T21, 3 for T22, and the face is ``_FACES[w]``."""
     rows = [[n / d for n, d in r] for r in table(kind, phi, *PAIRS[functional])]
     moduli_rows = [[abs(t) for t in r] for r in rows]
     return (lambda *c: abs(_graded(rows[0], *c) ** 2 - _graded(rows[1], *c) ** 2),
-            lambda *m: _graded(moduli_rows[0], *m) ** 2 + _graded(moduli_rows[1], *m) ** 2)
+            lambda *m: _graded(moduli_rows[0], *m) ** 2 + _graded(moduli_rows[1], *m) ** 2,
+            _FACES[len(rows[1])])
 
 
 def _verdict(bound: float, emp: float) -> Verdict:
@@ -317,8 +312,7 @@ def maximize(
     bound = float(report.bound)
     if not math.isfinite(bound):
         raise OverflowError(f"bound {bound} overflows a float")
-    argmax, emp, iters = _maximize_objective(
-        *_objective(functional, kind, phi), _FACES[functional], budget, seed)
+    argmax, emp, iters = _maximize_objective(*_objective(functional, kind, phi), budget, seed)
     return VerificationReport(
         functional=functional,
         class_kind=kind,

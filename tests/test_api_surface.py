@@ -123,3 +123,26 @@ def test_no_library_line_is_wider_than_the_limit():
             if len(line) > MAX_LINE]
     assert sorted(PACKAGE.glob("*.py")), "no library files found"
     assert wide == [], f"lines wider than {MAX_LINE} characters: {wide}"
+
+
+def _truth_tests(tree: ast.Module):
+    """Every expression the module reads only for its truth value."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.If, ast.While, ast.IfExp, ast.Assert)):
+            yield node.test
+        elif isinstance(node, ast.BoolOp):
+            yield from node.values
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            yield node.operand
+        elif isinstance(node, ast.comprehension):
+            yield from node.ifs
+
+
+def test_the_cli_reads_no_option_as_a_truth_value():
+    """``if args.x``, ``args.x and ...``, ``not args.x`` or ``a if args.x else b``
+    would take an empty string or a zero the user gave for an absent option; an
+    option is compared, or checked with ``is None``, instead."""
+    bare = [f"cli.py:{t.lineno}: args.{t.attr}" for t in _truth_tests(_parse(PACKAGE / "cli.py"))
+            if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+            and t.value.id == "args"]
+    assert bare == [], f"options read as truth values: {bare}"

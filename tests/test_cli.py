@@ -478,9 +478,9 @@ _NUMBER = st.one_of(
 _RANGE_END = st.sampled_from(["0", "1/4", "1/2", "1", "-1", "2", "x"])
 
 
-def _mostly(valid, invalid: str):
-    """One of ``valid``, or ``invalid`` about one time in ten."""
-    return st.sampled_from(list(valid) * (9 // len(valid) + 1) + [invalid])
+def _mostly(valid, *invalid: str):
+    """One of ``valid``, or of ``invalid`` about one time in ten each."""
+    return st.sampled_from(list(valid) * (9 // len(valid) + 1) + list(invalid))
 
 
 _FLAG_VALUES = {
@@ -492,7 +492,7 @@ _FLAG_VALUES = {
     "budget": st.one_of(st.integers(-1, 50).map(str), st.just("1.5")),
     "seed": st.one_of(st.integers(-2, 2 ** 40).map(str), st.just("s")),
     "order": st.one_of(st.integers(-1, 9), st.integers(-1, 10 ** 12)).map(str),
-    "only": _mostly(PHI_NAMES, "nephroid"),
+    "only": _mostly(PHI_NAMES, "nephroid", ""),
     "param": _mostly(["alpha", "beta", "janowski-a", "janowski-b"], "gamma"),
     "range": st.one_of(
         st.builds(lambda lo, hi, step: f"{lo}:{hi}:{step}", _RANGE_END, _RANGE_END,
@@ -547,6 +547,14 @@ class TestErrorContract:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
         assert not path.exists()
+
+    @pytest.mark.parametrize("argv, err", [
+        (("table", "--only", ""), "error: no catalog entry named ''\n"),
+        (("bound", "--class", "starlike", "--phi", "exp", "--functional", "t21-inv", "--out", ""),
+         "error: cannot write run record '': No such file or directory\n"),
+    ], ids=["only", "out"])
+    def test_an_empty_value_is_refused_not_ignored(self, capsys, argv, err):
+        assert run(capsys, *argv) == (2, "", err)
 
     def test_json_names_a_type_it_cannot_encode(self):
         # no report holds such a value; the encoder hook's last line says so if one did

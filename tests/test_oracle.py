@@ -162,10 +162,16 @@ class TestMaximize:
             tracemalloc.stop()
         assert peak < 4 * 10 ** 6, f"peak traced allocation {peak} bytes"
 
-    def test_argmax_lies_on_the_functional_face(self):
+    @pytest.mark.parametrize("kind", list(ClassKind))
+    def test_argmax_lies_on_the_functional_face(self, kind):
         for functional in FunctionalKind:
-            g = maximize(functional, ClassKind.STARLIKE, HALF_PLANE, budget=500, seed=1).argmax
-            if functional in (FunctionalKind.T21_INV, FunctionalKind.T21_LOG_INV):
+            t21 = functional in T21S
+            # the face comes from the coefficients the table rows read: 2 for T21, 3 for T22
+            face = oracle._FACES[2 if t21 else 3]
+            for phi in CATALOG_PHIS:
+                assert oracle._objective(functional, kind, phi)[2] is face
+            g = maximize(functional, kind, HALF_PLANE, budget=500, seed=1).argmax
+            if t21:
                 # the T21 face has no gamma2: the report's is SchurParams' default, exactly 0j
                 assert abs(abs(g.gamma1) - 1) <= 1e-15 and repr(g.gamma2) == "0j"
             else:
@@ -186,7 +192,7 @@ POISSON_TOL = 1e-12     # in units of max(1, objective)
 
 def _arity(functional):
     """How many parameters the functional's face searches: 2 for T21, 3 for T22."""
-    return len(oracle._FACES[functional].parts)
+    return 2 if functional in T21S else 3
 
 
 def _objective(functional, kind, phi, *g):
@@ -204,7 +210,7 @@ class TestObjective:
         for phi in phis:
             for kind in ClassKind:
                 for functional in FunctionalKind:
-                    obj, _ = oracle._objective(functional, kind, phi)
+                    obj = oracle._objective(functional, kind, phi)[0]
                     for t in triples:
                         want = toeplitz(functional, solve(kind, phi, t))
                         got = obj(*t[:_arity(functional)])
@@ -240,7 +246,7 @@ class TestMaximumModulus:
     def test_t21_objective_ignores_gamma2(self, functional, kind):
         g0, g1, g2 = _seeded_points(11)
         for phi in CATALOG_PHIS:
-            obj, _ = oracle._objective(functional, kind, phi)
+            obj = oracle._objective(functional, kind, phi)[0]
             want = _objective(functional, kind, phi, g0, g1)
             for gamma2 in (g2, 0j, 1.0):
                 assert np.array_equal(obj(*schur_map(g0, g1, gamma2)[:2]), want)
@@ -368,13 +374,13 @@ ANY_FLOATS = st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1
 
 
 def _replaying(fs: np.ndarray):
-    """An objective of a face's parameters that returns fs for the rows in sample order."""
+    """An objective of the coefficients that returns fs for the rows in sample order."""
     done = 0
 
-    def obj(g0, *g):
+    def obj(c1, *c):
         nonlocal done
-        out = fs[done:done + len(g0)]
-        done += len(g0)
+        out = fs[done:done + len(c1)]
+        done += len(c1)
         return out
 
     return obj
@@ -385,7 +391,7 @@ def _keep_every_row(m1, *m):
     return np.full(np.shape(m1), np.nan)
 
 
-FACES = {"full": oracle._FULL, "t21": oracle._T21_FACE, "t22": oracle._T22_FACE}
+FACES = {"full": oracle._FULL, "t21": oracle._FACES[2], "t22": oracle._FACES[3]}
 
 
 def _sample(face, budget: int, seed: int) -> np.ndarray:
@@ -479,9 +485,8 @@ class TestMajorant:
     @pytest.mark.parametrize("functional", list(FunctionalKind))
     @pytest.mark.parametrize("kind", list(ClassKind))
     def test_table_objectives(self, functional, kind):
-        face = oracle._FACES[functional]
         for k, phi in enumerate(MAJORANT_PHIS):
-            obj, majorant = oracle._objective(functional, kind, phi)
+            obj, majorant, face = oracle._objective(functional, kind, phi)
             u = _edge_draws(face, k)
             assert _majorant_excess(obj, majorant, face, u).max() <= 0, phi
 
@@ -504,20 +509,20 @@ class TestMajorant:
 
 
 def _face_objective(face, objective):
-    """(objective of the face's parameters, majorant of the coefficient moduli): a table
+    """(objective of the coefficients, majorant of their moduli): a table
     or lemma objective made tie-heavy (quantized), or NaN on a tenth of the rows ("nan"),
     or on all but about 1% of them, so that the running top holds NaN ("mostly-nan")."""
     if face is oracle._FULL:
         obj, majorant = _lemma_functions(1.5, -0.5)
     else:
-        functional = FunctionalKind.T21_INV if face is oracle._T21_FACE else FunctionalKind.T22_INV
-        obj, majorant = oracle._objective(functional, ClassKind.STARLIKE, HALF_PLANE)
+        functional = FunctionalKind.T21_INV if face is oracle._FACES[2] else FunctionalKind.T22_INV
+        obj, majorant, _ = oracle._objective(functional, ClassKind.STARLIKE, HALF_PLANE)
 
-    def values(*g):
-        v = obj(*schur_map(*g))
+    def values(*c):
+        v = obj(*c)
         if objective == "quantized":  # a few distinct values, each at most v
             return np.floor(4 * v) / 4
-        return np.where(abs(g[0]) > (0.9 if objective == "nan" else 0.02), np.nan, v)
+        return np.where(abs(c[0]) > (0.9 if objective == "nan" else 0.02), np.nan, v)
 
     return values, majorant
 
@@ -563,7 +568,7 @@ def _reference_compass(obj, face, x0):
     coord = np.repeat(np.arange(len(x)), 2)
     sign = np.tile([1.0, -1.0], len(x))[:, None]
     is_angle = np.isin(coord, face.angle)[:, None]
-    f = obj(*oracle._gammas(face, x))
+    f = obj(*schur_map(*oracle._gammas(face, x)))
     step = np.full(x.shape[1], oracle._STEP_INIT)
     cols = np.arange(x.shape[1])
     iters = 0
@@ -573,7 +578,7 @@ def _reference_compass(obj, face, x0):
         moved = np.where(is_angle, np.mod(moved, 2.0 * np.pi), np.clip(moved, 0.0, 1.0))
         cand = np.repeat(x[:, None, :], len(coord), axis=1)
         cand[coord, np.arange(len(coord))] = moved
-        fc = obj(*oracle._gammas(face, cand))
+        fc = obj(*schur_map(*oracle._gammas(face, cand)))
         best = np.argmax(fc, axis=0)
         fbest = fc[best, cols]
         improved = live & (fbest > f)
@@ -601,8 +606,7 @@ def _lemma_functions(sigma, mu):
 
 
 def _lemma_objective(sigma, mu):
-    obj, _ = _lemma_functions(sigma, mu)
-    return lambda *g: obj(*schur_map(*g))
+    return _lemma_functions(sigma, mu)[0]
 
 
 def _lemma_majorant(sigma, mu):
@@ -610,18 +614,15 @@ def _lemma_majorant(sigma, mu):
 
 
 def _fekete_szego_objective(lam):
-    def obj(g0, g1):
-        c1, c2 = schur_map(g0, g1)
-        return np.abs(c2 - lam * c1 ** 2)
-    return obj
+    return lambda c1, c2: np.abs(c2 - lam * c1 ** 2)
 
 
 def _table_objective(functional, kind, phi):
-    return lambda *g: _objective(functional, kind, phi, *g)
+    return oracle._objective(functional, kind, phi)[0]
 
 
-# Objectives of each face's parameters, keyed by how many it has: (gamma0, gamma1)
-# on the T21 face, (gamma0, gamma1, gamma2) on the T22 face and the full box.
+# Objectives of the coefficients each face generates, keyed by how many: (c1, c2) on
+# the T21 face, (c1, c2, c3) on the T22 face and the full box.
 FACE_OBJECTIVES = {
     2: {"t21-inv-starlike-halfplane": _table_objective(
             FunctionalKind.T21_INV, ClassKind.STARLIKE, HALF_PLANE),
@@ -723,7 +724,7 @@ class TestScreenPhases:
         assert np.array_equal(t, oracle._LATTICE_ANGLES[k])
         top = np.argsort(-fs, kind="stable")[:oracle._N_STARTS]
         assert np.array_equal(kept, sample[:, top])
-        assert np.array_equal(f(*oracle._gammas(face, kept)), fs[top])
+        assert np.array_equal(f(*schur_map(*oracle._gammas(face, kept))), fs[top])
 
 
 # Golden fixture: the exact bytes of fixed-seed oracle results, recorded so

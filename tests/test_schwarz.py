@@ -152,16 +152,16 @@ class TestSampler:
 
 
 class TestSamplerT21Face(TestSampler):
-    face = oracle._T21_FACE
+    face = oracle._FACES[2]
 
 
 class TestSamplerT22Face(TestSampler):
-    face = oracle._T22_FACE
+    face = oracle._FACES[3]
 
 
 @pytest.mark.parametrize("face, free", [(oracle._FULL, [0, 1, 2, 3, 4, 5]),
-                                        (oracle._T21_FACE, [0, 1, 3]),
-                                        (oracle._T22_FACE, [0, 1, 2, 3, 5])])
+                                        (oracle._FACES[2], [0, 1, 3]),
+                                        (oracle._FACES[3], [0, 1, 2, 3, 5])])
 def test_draw_layout(face, free):
     """A block is one row of _BLOCK uniforms per free coordinate, in box order, each
     column a sample row: six rows on the full box, three on the T21 face, five on the

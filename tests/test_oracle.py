@@ -509,9 +509,9 @@ class TestMajorant:
 
 
 def _face_objective(face, objective):
-    """(objective of the coefficients, majorant of their moduli): a table
-    or lemma objective made tie-heavy (quantized), or NaN on a tenth of the rows ("nan"),
-    or on all but about 1% of them, so that the running top holds NaN ("mostly-nan")."""
+    """(objective of the coefficients, majorant of their moduli): a table or lemma
+    objective made tie-heavy (quantized), or NaN on a tenth of the rows ("nan"), or on
+    all but about 1% of them, so that the running top holds NaN ("mostly-nan")."""
     if face is oracle._FULL:
         obj, majorant = _lemma_functions(1.5, -0.5)
     else:

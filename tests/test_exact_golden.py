@@ -101,7 +101,7 @@ def _golden_cases():
                     cases.append((f"bound|{name}|{kind.value}|{functional.value}|{fmt}",
                                   lambda a=argv: _cli(a)))
             for fmt in ("text", "json"):
-                for order in (4, 6):  # 6 pins the refusal: exit 2, nothing on stdout
+                for order in (2, 3, 4, 6):  # 6 pins the refusal: exit 2, nothing on stdout
                     argv = ["extremal", f"--class={kind.value}", *gen, f"--order={order}",
                             f"--format={fmt}"]
                     cases.append((f"extremal|{name}|{kind.value}|{order}|{fmt}",

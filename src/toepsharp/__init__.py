@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .coeffs import ClassKind, FunctionalKind, PhiSpec  # noqa: F401
 from .schwarz import SchurParams  # noqa: F401
 from .bounds import BoundReport, fekete_szego_bound, omega_region, theorem_bound  # noqa: F401
-from .extremal import attainment, extremal_coeffs, inverse_coeffs  # noqa: F401
+from .extremal import attainment, extremal_coeffs  # noqa: F401
 
 # The numerical oracle is the only numpy user.  It and its names load on
 # first access (PEP 562), so the exact-arithmetic paths never import numpy.

@@ -17,7 +17,7 @@ import math
 from collections.abc import Callable
 from fractions import Fraction
 
-from .coeffs import ClassKind, FunctionalKind, PhiSpec, Real, _known, record
+from .coeffs import ClassKind, FunctionalKind, PhiSpec, Real, _known, _real, record
 
 F = Fraction
 
@@ -66,7 +66,8 @@ def phi_coeffs(name: str, **params: Real) -> PhiSpec:
 
     Parametric generators take ``alpha``, ``beta`` or ``a``/``b``; pass
     Fractions to keep everything downstream exact; a bad name or parameter is
-    a ValueError that names it.
+    a ValueError that names it, and a parameter that is no integer, Fraction or
+    float a TypeError that names it.
     """
     make = _known(_PHIS, name, "catalog generator")
     wanted = make.__code__.co_varnames[:make.__code__.co_argcount]  # its parameter names
@@ -76,7 +77,7 @@ def phi_coeffs(name: str, **params: Real) -> PhiSpec:
         raise ValueError(f"{name} takes parameters {', '.join(wanted) or 'none'}: "
                          f"missing {', '.join(missing) or 'none'}, "
                          f"unexpected {', '.join(unexpected) or 'none'}")
-    return make(**params)
+    return make(**{p: _real(p, v) for p, v in params.items()})
 
 
 _T21F = FunctionalKind.T21_LOG_INV

@@ -331,9 +331,8 @@ def cmd_extremal(args) -> _Result:
     kind = ClassKind(args.class_kind)
     if not 2 <= args.order <= 4:
         raise ValueError(f"--order must be in 2..4 (B1..B3 fix a2..a4 only), got {args.order}")
-    a = extremal.extremal_coeffs(kind, phi, args.order)
-    inverse = extremal.inverse_coeffs(kind, phi)
-    b, gamma = inverse[:3], inverse[3:]  # b2..b4, Gamma1..Gamma3
+    coeffs = extremal.extremal_coeffs(kind, phi)  # a2..a4, b2..b4, Gamma1..Gamma3
+    a, b, gamma = (1 + 0j, *coeffs[:args.order - 1]), coeffs[3:6], coeffs[6:]
     values = {f.value: float(extremal.attainment(f, kind, phi)) for f in FunctionalKind}
     if not all(map(cmath.isfinite, (*a, *b, *gamma, *values.values()))):
         raise OverflowError("a coefficient or functional of the extremal is not finite")

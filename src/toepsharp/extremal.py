@@ -13,16 +13,18 @@ with X, Y the coefficients of the real r_m, and the functional is
 |x_n^2 - x_{n+1}^2| = X^2 + Y^2.  The recursion runs on integers, with
 phi over one common denominator, so that value is exact for an exact phi.
 It reads neither the coefficient table nor the bound's formulas, which makes
-"attainment == bound" an independent certificate.  ``inverse_coeffs``
-evaluates ``INVERSE`` on the same integers for display, through ``coeffs._graded``.
+"attainment == bound" an independent certificate.  ``extremal_coeffs`` evaluates
+a2..a4 and ``INVERSE`` on the same integers for display, through ``coeffs._graded``.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
 from .coeffs import INVERSE, PAIRS, ClassKind, FunctionalKind, PhiSpec, _graded, _known, _saturated
+
+# a2, a3 and a4 in INVERSE's row form: the monomials a2; a3; a4 with coefficient 1.
+_IDENTITY = (((1,), 1), ((0, 1), 1), ((0, 0, 1), 1))
 
 # 6^(m-1) / (m-1)! and 6^(m-1) / m! for m = 2, 3, 4: integers, so r_2, r_3, r_4
 # are these times t_m over (6 d)^(m-1) in either class.
@@ -47,28 +49,13 @@ def _rotated(r: float, w: int) -> complex:
     return (complex(r, 0.0), complex(0.0, r), complex(0.0 - r, 0.0), complex(0.0, 0.0 - r))[w % 4]
 
 
-def extremal_coeffs(kind: ClassKind, phi: PhiSpec, n: int) -> tuple[complex, ...]:
-    """Taylor coefficients (a_1, ..., a_N) of the rotation extremal, 2 <= N <= 4; a_1 = 1.
-
-    Each a_m = i^(m-1) r_m is the exact r_m rounded once (to +-inf past the
-    float range) and then rotated, for display; N goes through ``operator.index``.
-    phi gives B1..B3, which fix a_2..a_4 and every functional; a_5 onward
-    depend on B4, B5, ... as well, so N > 4 is refused.
-    """
-    n = operator.index(n)
-    if not 2 <= n <= 4:
-        raise ValueError(f"need 2 <= N <= 4, got {n}")
-    scaled, d = _scaled(kind, phi)
-    return tuple(_rotated(_saturated(a, (6 * d) ** w), w)
-                 for w, a in enumerate((1, *scaled[:n - 1])))
-
-
-def inverse_coeffs(kind: ClassKind, phi: PhiSpec) -> tuple[complex, ...]:
-    """(b2, b3, b4, Gamma1, Gamma2, Gamma3) of the rotation extremal: each exact value
-    rounded once (to +-inf past the float range), then rotated by i^w for its weight w."""
+def extremal_coeffs(kind: ClassKind, phi: PhiSpec) -> tuple[complex, ...]:
+    """(a2, a3, a4, b2, b3, b4, Gamma1, Gamma2, Gamma3) of the rotation extremal: each
+    exact value rounded once (to +-inf past the float range), then rotated by i^w for its
+    weight w.  phi gives B1..B3, which fix a2..a4 and so every one of these."""
     scaled, d = _scaled(kind, phi)
     return tuple(_rotated(_saturated(_graded(nums, *scaled), div * (6 * d) ** len(nums)), len(nums))
-                 for nums, div in INVERSE.values())
+                 for nums, div in (*_IDENTITY, *INVERSE.values()))
 
 
 def attainment(functional: FunctionalKind, kind: ClassKind, phi: PhiSpec) -> Fraction | float:

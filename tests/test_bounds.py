@@ -20,7 +20,7 @@ from toepsharp.bounds import (
 )
 from toepsharp.catalog import phi_coeffs
 from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec, table
-from toepsharp.extremal import attainment, extremal_coeffs, inverse_coeffs
+from toepsharp.extremal import attainment, extremal_coeffs
 
 HALF_PLANE = PhiSpec(F(2), F(2), F(2))
 EXP = PhiSpec(F(1), F(1, 2), F(1, 6))
@@ -391,7 +391,7 @@ def test_t21_bounds_are_sums_of_squared_intermediates():
         phi = PhiSpec(_random_fraction(rng, 0, 3), _random_fraction(rng, -4, 4),
                       _random_fraction(rng, -4, 4))
         for kind in ClassKind:
-            a = extremal_coeffs(kind, phi, 4)[1:]
+            a = extremal_coeffs(kind, phi)[:3]
             for functional, pair in ((FunctionalKind.T21_INV, ("b2", "b3")),
                                      (FunctionalKind.T21_LOG_INV, ("g1", "g2"))):
                 x, y = (inverse(name, *a) for name in pair)
@@ -565,8 +565,7 @@ class TestTheoremBound:
                      lambda: theorem_bound(FunctionalKind.T21_INV, kind, HALF_PLANE),
                      lambda: fekete_szego_bound(kind, HALF_PLANE, 1),
                      lambda: attainment(FunctionalKind.T22_LOG_INV, kind, HALF_PLANE),
-                     lambda: extremal_coeffs(kind, HALF_PLANE, 4),
-                     lambda: inverse_coeffs(kind, HALF_PLANE),
+                     lambda: extremal_coeffs(kind, HALF_PLANE),
                      lambda: maximize(FunctionalKind.T21_INV, kind, HALF_PLANE, budget=10)):
             with pytest.raises(ValueError, match="unknown class"):
                 call()

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from helpers import as_floats
@@ -135,8 +136,12 @@ class TestParameterValidation:
         ("starlike-order", {"alpha": F(0), "beta": F(1)}, "unexpected beta", ValueError),
         ("convex-order", {"beta": F(1, 2)}, "missing alpha, unexpected beta$", ValueError),
         ("strongly-convex", {"alpha": F(1, 2)}, "missing beta, unexpected alpha$", ValueError),
-        # right names, a bad value: the generator's own TypeError, unchanged
-        ("janowski", {"a": "1", "b": F(0)}, "^'<' not supported between", TypeError),
+        # right names, a value that is no real: a TypeError naming the parameter
+        ("janowski", {"a": "1", "b": F(0)}, "^a: integers, Fractions or floats only", TypeError),
+        ("starlike-order", {"alpha": None}, "^alpha: integers, Fractions or floats only", TypeError),
+        ("convex-order", {"alpha": 0.5j}, "^alpha: integers, Fractions or floats only", TypeError),
+        ("janowski", {"a": F(1, 2), "b": np.float32(-0.5)},
+         "^b: integers, Fractions or floats only", TypeError),
     ])
     def test_wrong_parameter_names_say_which(self, name, params, named, error):
         with pytest.raises(error, match=named):

@@ -21,7 +21,7 @@ from toepsharp.bounds import theorem_bound
 from toepsharp.catalog import COROLLARY_CURVES, PHI_NAMES, fixture_entries
 from toepsharp.cli import MAX_BUDGET, MAX_SWEEP_ROWS, _dump_json, _parse_range, main
 from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec
-from toepsharp.extremal import attainment, inverse_coeffs
+from toepsharp.extremal import attainment, extremal_coeffs
 
 
 def run(capsys, *argv):
@@ -397,7 +397,7 @@ class TestExtremal:
                            "--format", "json")
         d = json.loads(out)
         assert d["gamma"][2] == {"re": 0.0, "im": 29 / 72}
-        want = inverse_coeffs(ClassKind.STARLIKE, PhiSpec(1, F(1, 2), F(1, 6)))
+        want = extremal_coeffs(ClassKind.STARLIKE, PhiSpec(1, F(1, 2), F(1, 6)))[3:]
         assert [complex(v["re"], v["im"]) for v in d["b"] + d["gamma"]] == list(want)
 
     def test_trivial_generator(self, capsys):
@@ -445,8 +445,8 @@ class TestExtremal:
         # B1..B3 fix a2..a4 only, so a5 and beyond are refused, not computed
         from toepsharp import extremal
 
-        def unreached(kind, phi, n):
-            raise AssertionError(f"extremal_coeffs ran at n = {n}")
+        def unreached(kind, phi):
+            raise AssertionError("extremal_coeffs ran")
 
         monkeypatch.setattr(extremal, "extremal_coeffs", unreached)
         code, out, err = run(capsys, "extremal", "--class", "starlike",

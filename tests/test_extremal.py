@@ -4,14 +4,13 @@ import math
 import random
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 
 from helpers import SchwarzTriple, solve
 from toepsharp import catalog, coeffs
 from toepsharp.bounds import theorem_bound
 from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec
-from toepsharp.extremal import attainment, extremal_coeffs, inverse_coeffs
+from toepsharp.extremal import attainment, extremal_coeffs
 
 TOL = 1e-12
 
@@ -21,20 +20,22 @@ EXP = PhiSpec(F(1), F(1, 2), F(1, 6))
 
 class TestExtremalCoeffs:
     def test_rotated_koebe(self):
-        ext = extremal_coeffs(ClassKind.STARLIKE, HALF_PLANE, 4)
+        values = extremal_coeffs(ClassKind.STARLIKE, HALF_PLANE)
+        assert isinstance(values, tuple) and len(values) == 9  # a2..a4, b2..b4, Gamma1..Gamma3
+        ext = (1 + 0j, *values[:3])
         assert isinstance(ext, tuple) and len(ext) == 4
         want = (1, 2j, -3, -4j)
         assert all(abs(a - w) < TOL for a, w in zip(ext, want))
 
     def test_rotated_halfplane_map(self):
-        ext = extremal_coeffs(ClassKind.CONVEX, HALF_PLANE, 3)
+        ext = (1 + 0j, *extremal_coeffs(ClassKind.CONVEX, HALF_PLANE)[:3])[:3]
         want = (1, 1j, -1)
         assert all(abs(a - w) < TOL for a, w in zip(ext, want))
 
     def test_second_coefficient_is_rotated_linear_data(self):
         for phi in (HALF_PLANE, EXP, PhiSpec(0.7, -0.3, 0.1)):
-            ext_s = extremal_coeffs(ClassKind.STARLIKE, phi, 2)
-            ext_c = extremal_coeffs(ClassKind.CONVEX, phi, 2)
+            ext_s = (1 + 0j, *extremal_coeffs(ClassKind.STARLIKE, phi)[:3])[:2]
+            ext_c = (1 + 0j, *extremal_coeffs(ClassKind.CONVEX, phi)[:3])[:2]
             b1 = float(phi.b1)
             assert abs(ext_s[1] - 1j * b1) < TOL
             assert abs(ext_c[1] - 1j * b1 / 2) < TOL
@@ -43,8 +44,8 @@ class TestExtremalCoeffs:
         # phi = 1 + z: z f'/f = 1 + i z gives f = z exp(i z), and 1 + z f''/f' =
         # 1 + i z gives f' = exp(i z)
         for phi in (PhiSpec(1, 0, 0), PhiSpec(F(1), F(0), F(0))):
-            star = extremal_coeffs(ClassKind.STARLIKE, phi, 4)
-            convex = extremal_coeffs(ClassKind.CONVEX, phi, 4)
+            star = (1 + 0j, *extremal_coeffs(ClassKind.STARLIKE, phi)[:3])
+            convex = (1 + 0j, *extremal_coeffs(ClassKind.CONVEX, phi)[:3])
             for n in range(1, 5):
                 rot = (1j) ** (n - 1)
                 assert abs(star[n - 1] - rot / math.factorial(n - 1)) < TOL
@@ -54,14 +55,10 @@ class TestExtremalCoeffs:
         for phi in (HALF_PLANE, EXP, PhiSpec(1.3, 0.4, -0.2)):
             for kind in ClassKind:
                 a2, a3, a4 = solve(kind, phi, SchwarzTriple(1j, 0, 0))  # omega(z) = i z
-                ext = extremal_coeffs(kind, phi, 4)
+                ext = (1 + 0j, *extremal_coeffs(kind, phi)[:3])
                 assert abs(ext[1] - a2) < TOL
                 assert abs(ext[2] - a3) < TOL
                 assert abs(ext[3] - a4) < TOL
-
-    def test_requires_degree_two(self):
-        with pytest.raises(ValueError):
-            extremal_coeffs(ClassKind.STARLIKE, HALF_PLANE, 1)
 
     def test_each_coefficient_is_the_exact_one_rounded_once(self):
         # exp, starlike: r = 1, 1, 3/4, 17/36 (a_m = i^(m-1) r_m), and the convex
@@ -69,38 +66,14 @@ class TestExtremalCoeffs:
         r = (F(1), F(1), F(3, 4), F(17, 36))
         rot = (1, 1j, -1, -1j)
         for kind, div in ((ClassKind.STARLIKE, 1), (ClassKind.CONVEX, 0)):
-            got = extremal_coeffs(kind, EXP, 4)
+            got = (1 + 0j, *extremal_coeffs(kind, EXP)[:3])
             want = [rot[m % 4] * float(x / (div or m + 1)) for m, x in enumerate(r)]
             assert list(got) == want
-        ext = extremal_coeffs(ClassKind.STARLIKE, HALF_PLANE, 4)
+        ext = (1 + 0j, *extremal_coeffs(ClassKind.STARLIKE, HALF_PLANE)[:3])
         assert ext == (1, 2j, -3, -4j)
         assert all(math.copysign(1, x) == 1 for a in ext for x in (a.real, a.imag) if x == 0)
         tiny = PhiSpec(F(1, 2 ** 1000), F(0), F(0))
-        assert extremal_coeffs(ClassKind.STARLIKE, tiny, 4)[1] == 2.0 ** -1000 * 1j
-
-    def test_refuses_an_order_outside_two_to_four(self):
-        # B1..B3 fix a_2..a_4 only; the order is refused before phi is read
-        class Unread:
-            @property
-            def integers(self):
-                raise AssertionError("phi was read")
-
-        for kind in ClassKind:
-            for n in (1, 5, 10 ** 12):
-                with pytest.raises(ValueError, match=f"need 2 <= N <= 4, got {n}"):
-                    extremal_coeffs(kind, Unread(), n)
-            with pytest.raises(AssertionError, match="phi was read"):
-                extremal_coeffs(kind, Unread(), 4)
-
-    def test_order_is_read_as_an_index(self):
-        want = extremal_coeffs(ClassKind.STARLIKE, EXP, 4)
-        assert extremal_coeffs(ClassKind.STARLIKE, EXP, np.int64(4)) == want
-        assert extremal_coeffs(ClassKind.STARLIKE, EXP, np.uint8(4)) == want
-
-    @pytest.mark.parametrize("n", [4.0, "4", np.float64(4.0)])
-    def test_order_that_is_no_integer_is_a_type_error(self, n):
-        with pytest.raises(TypeError):
-            extremal_coeffs(ClassKind.STARLIKE, EXP, n)
+        assert extremal_coeffs(ClassKind.STARLIKE, tiny)[0] == 2.0 ** -1000 * 1j
 
 
 def _real_extremal(kind: ClassKind, phi: PhiSpec, n: int) -> list[F]:
@@ -139,31 +112,31 @@ class TestInverseCoeffs:
             _, r2, r3, r4 = _real_extremal(kind, phi, 4)
             want = tuple(ROTATION[w % 4] * float(v)
                          for w, v in zip(WEIGHTS, _inverse_closed_forms(r2, r3, r4)))
-            got = inverse_coeffs(kind, phi)
+            got = extremal_coeffs(kind, phi)[3:]
             assert got == want, (kind, phi)
             assert _no_negative_zero(got)
             a = tuple(ROTATION[w] * float(r) for w, r in enumerate((1, r2, r3, r4)))
-            assert extremal_coeffs(kind, phi, 4) == a, (kind, phi)
+            assert (1 + 0j, *extremal_coeffs(kind, phi)[:3]) == a, (kind, phi)
 
     def test_an_exact_zero_is_printed_as_zero(self):
         # the convex cardioid extremal has b4 = 0 exactly; evaluating b4 on the
         # rounded a2..a4 gave 8.3e-17 i
-        assert inverse_coeffs(ClassKind.CONVEX, catalog.phi_coeffs("cardioid"))[2] == 0j
+        assert extremal_coeffs(ClassKind.CONVEX, catalog.phi_coeffs("cardioid"))[5] == 0j
         # Gamma3 of the starlike exp extremal is -i (-29/72), rounded once
-        assert inverse_coeffs(ClassKind.STARLIKE, EXP)[5] == complex(0.0, 29 / 72)
+        assert extremal_coeffs(ClassKind.STARLIKE, EXP)[8] == complex(0.0, 29 / 72)
 
     def test_matches_the_rounded_coefficients_to_rounding(self):
         # the old display path: the closed forms on the rounded, rotated a2..a4
         for phi in (HALF_PLANE, EXP, PhiSpec(1.3, 0.4, -0.2)):
             for kind in ClassKind:
-                _, a2, a3, a4 = extremal_coeffs(kind, phi, 4)
-                for got, want in zip(inverse_coeffs(kind, phi),
+                a2, a3, a4 = extremal_coeffs(kind, phi)[:3]
+                for got, want in zip(extremal_coeffs(kind, phi)[3:],
                                      _inverse_closed_forms(a2, a3, a4)):
                     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_past_the_float_range_saturates_without_nan(self):
         for kind in ClassKind:
-            got = inverse_coeffs(kind, PhiSpec(1e200, 0.0, 0.0))
+            got = extremal_coeffs(kind, PhiSpec(1e200, 0.0, 0.0))[3:]
             assert math.isfinite(abs(got[0])) and math.isinf(abs(got[1]))
             assert not any(math.isnan(x) for v in got for x in (v.real, v.imag))
             assert _no_negative_zero(got)

@@ -1,8 +1,10 @@
-"""Shared test utilities: the Schwarz coefficient body as a reference,
-independent pipeline solvers, random data, the inverse of the Schur
-parameter map, the piecewise Fekete-Szego bound, and the paper's closed
-forms of the third-coefficient bounds, and the writer of the golden
-fixtures, ``write_golden``, which names every key it moves.
+"""Shared test utilities, each stated once: the Schwarz coefficient body as a
+reference, independent pipeline solvers, the catalog generators ``HALF_PLANE``,
+``EXP`` and ``CARDIOID``, random data (seeded Fraction generators from
+``random_phi``), the inverse of the Schur parameter map, the piecewise
+Fekete-Szego bound, the paper's closed forms of the third-coefficient bounds,
+``forbid_search``, which fails a test that reaches the oracle's search, and the
+golden fixtures' tests, ``golden_tests``, and writer, ``write_golden``.
 
 The solvers here derive (a2, a3, a4) directly from the defining
 differential relations using only the series engine, term by term.  They
@@ -10,22 +12,31 @@ share no formulas with toepsharp.coeffs, so agreement between the two is
 a genuine cross-check.  ``table_value`` evaluates a field of the library's
 coefficient table at a Schwarz triple, for comparison with them,
 ``inverse`` an inverse or logarithmic coefficient at (a2, a3, a4), and
-``toeplitz`` a functional there.
+``toeplitz`` a functional there; the first two sum monomials through
+``monomial_sum``, written out term by term, not through ``coeffs._graded``.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import sys
 from collections.abc import Callable, Iterable
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 
+from toepsharp import oracle
 from toepsharp.coeffs import INVERSE, PAIRS, ClassKind, FunctionalKind, PhiSpec, table
 from toepsharp.schwarz import SchurParams, schur_map
 from series import Series, compose
+
+HALF_PLANE = PhiSpec(Fraction(2), Fraction(2), Fraction(2))
+EXP = PhiSpec(Fraction(1), Fraction(1, 2), Fraction(1, 6))
+CARDIOID = PhiSpec(Fraction(1), Fraction(1), Fraction(1, 2))
 
 
 class SchwarzTriple(NamedTuple):
@@ -95,12 +106,17 @@ def solve(kind: ClassKind, phi: PhiSpec, t: SchwarzTriple) -> tuple[complex, com
     return (solve_starlike if kind is ClassKind.STARLIKE else solve_convex)(phi, t)
 
 
+def monomial_sum(k, x1, x2, x3):
+    """The sum of k_i m_i over the monomials of weight len(k), written out term by term."""
+    monomials = {1: (x1,), 2: (x1 * x1, x2), 3: (x1 * x1 * x1, x1 * x2, x3)}
+    return sum(a * m for a, m in zip(k, monomials[len(k)]))
+
+
 def inverse(name: str, a2, a3, a4):
     """The coefficient ``name`` of ``INVERSE`` (b2..b4 of f^(-1), or g1..g3, its
     logarithmic ones) for f with coefficients (a2, a3, a4)."""
     nums, div = INVERSE[name]
-    monomials = {1: (a2,), 2: (a2 ** 2, a3), 3: (a2 ** 3, a2 * a3, a4)}
-    return sum(n * m for n, m in zip(nums, monomials[len(nums)])) / div
+    return monomial_sum(nums, a2, a3, a4) / div
 
 
 def toeplitz(kind: FunctionalKind, a):
@@ -112,8 +128,7 @@ def toeplitz(kind: FunctionalKind, a):
 def table_value(kind: ClassKind, phi: PhiSpec, name: str, t: SchwarzTriple) -> complex:
     """The table field ``name`` at (c1, c2, c3), each row value rounded to a float."""
     (rows,) = table(kind, phi, name)
-    monomials = {1: (t.c1,), 2: (t.c1 ** 2, t.c2), 3: (t.c1 ** 3, t.c1 * t.c2, t.c3)}
-    return sum(n / d * m for (n, d), m in zip(rows, monomials[len(rows)]))
+    return monomial_sum([n / d for n, d in rows], *t)
 
 
 def coeffs_to_schur(t: SchwarzTriple) -> SchurParams:
@@ -177,6 +192,18 @@ def third_coefficient_reference(kind: ClassKind, phi: PhiSpec, coef: str):
     return q, d, s / den, q / den
 
 
+def random_fraction(rng: random.Random, lo: int, hi: int) -> Fraction:
+    """A Fraction in [lo, hi] with a denominator up to 12, drawn from rng."""
+    den = rng.randint(1, 12)
+    return Fraction(rng.randint(lo * den, hi * den), den)
+
+
+def random_phi(rng: random.Random) -> PhiSpec:
+    """A Fraction generator drawn from rng: B1 in [0, 3], B2 and B3 in [-4, 4]."""
+    return PhiSpec(random_fraction(rng, 0, 3), random_fraction(rng, -4, 4),
+                   random_fraction(rng, -4, 4))
+
+
 def random_complex(rng: np.random.Generator, scale: float = 5.0) -> complex:
     return complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
 
@@ -191,6 +218,33 @@ def random_triples(seed: int, n: int) -> list[SchwarzTriple]:
         g = r * np.exp(1j * th)
         out.append(SchwarzTriple(*schur_map(*map(complex, g))))
     return out
+
+
+def forbid_search(monkeypatch) -> None:
+    """Make the oracle's search driver, ``oracle._maximize_objective``, fail the test."""
+    def search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(oracle, "_maximize_objective", search)
+
+
+def golden_tests(path: Path, cases: list[tuple[str, Callable[[], object]]]):
+    """The module-scoped fixture ``golden`` (the fixture file ``path`` as read) and the
+    tests ``test_golden_bytes``, which runs each (key, thunk) case against its key,
+    and ``test_golden_covers_every_case``, which checks that the keys are the cases'."""
+    @pytest.fixture(scope="module")
+    def golden():
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("case", cases, ids=[c for c, _ in cases])
+    def test_golden_bytes(case, golden):
+        case_id, run = case
+        assert run() == golden[case_id]
+
+    def test_golden_covers_every_case(golden):
+        assert sorted(golden) == sorted(c for c, _ in cases)
+
+    return golden, test_golden_bytes, test_golden_covers_every_case
 
 
 def golden_diff(old: dict, new: dict) -> dict[str, list[str]]:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import as_floats, fekete_szego_reference, inverse, third_coefficient_reference
+from helpers import (CARDIOID, EXP, HALF_PLANE, as_floats, fekete_szego_reference, inverse,
+                     random_fraction, random_phi, third_coefficient_reference)
 from toepsharp import bounds
 from toepsharp.bounds import (
     HYP_TOL,
@@ -21,10 +22,6 @@ from toepsharp.bounds import (
 from toepsharp.catalog import phi_coeffs
 from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec, table
 from toepsharp.extremal import attainment, extremal_coeffs
-
-HALF_PLANE = PhiSpec(F(2), F(2), F(2))
-EXP = PhiSpec(F(1), F(1, 2), F(1, 6))
-CARDIOID = PhiSpec(F(1), F(1), F(1, 2))
 
 
 class TestOmegaRegion:
@@ -183,11 +180,6 @@ def test_fekete_szego_matches_the_piecewise_reference(kind, b1, b2, lam, edge):
         assert got == b1 / (2 if star else 6)
 
 
-def _random_fraction(rng: random.Random, lo: int, hi: int) -> F:
-    den = rng.randint(1, 12)
-    return F(rng.randint(lo * den, hi * den), den)
-
-
 class TestIntermediateBounds:
     """The per-coefficient bounds of the proofs, read through theorem_bound."""
 
@@ -200,8 +192,7 @@ class TestIntermediateBounds:
         for kind, d in ((ClassKind.STARLIKE, 1), (ClassKind.CONVEX, 2)):
             hits = dict.fromkeys((FunctionalKind.T21_INV, FunctionalKind.T21_LOG_INV), 0)
             for _ in range(400):
-                phi = PhiSpec(_random_fraction(rng, 0, 3), _random_fraction(rng, -4, 4),
-                              _random_fraction(rng, -4, 4))
+                phi = random_phi(rng)
                 for functional, lam, half in ((FunctionalKind.T21_INV, 2, 1),
                                               (FunctionalKind.T21_LOG_INV, F(3, 2), 2)):
                     rep = theorem_bound(functional, kind, phi)
@@ -219,8 +210,7 @@ class TestIntermediateBounds:
         for kind, d, fs_d in ((ClassKind.STARLIKE, 1, 2), (ClassKind.CONVEX, 2, 6)):
             hits = dict.fromkeys((FunctionalKind.T21_INV, FunctionalKind.T21_LOG_INV), 0)
             for _ in range(400):
-                phi = PhiSpec(_random_fraction(rng, 0, 3), _random_fraction(rng, -4, 4),
-                              _random_fraction(rng, -4, 4))
+                phi = random_phi(rng)
                 for functional, lam, half in ((FunctionalKind.T21_INV, 2, 1),
                                               (FunctionalKind.T21_LOG_INV, F(3, 2), 2)):
                     rep = theorem_bound(functional, kind, phi)
@@ -253,8 +243,7 @@ class TestIntermediateBounds:
 def _seeded_phis(seed: int, n: int) -> list[PhiSpec]:
     """n Fraction generators, then n float ones with magnitudes 1e-3 to 1e3."""
     rng = random.Random(seed)
-    out = [PhiSpec(_random_fraction(rng, 0, 3), _random_fraction(rng, -4, 4),
-                   _random_fraction(rng, -4, 4)) for _ in range(n)]
+    out = [random_phi(rng) for _ in range(n)]
     out += [PhiSpec(*(s * 10 ** rng.uniform(-3, 3) for s in (1, rng.choice((-1, 1)),
                                                             rng.choice((-1, 1)))))
             for _ in range(n)]
@@ -388,8 +377,7 @@ def test_t21_bounds_are_sums_of_squared_intermediates():
     # |Gamma1|, |Gamma2| are the per-coefficient bounds of the proofs.
     rng = random.Random(15)
     for _ in range(200):
-        phi = PhiSpec(_random_fraction(rng, 0, 3), _random_fraction(rng, -4, 4),
-                      _random_fraction(rng, -4, 4))
+        phi = random_phi(rng)
         for kind in ClassKind:
             a = extremal_coeffs(kind, phi)[:3]
             for functional, pair in ((FunctionalKind.T21_INV, ("b2", "b3")),
@@ -428,7 +416,7 @@ def test_every_hypothesis_is_satisfied_iff_its_margin_clears_the_tolerance():
     # the rule has no exception: the strict B1 > 0 fails with margin -inf
     rng = random.Random(44)
     phis = _seeded_phis(44, 100) + [
-        PhiSpec(0, _random_fraction(rng, -4, 4), _random_fraction(rng, -4, 4))
+        PhiSpec(0, random_fraction(rng, -4, 4), random_fraction(rng, -4, 4))
         for _ in range(50)]
     phis += [phi_coeffs("lemniscate"), PhiSpec(0.0, 0.5, -1.0)]
     undefined = 0

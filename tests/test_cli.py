@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import forbid_search
 import toepsharp
 from toepsharp.bounds import theorem_bound
 from toepsharp.catalog import COROLLARY_CURVES, PHI_NAMES, fixture_entries
@@ -645,12 +646,7 @@ class TestErrorContract:
         assert out.startswith("bound: ")
 
     def test_verify_overflow_fails_before_the_search(self, capsys, monkeypatch):
-        from toepsharp import oracle
-
-        def search(*args):
-            raise AssertionError("the search ran")
-
-        monkeypatch.setattr(oracle, "_maximize_objective", search)
+        forbid_search(monkeypatch)
         code, out, err = run(capsys, "verify", "--class", "starlike", "--functional",
                              "t22-inv", "--b1", "1e60", "--b2", "0", "--b3", "0")
         assert code == 2
@@ -661,12 +657,7 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("budget", [str(MAX_BUDGET + 1), "99999999999"])
     def test_budget_above_the_cap_fails_before_the_search(self, capsys, monkeypatch, budget):
-        from toepsharp import oracle
-
-        def search(*args):
-            raise AssertionError("the search ran")
-
-        monkeypatch.setattr(oracle, "_maximize_objective", search)
+        forbid_search(monkeypatch)
         code, out, err = run(capsys, *self._VERIFY, "--budget", budget)
         assert code == 2
         assert out == ""
@@ -677,12 +668,7 @@ class TestErrorContract:
                                                    ("--seed", "-1", "N >= 0")])
     def test_out_of_range_flag_fails_before_the_search(self, capsys, monkeypatch,
                                                        flag, value, need):
-        from toepsharp import oracle
-
-        def search(*args):
-            raise AssertionError("the search ran")
-
-        monkeypatch.setattr(oracle, "_maximize_objective", search)
+        forbid_search(monkeypatch)
         code, out, err = run(capsys, *self._VERIFY, flag, value)
         assert code == 2
         assert out == ""

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import (SchwarzTriple, as_floats, inverse, random_triples, solve, table_value,
-                     toeplitz)
+from helpers import (HALF_PLANE, SchwarzTriple, as_floats, inverse, monomial_sum,
+                     random_triples, solve, table_value, toeplitz)
 from series import Series, log_div_z, revert
 
 from toepsharp.bounds import Hypothesis, Region, RegionMembership, fekete_szego_bound, theorem_bound
@@ -31,7 +31,6 @@ from toepsharp.schwarz import SchurParams
 
 TOL = 1e-12
 
-HALF_PLANE = PhiSpec(2, 2, 2)
 ROT = SchwarzTriple(1, 0, 0)  # omega(z) = z
 FIELDS = ("a2", "a3", "b2", "b3", "b4", "g1", "g2", "g3")
 
@@ -100,12 +99,6 @@ class TestToeplitz:
         assert abs(toeplitz(FunctionalKind.T22_INV, a) - 221) < TOL * 221
 
 
-def _monomial_sum(k, x1, x2, x3):
-    """The sum of k_i m_i over the monomials of weight len(k), written out term by term."""
-    monomials = {1: (x1,), 2: (x1 * x1, x2), 3: (x1 * x1 * x1, x1 * x2, x3)}
-    return sum(a * m for a, m in zip(k, monomials[len(k)]))
-
-
 class TestGraded:
     """``coeffs._graded``: the weight-graded sum, exact on integers and Fractions,
     and in Horner order on complex arrays, bit for bit."""
@@ -118,9 +111,9 @@ class TestGraded:
             fracs = [F(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(weight + 3)]
             for v in (ints, fracs):
                 k, x = v[:weight], v[weight:]
-                assert _graded(k, *x) == _monomial_sum(k, *x)
+                assert _graded(k, *x) == monomial_sum(k, *x)
                 if weight < 3:
-                    assert _graded(k, *x[:2]) == _monomial_sum(k, *x)
+                    assert _graded(k, *x[:2]) == monomial_sum(k, *x)
 
     @pytest.mark.parametrize("weight", [1, 2, 3])
     def test_complex_arrays_in_horner_order(self, weight):

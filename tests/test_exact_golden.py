@@ -19,9 +19,7 @@ import random
 from fractions import Fraction as F
 from pathlib import Path
 
-import pytest
-
-from helpers import golden_diff, write_golden
+from helpers import golden_diff, golden_tests, write_golden
 from toepsharp.bounds import theorem_bound
 from toepsharp.catalog import phi_coeffs
 from toepsharp.cli import main
@@ -129,21 +127,7 @@ def _golden_cases():
 
 
 _GOLDEN_CASES = _golden_cases()
-
-
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(GOLDEN.read_text())
-
-
-@pytest.mark.parametrize("case", _GOLDEN_CASES, ids=[c for c, _ in _GOLDEN_CASES])
-def test_golden_bytes(case, golden):
-    case_id, run = case
-    assert run() == golden[case_id]
-
-
-def test_golden_covers_every_case(golden):
-    assert sorted(golden) == sorted(c for c, _ in _GOLDEN_CASES)
+golden, test_golden_bytes, test_golden_covers_every_case = golden_tests(GOLDEN, _GOLDEN_CASES)
 
 
 def test_golden_diff_names_each_moved_key():

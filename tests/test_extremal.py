@@ -6,16 +6,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import SchwarzTriple, solve
+from helpers import EXP, HALF_PLANE, SchwarzTriple, random_phi, solve
 from toepsharp import catalog, coeffs
 from toepsharp.bounds import theorem_bound
 from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec
 from toepsharp.extremal import attainment, extremal_coeffs
 
 TOL = 1e-12
-
-HALF_PLANE = PhiSpec(F(2), F(2), F(2))
-EXP = PhiSpec(F(1), F(1, 2), F(1, 6))
 
 
 class TestExtremalCoeffs:
@@ -145,11 +142,7 @@ class TestInverseCoeffs:
 def _seeded_phis(seed: int, n: int) -> list[PhiSpec]:
     """n Fraction generators: B1 in [0, 3], B2 and B3 in [-4, 4], denominators <= 12."""
     rng = random.Random(seed)
-
-    def frac(lo, hi):
-        den = rng.randint(1, 12)
-        return F(rng.randint(lo * den, hi * den), den)
-    return [PhiSpec(frac(0, 3), frac(-4, 4), frac(-4, 4)) for _ in range(n)]
+    return [random_phi(rng) for _ in range(n)]
 
 
 class TestAttainment:

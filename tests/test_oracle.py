@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_triples, solve, toeplitz, write_golden
+from helpers import (CARDIOID, EXP, HALF_PLANE, forbid_search, golden_tests, random_triples,
+                     solve, toeplitz, write_golden)
 from toepsharp import cli, oracle
 from toepsharp.bounds import theorem_bound
 from toepsharp.catalog import certificate_entries
@@ -26,8 +27,6 @@ from toepsharp.extremal import attainment
 from toepsharp.oracle import Verdict, lemma1_scan, maximize
 from toepsharp.schwarz import schur_map
 
-HALF_PLANE = PhiSpec(F(2), F(2), F(2))
-CARDIOID = PhiSpec(F(1), F(1), F(1, 2))
 # Each seed the search refuses, with the error and the text of its message.
 BAD_SEEDS = pytest.mark.parametrize("seed, error, text", [
     (None, TypeError, "integer"), (1.5, TypeError, "integer"), ("3", TypeError, "integer"),
@@ -91,10 +90,7 @@ class TestMaximize:
     def test_float_bound_overflow_raises_before_the_search(self, functional, budget,
                                                            monkeypatch):
         # B1 = 1e80 squares to 1e160 and then to inf inside the bound
-        def no_search(*args):
-            raise AssertionError("the search ran")
-
-        monkeypatch.setattr(oracle, "_maximize_objective", no_search)
+        forbid_search(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError):
@@ -343,20 +339,14 @@ class TestLemmaScan:
     @pytest.mark.parametrize("sigma, mu", [(0.0, math.nan), (math.nan, 1.0),
                                            (math.inf, 1.0), (0.0, -math.inf)])
     def test_rejects_non_finite_data_before_the_search(self, sigma, mu, monkeypatch):
-        def no_search(*args):
-            raise AssertionError("the search ran")
-
-        monkeypatch.setattr(oracle, "_maximize_objective", no_search)
+        forbid_search(monkeypatch)
         with pytest.raises(ValueError, match="must be finite"):
             lemma1_scan(sigma, mu, budget=100)
 
     @pytest.mark.parametrize("sigma, mu", [("1", 2), (1, "2"), (1j, 2), (1, 2 + 0j),
                                            (None, 2), (1, None)])
     def test_rejects_a_non_real_before_the_search(self, sigma, mu, monkeypatch):
-        def no_search(*args):
-            raise AssertionError("the search ran")
-
-        monkeypatch.setattr(oracle, "_maximize_objective", no_search)
+        forbid_search(monkeypatch)
         with pytest.raises(TypeError, match="integers, Fractions or floats only"):
             lemma1_scan(sigma, mu, budget=100)
 
@@ -555,8 +545,7 @@ class TestScreenPrefilter:
             return screen(recorded, *args)
 
         monkeypatch.setattr(oracle, "_screen", recording_screen)
-        maximize(FunctionalKind.T22_INV, ClassKind.STARLIKE, PhiSpec(F(1), F(1, 2), F(1, 6)),
-                 budget=10 ** 5, seed=0)
+        maximize(FunctionalKind.T22_INV, ClassKind.STARLIKE, EXP, budget=10 ** 5, seed=0)
         assert len(calls) == 1 and 0 < sum(map(len, calls[0])) < 0.3 * 10 ** 5
 
 
@@ -769,21 +758,7 @@ def _golden_cases():
 
 
 _GOLDEN_CASES = _golden_cases()
-
-
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(GOLDEN.read_text())
-
-
-@pytest.mark.parametrize("case", _GOLDEN_CASES, ids=[c for c, _ in _GOLDEN_CASES])
-def test_golden_bytes(case, golden):
-    case_id, run = case
-    assert run() == golden[case_id]
-
-
-def test_golden_covers_every_case(golden):
-    assert sorted(golden) == sorted(c for c, _ in _GOLDEN_CASES)
+golden, test_golden_bytes, test_golden_covers_every_case = golden_tests(GOLDEN, _GOLDEN_CASES)
 
 
 if __name__ == "__main__":

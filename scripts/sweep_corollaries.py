@@ -11,11 +11,17 @@ that stops early (``| head``) ends the dump quietly, with exit 0.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from toepsharp.bounds import theorem_bound
-from toepsharp.catalog import COROLLARY_CURVES
-from toepsharp.cli import print_until_closed
-from toepsharp.extremal import attainment
+SRC = Path(__file__).resolve().parent.parent / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
+
+from toepsharp.bounds import theorem_bound  # noqa: E402
+from toepsharp.catalog import COROLLARY_CURVES  # noqa: E402
+from toepsharp.cli import print_until_closed  # noqa: E402
+from toepsharp.extremal import attainment  # noqa: E402
 
 
 def _rows(points: int):

@@ -14,12 +14,17 @@ sweep then ends at once, and an unfinished sweep is no pass.
 import argparse
 import sys
 import time
+from pathlib import Path
 
-from toepsharp.bounds import theorem_bound
-from toepsharp.catalog import certificate_entries
-from toepsharp.cli import MAX_BUDGET, print_until_closed
-from toepsharp.coeffs import FunctionalKind
-from toepsharp.oracle import Verdict, maximize
+SRC = Path(__file__).resolve().parent.parent / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
+
+from toepsharp.bounds import theorem_bound  # noqa: E402
+from toepsharp.catalog import certificate_entries  # noqa: E402
+from toepsharp.cli import MAX_BUDGET, print_until_closed  # noqa: E402
+from toepsharp.coeffs import FunctionalKind  # noqa: E402
+from toepsharp.oracle import Verdict, maximize  # noqa: E402
 
 
 def _rows(budget: int, seeds: int, failed: list[bool]):

@@ -761,6 +761,18 @@ class TestScriptArguments:
         assert done.stderr.startswith("usage:") and "Traceback" not in done.stderr
         assert f"{argv[0]} needs N >= " in done.stderr
 
+    def test_scripts_run_without_pythonpath(self):
+        # each script puts its checkout's src on sys.path itself
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        sweep, verify = (subprocess.run([sys.executable, str(SCRIPTS / script), *argv], env=env,
+                                        capture_output=True, text=True, timeout=120, check=False)
+                         for script, argv in (("sweep_corollaries.py", ["--points", "2"]),
+                                              ("verify_all.py", ["--seeds", "0"])))
+        assert sweep.returncode == 0 and sweep.stderr == ""
+        assert sweep.stdout.startswith("label,functional,param,value,")
+        assert verify.returncode == 2 and verify.stdout == ""
+        assert verify.stderr.startswith("usage:") and "Traceback" not in verify.stderr
+
     def test_corollary_grid_ends_at_the_interval_end(self):
         # at 7 points lo + (hi - lo) * 6/6 rounds past beta = 1, so the grid
         # must end at hi itself

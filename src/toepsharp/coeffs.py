@@ -122,6 +122,13 @@ def _real(name: str, v) -> Real:
     return float(v) if isinstance(v, float) else v
 
 
+def _integers(phi: PhiSpec) -> tuple[int, int, int, int]:
+    """``phi.integers``; a phi that is not a PhiSpec (a tuple, a name, None) is a TypeError."""
+    if not isinstance(phi, PhiSpec):
+        raise TypeError(f"phi: a PhiSpec only, got {phi!r}")
+    return phi.integers
+
+
 def _known(table: dict, key, what: str):
     """table[key], or the ValueError "unknown <what>" for a key it lacks or cannot hash."""
     try:
@@ -185,7 +192,7 @@ def table(kind: ClassKind, phi: PhiSpec, *names: str) -> tuple[tuple[tuple[int, 
     (numerator, denominator) with a positive denominator, not reduced: with
     ``phi.integers`` = (n1, n2, n3, d), a row of degree m is an integer over den d^m."""
     fields = _known(_TABLE, kind, "class")
-    n1, n2, n3, d = phi.integers
+    n1, n2, n3, d = _integers(phi)
     b = (n1, n2 * d, n3 * d * d)  # B_k d^k, so a B-monomial of degree m comes times d^m
     return tuple(tuple((_graded(nums, *b), den * d ** len(nums)) for nums, den in fields[name])
                  for name in names)

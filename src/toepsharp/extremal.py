@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import INVERSE, PAIRS, ClassKind, FunctionalKind, PhiSpec, _graded, _known, _saturated
+from .coeffs import (INVERSE, PAIRS, ClassKind, FunctionalKind, PhiSpec, _graded, _integers,
+                     _known, _saturated)
 
 # a2, a3 and a4 in INVERSE's row form: the monomials a2; a3; a4 with coefficient 1.
 _IDENTITY = (((1,), 1), ((0, 1), 1), ((0, 0, 1), 1))
@@ -38,7 +39,7 @@ def _scaled(kind: ClassKind, phi: PhiSpec) -> tuple[tuple[int, int, int], int]:
     t_m = r_m (m-1)! d^(m-1): t_2 = n1, t_3 = n1 t_2 + n2 d, t_4 = n1 t_3 + 2 (n2 d t_2 + n3 d^2).
     """
     s2, s3, s4 = _known(_SCALE, kind, "class")
-    n1, n2, n3, d = phi.integers
+    n1, n2, n3, d = _integers(phi)
     t3 = n1 * n1 + n2 * d
     t4 = n1 * t3 + 2 * d * (n2 * n1 + n3 * d)
     return (n1 * s2, t3 * s3, t4 * s4), d

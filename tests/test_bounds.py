@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (CARDIOID, EXP, HALF_PLANE, as_floats, fekete_szego_reference, inverse,
                      random_fraction, random_phi, third_coefficient_reference)
-from toepsharp import bounds
+from toepsharp import bounds, oracle
 from toepsharp.bounds import (
     HYP_TOL,
     Region,
@@ -557,6 +557,19 @@ class TestTheoremBound:
                      lambda: maximize(FunctionalKind.T21_INV, kind, HALF_PLANE, budget=10)):
             with pytest.raises(ValueError, match="unknown class"):
                 call()
+
+    @pytest.mark.parametrize("phi", [(1, 2, 3), None, "exp"], ids=["tuple", "None", "name"])
+    @pytest.mark.parametrize("call", [
+        lambda phi: theorem_bound(FunctionalKind.T21_INV, ClassKind.STARLIKE, phi),
+        lambda phi: attainment(FunctionalKind.T22_LOG_INV, ClassKind.CONVEX, phi),
+        lambda phi: extremal_coeffs(ClassKind.STARLIKE, phi),
+        lambda phi: fekete_szego_bound(ClassKind.CONVEX, phi, 1),
+        lambda phi: oracle.maximize(FunctionalKind.T22_INV, ClassKind.STARLIKE, phi, budget=10),
+    ], ids=["theorem_bound", "attainment", "extremal_coeffs", "fekete_szego_bound", "maximize"])
+    def test_rejects_a_phi_that_is_no_phispec(self, call, phi):
+        # not the AttributeError of a missing phi.integers
+        with pytest.raises(TypeError, match=r"^phi: a PhiSpec only, got "):
+            call(phi)
 
     def test_witness_mentions_the_rotation(self):
         rep = theorem_bound(FunctionalKind.T21_INV, ClassKind.STARLIKE,

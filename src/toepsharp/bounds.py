@@ -102,7 +102,8 @@ def omega_region(sigma: float, mu: float) -> RegionMembership:
 
     Overlaps (|sigma| exactly 2 or 4) report the lower index.  NaN data lie in no
     region, nor does (+-inf, +inf), where Omega3's mu - (2/3)(|sigma| - 1) is NaN.
-    A sigma or mu that is not an integer, Fraction or float raises TypeError.
+    A sigma or mu that is not an integer, Fraction or float raises TypeError, and
+    an integer or Fraction past the float range (10**400) raises OverflowError.
     """
     sigma, mu = float(_real("sigma", sigma)), float(_real("mu", mu))
     nowhere = math.isnan(mu - abs(sigma))  # a NaN, or |sigma| = mu = inf

@@ -343,8 +343,8 @@ def lemma1_scan(
     ValidNotAttained.  A bound is judged as in ``maximize``: with s =
     max(1, |mu|), VIOLATION iff the maximum exceeds |mu| + VIOLATION_TOL * s,
     else SharpConfirmed iff it is within SHARPNESS_TOL * s of |mu|.  A sigma or mu that
-    is not an integer, Fraction or float raises TypeError, a NaN or infinite one
-    ValueError, before the search.
+    is not an integer, Fraction or float raises TypeError, an integer or Fraction past
+    the float range OverflowError, a NaN or infinite one ValueError, before the search.
     """
     sigma, mu = float(_real("sigma", sigma)), float(_real("mu", mu))
     if not (math.isfinite(sigma) and math.isfinite(mu)):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from helpers import (CARDIOID, EXP, HALF_PLANE, forbid_search, golden_tests, random_triples,
                      solve, toeplitz, write_golden)
 from toepsharp import cli, oracle
-from toepsharp.bounds import theorem_bound
+from toepsharp.bounds import omega_region, theorem_bound
 from toepsharp.catalog import certificate_entries
 from toepsharp.coeffs import ClassKind, FunctionalKind, PhiSpec
 from toepsharp.extremal import attainment
@@ -349,6 +349,15 @@ class TestLemmaScan:
         forbid_search(monkeypatch)
         with pytest.raises(TypeError, match="integers, Fractions or floats only"):
             lemma1_scan(sigma, mu, budget=100)
+
+    @pytest.mark.parametrize("sigma, mu", [(10 ** 400, 1), (F(10 ** 400), 1), (0, F(-10 ** 400))])
+    def test_a_value_past_the_float_range_overflows_before_the_search(self, sigma, mu,
+                                                                      monkeypatch):
+        # omega_region and lemma1_scan read sigma and mu as floats
+        forbid_search(monkeypatch)
+        for call in (lambda: omega_region(sigma, mu), lambda: lemma1_scan(sigma, mu, budget=10)):
+            with pytest.raises(OverflowError):
+                call()
 
 
 # Screen selection: the streamed top-k must pick exactly the rows a stable

@@ -535,11 +535,10 @@ class TestTheoremBound:
     def test_rejects_an_unknown_functional(self, functional):
         # the functional's value, not a FunctionalKind, or a key no dict can hash:
         # no coefficient pair
-        from toepsharp.oracle import maximize
-
         for call in (lambda: theorem_bound(functional, ClassKind.STARLIKE, HALF_PLANE),
                      lambda: attainment(functional, ClassKind.STARLIKE, HALF_PLANE),
-                     lambda: maximize(functional, ClassKind.STARLIKE, HALF_PLANE, budget=10)):
+                     lambda: oracle.maximize(functional, ClassKind.STARLIKE, HALF_PLANE,
+                                             budget=10)):
             with pytest.raises(ValueError, match="unknown functional"):
                 call()
 
@@ -547,14 +546,12 @@ class TestTheoremBound:
     def test_rejects_an_unknown_class(self, kind):
         # the class's value, not a ClassKind, or a key no dict can hash: no table
         # row, no scale, and no silent fall back to the starlike extremal
-        from toepsharp.oracle import maximize
-
         for call in (lambda: table(kind, HALF_PLANE, "a2"),
                      lambda: theorem_bound(FunctionalKind.T21_INV, kind, HALF_PLANE),
                      lambda: fekete_szego_bound(kind, HALF_PLANE, 1),
                      lambda: attainment(FunctionalKind.T22_LOG_INV, kind, HALF_PLANE),
                      lambda: extremal_coeffs(kind, HALF_PLANE),
-                     lambda: maximize(FunctionalKind.T21_INV, kind, HALF_PLANE, budget=10)):
+                     lambda: oracle.maximize(FunctionalKind.T21_INV, kind, HALF_PLANE, budget=10)):
             with pytest.raises(ValueError, match="unknown class"):
                 call()
 

@@ -350,7 +350,8 @@ class TestLemmaScan:
         with pytest.raises(TypeError, match="integers, Fractions or floats only"):
             lemma1_scan(sigma, mu, budget=100)
 
-    @pytest.mark.parametrize("sigma, mu", [(10 ** 400, 1), (F(10 ** 400), 1), (0, F(-10 ** 400))])
+    @pytest.mark.parametrize("sigma, mu", [(10 ** 400, 1), (F(10 ** 400), 1), (0, F(-10 ** 400))],
+                             ids=["int-sigma", "Fraction-sigma", "Fraction-mu"])
     def test_a_value_past_the_float_range_overflows_before_the_search(self, sigma, mu,
                                                                       monkeypatch):
         # omega_region and lemma1_scan read sigma and mu as floats
